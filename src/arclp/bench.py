@@ -31,7 +31,7 @@ __all__ = ["BenchmarkRecord", "ProfileCurve", "AverageTimeReport",
 
 _CSV_FIELDS = ["problem", "n", "m", "algorithm", "beta", "beta_formula",
                "status", "iterations", "time_seconds", "mu", "rb_norm",
-               "rc_norm", "objective"]
+               "rc_norm", "objective", "note"]
 
 
 @dataclass
@@ -190,7 +190,7 @@ def records_to_csv(records):
                          "%g" % r.beta, r.beta_formula, r.status,
                          r.iterations, "%.6f" % r.time_seconds,
                          "%.6e" % r.mu, "%.6e" % r.rb_norm,
-                         "%.6e" % r.rc_norm, repr(r.objective)])
+                         "%.6e" % r.rc_norm, repr(r.objective), r.note])
     return buf.getvalue()
 
 
@@ -209,7 +209,7 @@ def records_from_csv(text):
             status=row[6], iterations=int(row[7]),
             time_seconds=float(row[8]), mu=float(row[9]),
             rb_norm=float(row[10]), rc_norm=float(row[11]),
-            objective=float(row[12])))
+            objective=float(row[12]), note=row[13]))
     return records
 
 

@@ -36,6 +36,9 @@ DENSE_LIMIT = 200
 # stacked right-hand side.
 _RESIDUAL_TOL = 1e-8
 
+# Refinement passes solve_block may make with one factor.
+_MAX_REFINEMENTS = 3
+
 
 class NumericalError(RuntimeError):
     """The Newton system could not be factored or solved accurately."""
@@ -156,7 +159,8 @@ def solve_block(fac, A, p, q, r1, r2, r3):
         On shape mismatches or if ``fac`` was built from different
         scaling vectors.
     NumericalError
-        If a backward residual exceeds ``1e-8 * (1 + ||rhs||)``.
+        If a backward residual exceeds ``1e-8 * (1 + ||rhs||)`` after up
+        to three refinement passes with the same factor.
     """
     A = sp.csr_array(A)
     m, n = A.shape
@@ -185,16 +189,19 @@ def solve_block(fac, A, p, q, r1, r2, r3):
                    np.linalg.norm(q * dx_ + p * ds_ - r3))
 
     worst = worst_residual(dx, dlam, ds)
-    if not np.isfinite(worst) or worst > tol:
-        # One refinement pass with the same factorization.  The second
-        # and third block rows are satisfied exactly by back-substitution,
-        # so only the first-row defect needs correcting.
+    # Refine with the same factor while the residual is above tolerance
+    # and still falling.  Back-substitution satisfies the second and third
+    # block rows exactly, so only the first-row defect needs correcting.
+    last = np.inf
+    for _ in range(_MAX_REFINEMENTS):
+        if worst <= tol or not worst < last:
+            break
         dlam = dlam + fac.solve(r1 - A @ dx)
         ds = r2 - A.T @ dlam
         dx = (r3 - p * ds) / q
-        worst = worst_residual(dx, dlam, ds)
-        if not np.isfinite(worst) or worst > tol:
-            raise NumericalError(
-                "block solve residual %.3e exceeds tolerance %.3e"
-                % (worst, tol))
+        last, worst = worst, worst_residual(dx, dlam, ds)
+    if not worst <= tol:
+        raise NumericalError(
+            "block solve residual %.3e exceeds tolerance %.3e"
+            % (worst, tol))
     return dx, dlam, ds

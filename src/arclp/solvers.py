@@ -212,44 +212,38 @@ def initial_point_mehrotra(lp):
     return x0, lam, s0
 
 
-def max_alpha_positivity(base, d1, d2, grid=64, bisections=60):
-    """Largest angle keeping ``arc_point(base, d1, d2, .)`` nonnegative.
+def max_alpha_positivity(base, d1, d2):
+    """Largest angle in ``[0, pi/2]`` keeping ``arc_point(base, d1, d2, .)``
+    nonnegative, in closed form (Y. Yang, *Arc-Search Techniques for
+    Interior-Point Methods*, CRC Press, 2020).
 
-    Scans ``phi(alpha) = base - d1 sin(alpha) + d2 (1 - cos(alpha))`` on a
-    uniform grid over ``[0, pi/2]`` for the first sign change of the
-    componentwise minimum, sharpens the bracket by bisection, and returns
-    the largest angle (shrunk at most by a factor ``1 - 1e-12``) at which
-    every component is still nonnegative.  Returns ``pi/2`` when the whole
-    quarter arc stays nonnegative.
+    Per component, with ``t = base + d2``, ``R = hypot(d1, d2)`` and
+    ``phi = atan2(d1, d2)``, the arc is ``t - R cos(alpha - phi)``: it
+    reaches zero only if ``t < R``, first at ``phi - arccos(t / R)``
+    (mod 2 pi).  As that difference cancels for small roots, the angle is
+    taken as ``2 atan(u)`` for the smallest positive root ``u`` of
+    ``(base + 2 d2) u**2 - 2 d1 u + base = 0`` (``u = tan(alpha / 2)``).
+    The answer is the least such angle, capped at pi/2.  If rounding leaves
+    the arc negative there, the angle shrinks by a relative 1e-12, sixteen
+    times more per retry, until it is not.
     """
     base = np.asarray(base, dtype=float)
     if np.any(base <= 0):
         raise ValueError("arc base point must be strictly positive")
-
-    def worst(alpha):
-        return float(np.min(base - d1 * np.sin(alpha)
-                            + d2 * (1.0 - np.cos(alpha))))
-
-    alphas = np.linspace(0.0, np.pi / 2.0, grid)
-    phi = (base[:, None] - np.outer(d1, np.sin(alphas))
-           + np.outer(d2, 1.0 - np.cos(alphas))).min(axis=0)
-    negative = np.nonzero(phi < 0.0)[0]
-    if negative.size == 0:
-        alpha = np.pi / 2.0
-    else:
-        hi_idx = int(negative[0])
-        lo, hi = alphas[hi_idx - 1], alphas[hi_idx]
-        for _ in range(bisections):
-            mid = 0.5 * (lo + hi)
-            if worst(mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        alpha = lo
-    for factor_ in (1.0, 1.0 - 1e-12):
-        if worst(factor_ * alpha) >= 0.0:
-            return factor_ * alpha
-    return lo if negative.size else 0.0
+    a = base + 2.0 * d2
+    disc = d1 * d1 - base * a                    # R**2 - t**2
+    hit = disc > 0.0
+    dh, ah = d1[hit], a[hit]
+    q = dh + np.copysign(np.sqrt(disc[hit]), dh)
+    # The smaller positive root has cot(alpha / 2) = q / base if q > 0,
+    # else a / q (positive iff a < 0); cot = 1 is the cap alpha = pi/2.
+    cot = np.max(np.where(q > 0.0, q / base[hit], ah / q), initial=1.0)
+    alpha = 2.0 * np.arctan2(1.0, cot)
+    shrink = 1e-12
+    while np.min(arc_point(base, d1, d2, alpha)) < 0.0:
+        alpha *= 1.0 - shrink
+        shrink = min(1.0, 16.0 * shrink)
+    return alpha
 
 
 def _linear_ratio_step(w, dw, cap=1.0):

@@ -13,12 +13,12 @@ from conftest import FIX1_MPS, FIX2_MPS, FIX_INFEASIBLE_MPS
 
 
 def record(problem, solver="alg2", status=Status.OPTIMAL, iterations=10,
-           seconds=1.0, beta=0.9):
+           seconds=1.0, beta=0.9, note=""):
     return BenchmarkRecord(problem=problem, n=5, m=3, algorithm=solver,
                            beta=beta, beta_formula="simple", status=status,
                            iterations=iterations, time_seconds=seconds,
                            mu=1e-9, rb_norm=1e-10, rc_norm=1e-10,
-                           objective=-1.0)
+                           objective=-1.0, note=note)
 
 
 @pytest.fixture
@@ -106,18 +106,21 @@ class TestCsvRoundTrip:
     def test_round_trip(self):
         records = [record("p1"), record("p2", solver="line", beta=0.5,
                                         status=Status.ITERATION_LIMIT,
-                                        iterations=100)]
+                                        iterations=100,
+                                        note='time limit, "soft"')]
         text = records_to_csv(records)
         lines = text.strip().splitlines()
         assert lines[0] == ("problem,n,m,algorithm,beta,beta_formula,"
                             "status,iterations,time_seconds,mu,rb_norm,"
-                            "rc_norm,objective")
+                            "rc_norm,objective,note")
         back = records_from_csv(text)
         assert len(back) == 2
         assert back[0].problem == "p1"
         assert back[1].status == Status.ITERATION_LIMIT
         assert back[1].beta == 0.5
         assert back[0].iterations == 10
+        assert back[0].note == ""
+        assert back[1].note == 'time limit, "soft"'
 
     def test_rejects_foreign_header(self):
         with pytest.raises(ValueError):

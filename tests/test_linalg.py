@@ -1,4 +1,6 @@
 """Newton-kernel tests: hand oracles, brute-force cross-checks, guards."""
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -196,3 +198,35 @@ def test_extreme_scaling_still_solves():
     bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
     for res in residual_norms(A.toarray(), p, q, r1, r2, r3, dx, dlam, ds):
         assert res <= bound
+
+
+@pytest.mark.parametrize("error, solves, converges", [
+    (1e-3, 3, True),      # two refinement passes reach the tolerance
+    (0.5, 4, False),      # still above it after the last allowed pass
+    (1.5, 2, False),      # the first pass makes it worse: stop there
+])
+def test_refinement_passes(error, solves, converges):
+    # A factor whose solves are off by a relative `error` leaves a
+    # first-row defect that shrinks by that factor per refinement pass.
+    rng = np.random.default_rng(7)
+    A = sp.csr_array(rng.standard_normal((4, 9)))
+    p = rng.uniform(0.5, 2.0, 9)
+    q = rng.uniform(0.5, 2.0, 9)
+    r1, r2, r3 = (rng.standard_normal(4), rng.standard_normal(9),
+                  rng.standard_normal(9))
+    exact = factor(A, p, q)
+    calls = []
+
+    def inexact(rhs):
+        calls.append(rhs)
+        return (1.0 + error) * exact.solve(rhs)
+
+    fac = dataclasses.replace(exact, _solve=inexact)
+    if converges:
+        for got, want in zip(solve_block(fac, A, p, q, r1, r2, r3),
+                             brute_force(A.toarray(), p, q, r1, r2, r3)):
+            assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+    else:
+        with pytest.raises(NumericalError):
+            solve_block(fac, A, p, q, r1, r2, r3)
+    assert len(calls) == solves

@@ -105,19 +105,66 @@ class TestMaxAlphaPositivity:
                                  np.array([0.0, -3.0]))
         assert_allclose(a, np.pi / 6, atol=1e-12)
 
+    def test_zero_directions_ignored(self):
+        # d1 = d2 = 0 leaves a component constant; mixing such components
+        # with a crossing one must not divide by zero.
+        with np.errstate(all="raise"):
+            a = max_alpha_positivity(np.array([1.0, 1.0, 3.0]),
+                                     np.array([0.0, 2.0, 0.0]),
+                                     np.array([0.0, 0.0, 0.0]))
+        assert_allclose(a, np.pi / 6, atol=1e-12)
+
+    def test_dip_between_grid_points(self):
+        # The arc dips below zero on about (1.02e-4, 4.9e-3) only, which a
+        # 64-point grid over [0, pi/2] steps over.  Root from 50-digit
+        # arithmetic; rounding in 1 - cos(alpha) near it is about 4e-14,
+        # which the safety shrink may step back from.
+        base, d1, d2 = np.array([1e-4]), np.array([1.0]), np.array([400.0])
+        assert arc_point(base, d1, d2, 0.0025)[0] < 0.0
+        a = max_alpha_positivity(base, d1, d2)
+        assert_allclose(a, 1.0208423852660803e-4, rtol=1e-9)
+        assert arc_point(base, d1, d2, a)[0] >= 0.0
+
+    def test_tangent_arc(self):
+        # t = w + d2 = 2.5 = hypot(d1, d2): the arc touches zero at
+        # atan2(2, 1.5) but never goes below it.
+        a = max_alpha_positivity(np.array([1.0]), np.array([2.0]),
+                                 np.array([1.5]))
+        assert a == np.pi / 2
+
+    def test_root_at_quarter_turn(self):
+        # 1 - sin/2 - (1 - cos)/2 is positive on [0, pi/2) and zero at pi/2.
+        base, d1, d2 = np.array([1.0]), np.array([0.5]), np.array([-0.5])
+        a = max_alpha_positivity(base, d1, d2)
+        assert a == np.pi / 2
+        assert arc_point(base, d1, d2, a)[0] >= 0.0
+
     def test_result_keeps_arc_nonnegative(self):
+        # Differential check against a dense grid: the answer lies in the
+        # grid cell where the arc first turns negative, the arc is
+        # nonnegative at the answer and negative just past it.
         rng = np.random.default_rng(22)
-        for _ in range(50):
+        grid = np.linspace(0.0, np.pi / 2, 20001)
+        crossings = 0
+        for _ in range(200):
             n = int(rng.integers(1, 10))
             base = rng.uniform(0.1, 2.0, n)
-            d1 = rng.standard_normal(n)
-            d2 = rng.standard_normal(n)
+            d1 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1, n)
+            d2 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1, n)
             a = max_alpha_positivity(base, d1, d2)
             assert 0.0 < a <= np.pi / 2
             assert np.all(arc_point(base, d1, d2, a) >= 0.0)
-            if a < np.pi / 2:
-                probe = min(a + 1e-6, np.pi / 2)
-                assert np.min(arc_point(base, d1, d2, probe)) < 0.0
+            worst = arc_point(base[:, None], d1[:, None], d2[:, None],
+                              grid).min(axis=0)
+            negative = np.nonzero(worst < 0.0)[0]
+            if negative.size == 0:
+                assert a == np.pi / 2
+                continue
+            crossings += 1
+            k = negative[0]
+            assert grid[k - 1] <= a <= grid[k]
+            assert np.min(arc_point(base, d1, d2, a * (1.0 + 1e-9))) < 0.0
+        assert crossings > 100
 
 
 class TestStoppingRules:
