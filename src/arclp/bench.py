@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,8 +53,12 @@ class BenchmarkRecord:
     note: str = ""
 
     def solver_key(self):
-        return "%s|beta=%g|%s" % (self.algorithm, self.beta,
-                                  self.beta_formula)
+        """Label of the solver: the algorithm and the parameters it reads."""
+        if self.algorithm == "alg1":
+            return "alg1|beta=%g" % self.beta
+        if self.algorithm == "alg2":
+            return "alg2|beta=%g|%s" % (self.beta, self.beta_formula)
+        return self.algorithm
 
 
 @dataclass
@@ -153,7 +156,7 @@ def solve_mps_file(path, config=None):
     return record, result, x_raw
 
 
-def run_benchmark(problem_dir, configs, time_limit=None, jobs=1):
+def run_benchmark(problem_dir, configs, time_limit=None):
     """Solve every ``*.mps`` file under ``problem_dir`` with every config.
 
     Files are taken in sorted order and configurations in the given
@@ -164,20 +167,10 @@ def run_benchmark(problem_dir, configs, time_limit=None, jobs=1):
     paths = sorted(Path(problem_dir).glob("*.mps"))
     if not paths:
         raise ValueError("no .mps files under %s" % problem_dir)
-    tasks = []
-    for path in paths:
-        for config in configs:
-            if time_limit is not None:
-                config = replace(config, time_limit=time_limit)
-            tasks.append((path, config))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(solve_mps_file, p, c) for p, c in tasks]
-            outcomes = [f.result() for f in futures]
-    else:
-        outcomes = [solve_mps_file(p, c) for p, c in tasks]
-    return [record for record, _, _ in outcomes]
+    if time_limit is not None:
+        configs = [replace(c, time_limit=time_limit) for c in configs]
+    return [solve_mps_file(path, config)[0]
+            for path in paths for config in configs]
 
 
 def records_to_csv(records):

@@ -85,13 +85,11 @@ def build_parser():
                              help="solve every MPS file in a directory")
     p_bench.add_argument("dir", help="directory of .mps files")
     p_bench.add_argument("--algorithms", default="alg2,arc,line",
-                         help="comma-separated drivers "
+                         help="comma-separated algorithms "
                               "(default alg2,arc,line)")
     _add_solver_flags(p_bench, with_algorithm=False)
     p_bench.add_argument("--time-limit", type=float, default=None,
                          help="per-solve wall clock limit in seconds")
-    p_bench.add_argument("--jobs", type=int, default=1,
-                         help="concurrent solves (default 1)")
     p_bench.add_argument("--out", metavar="PATH",
                          help="write the record CSV here "
                               "(default stdout)")
@@ -171,8 +169,7 @@ def cmd_bench(args):
         if not configs:
             raise ValueError("no algorithms given")
         records = run_benchmark(directory, configs,
-                                time_limit=args.time_limit,
-                                jobs=max(1, args.jobs))
+                                time_limit=args.time_limit)
     except ValueError as exc:
         sys.stderr.write("arclp: %s\n" % exc)
         return 1

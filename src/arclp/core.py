@@ -15,41 +15,17 @@ central-path neighborhood ``N(theta)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import solve_block
 
-__all__ = ["Iterate", "residuals", "duality_measure", "in_neighborhood",
-           "arc_point", "momentum_weight_full", "momentum_weight_simple",
+__all__ = ["residuals", "duality_measure", "in_neighborhood", "arc_point",
+           "momentum_weight_full", "momentum_weight_simple",
            "restart_point", "first_derivatives", "second_derivatives"]
 
 # Below this infinity-norm of the scaled displacement the restart is
 # numerically vacuous and the weight collapses to zero (z = x).
 _DEGENERATE_SHIFT = 1e-14
-
-
-@dataclass(frozen=True)
-class Iterate:
-    """A strictly interior primal-dual point with cached residuals.
-
-    ``rb = A @ x - b`` (primal), ``rc = A.T @ lam + s - c`` (dual) and
-    ``mu = x @ s / n`` are computed once at construction.
-    """
-
-    x: np.ndarray
-    lam: np.ndarray
-    s: np.ndarray
-    rb: np.ndarray
-    rc: np.ndarray
-    mu: float
-
-    @classmethod
-    def at(cls, lp, x, lam, s):
-        rb, rc = residuals(lp, x, lam, s)
-        return cls(x=x, lam=lam, s=s, rb=rb, rc=rc,
-                   mu=duality_measure(x, s))
 
 
 def residuals(lp, x, lam, s):

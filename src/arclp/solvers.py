@@ -1,21 +1,25 @@
 """Interior-point solvers for standard-form LPs.
 
-Four drivers share the Newton kernel and the arc/momentum primitives:
+:func:`solve` runs one iteration loop for four methods that share the
+Newton kernel and the arc/momentum primitives.  The loop owns the
+starting point, the momentum restart, the stopping test, the limits and
+the trace; the methods differ in their step rule, and ``alg2`` and
+``arc`` share one:
 
-``solve_alg1``
+``alg1``
     Neighborhood-confined arc search.  The momentum restart is guarded by
     membership in ``N(theta)``, every step keeps the iterate inside the
     (doubled) neighborhood, and a corrector recenters after each arc step.
-    Its contraction invariants hold to rounding and are recorded when
-    ``check_invariants`` is on.
-``solve_alg2``
+    Its contraction invariants hold to rounding; breaches are recorded in
+    ``SolveResult.invariant_violations``.
+``alg2``
     Practical arc search with unconditional momentum restarts and an
     adaptive centering weight chosen from an affine-scaling probe, in the
     style of predictor-corrector codes.
-``solve_arc_baseline``
-    ``solve_alg2`` with the restart weight pinned to zero; the reference
-    arc-search method.
-``solve_line_baseline``
+``arc``
+    The practical arc step without restarts; the reference arc-search
+    method.
+``line``
     Classic predictor-corrector line search (affine predictor, centering
     corrector, separate damped primal and dual steps).
 
@@ -26,23 +30,27 @@ report the same immature-stop taxonomy.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import (arc_point, duality_measure, first_derivatives,
-                   in_neighborhood, momentum_weight_full,
-                   momentum_weight_simple, residuals, restart_point,
-                   second_derivatives)
+                   momentum_weight_full, momentum_weight_simple, residuals,
+                   restart_point, second_derivatives)
 from .linalg import NumericalError, factor, solve_block
 
 __all__ = ["Status", "SolverConfig", "SolveResult", "solve",
-           "solve_alg1", "solve_alg2", "solve_arc_baseline",
-           "solve_line_baseline", "initial_point_alg1",
-           "initial_point_mehrotra", "max_alpha_positivity",
-           "check_convergence", "check_theoretical_stop"]
+           "initial_point_alg1", "initial_point_mehrotra",
+           "max_alpha_positivity", "check_convergence",
+           "check_theoretical_stop"]
 
 _THETA_SUP = 1.0 / (2.0 + np.sqrt(2.0))
+# A step (angle or line length) below this ends the solve: StepTooSmall.
+_STEP_FLOOR = 1e-7
+# Clip of the adaptive centering weight sigma = (mu_affine / mu)**3.
+_SIGMA_MIN = 1e-6
+_SIGMA_MAX = 0.5
 
 
 class Status:
@@ -58,17 +66,14 @@ class Status:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the four drivers.
+    """Knobs shared by the four methods.
 
     ``beta`` scales the momentum restart and ``beta_formula`` picks the
-    weight rule for ``solve_alg2`` ("simple" box cap or "full"
-    residual-aware cap); the guarded method always uses the full rule,
-    which its contraction guarantees require.  ``theta`` is the
-    neighborhood radius of the guarded method and must stay below
-    ``1 / (2 + sqrt(2))``.  ``gamma`` damps arc and line steps away from
-    the positivity boundary.  ``corrector_target`` selects the duality
-    measure the guarded corrector recenters toward: the measure at the
-    iterate ("iterate", default) or at the restarted point ("restart").
+    weight rule for ``alg2`` ("simple" box cap or "full" residual-aware
+    cap); the guarded method always uses the full rule, which its
+    contraction guarantees require.  ``theta`` is the neighborhood radius
+    of the guarded method and must stay below ``1 / (2 + sqrt(2))``.
+    ``gamma`` damps arc and line steps away from the positivity boundary.
     """
 
     algorithm: str = "alg2"
@@ -77,15 +82,9 @@ class SolverConfig:
     theta: float = 0.25
     epsilon: float = 1e-7
     max_iter: int = 100
-    step_floor: float = 1e-7
     gamma: float = 0.9
-    sigma_min: float = 1e-6
-    sigma_max: float = 0.5
     stop_rule: str = "relative"
-    corrector_target: str = "iterate"
     trace: bool = False
-    check_invariants: bool = True
-    force_zero_momentum: bool = False
     time_limit: float = None
 
     def validate(self):
@@ -106,9 +105,6 @@ class SolverConfig:
         if self.stop_rule not in ("relative", "theoretical"):
             raise ValueError("stop_rule must be 'relative' or "
                              "'theoretical'")
-        if self.corrector_target not in ("iterate", "restart"):
-            raise ValueError("corrector_target must be 'iterate' or "
-                             "'restart'")
         return self
 
 
@@ -280,8 +276,27 @@ def _deadline_hit(config, t0):
             and time.perf_counter() - t0 > config.time_limit)
 
 
+class _Step(NamedTuple):
+    """What a step rule did.
+
+    A step to ``point`` carries its trace ``fields``; with a ``status`` as
+    well, the solve ends at ``point``.  A rule that takes no step returns
+    only a ``status`` and ``note``, and the solve ends where it stood.
+    """
+
+    point: tuple = None
+    fields: dict = None
+    status: str = None
+    note: str = ""
+
+
 def solve(lp, config=None):
-    """Dispatch to the driver named by ``config.algorithm``."""
+    """Solve ``lp`` with the method named by ``config.algorithm``.
+
+    Each iteration tests for optimality and the limits, restarts the
+    iterate with momentum, and takes one step of the method's rule
+    (``_STEP_RULES``) from the restarted point.
+    """
     config = (config or SolverConfig()).validate()
     if lp.n == 0:
         # Presolve can solve a problem outright; the shift is then the
@@ -291,14 +306,104 @@ def solve(lp, config=None):
                            objective=lp.objective_shift, x=np.zeros(0),
                            lam=np.zeros(lp.m), s=np.zeros(0),
                            note="solved during presolve")
-    driver = {"alg1": solve_alg1, "alg2": solve_alg2,
-              "arc": solve_arc_baseline,
-              "line": solve_line_baseline}[config.algorithm]
-    return driver(lp, config)
+    t0 = time.perf_counter()
+    if config.algorithm == "alg1":
+        x, lam, s = initial_point_alg1(lp)
+    else:
+        x, lam, s = initial_point_mehrotra(lp)
+    norms = (float(np.linalg.norm(lp.b)), float(np.linalg.norm(lp.c)))
+    rb, rc = residuals(lp, x, lam, s)
+    mu = duality_measure(x, s)
+    init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
+    rb0 = rb
+
+    def stop(x, lam, s):
+        return _stop(lp, x, lam, s, config, norms, init)
+
+    rule = _STEP_RULES[config.algorithm]
+    prev_x = prev_rb = None
+    trace, violations = [], []
+    k = 0
+    while True:
+        if stop(x, lam, s):
+            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, trace,
+                           violations)
+        if k >= config.max_iter or _deadline_hit(config, t0):
+            note = "time limit" if k < config.max_iter else ""
+            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s,
+                           trace, violations, note)
+
+        beta_k, z = _restart(config, x, prev_x, rb, prev_rb, s)
+        mu_z = duality_measure(z, s)
+        try:
+            step = rule(lp, config, z, lam, s, mu_z, mu, rb, rc, stop)
+        except NumericalError:
+            step = _Step(status=Status.NUMERICAL_ERROR)
+        if step.point is None:
+            return _finish(lp, step.status, k, t0, x, lam, s, trace,
+                           violations, step.note)
+
+        if config.trace:
+            row = {"iter": k, "mu": mu, "mu_z": mu_z, "beta_k": beta_k,
+                   **step.fields, "rb_norm": float(np.linalg.norm(rb)),
+                   "rc_norm": float(np.linalg.norm(rc))}
+            if config.algorithm == "alg1":
+                row.update(rb=rb.copy(), x=x.copy(), s=s.copy(),
+                           z=z.copy())
+            trace.append(row)
+        if step.status is not None:
+            return _finish(lp, step.status, k + 1, t0, *step.point, trace,
+                           violations, step.note)
+
+        x_new, lam_new, s_new = step.point
+        rb_new, rc_new = residuals(lp, x_new, lam_new, s_new)
+        mu_new = duality_measure(x_new, s_new)
+        if config.algorithm == "alg1":
+            _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc,
+                             rc_new, step.fields["sin_alpha"], x_new, s_new,
+                             rb0, x, z, beta_k, config)
+        prev_x, prev_rb = x, rb
+        x, lam, s = x_new, lam_new, s_new
+        rb, rc, mu = rb_new, rc_new, mu_new
+        k += 1
+
+
+def _restart(config, x, prev_x, rb, prev_rb, s):
+    """Momentum restart ``(beta_k, z)`` of the iterate ``x``.
+
+    ``alg1`` weighs the shift with the full formula and keeps it only
+    inside ``N(theta)``; ``alg2`` shifts unconditionally with the weight
+    of ``beta_formula``; ``arc`` and ``line`` never restart.
+    """
+    if config.algorithm in ("arc", "line") or prev_x is None:
+        return 0.0, x
+    delta = x - prev_x
+    if config.algorithm == "alg1" or config.beta_formula == "full":
+        beta_k = momentum_weight_full(x, prev_x, rb, prev_rb, config.beta)
+    else:
+        beta_k = momentum_weight_simple(x, prev_x, config.beta)
+    if config.algorithm == "alg1":
+        z = restart_point(x, beta_k, delta, "guarded", s, config.theta)
+    else:
+        z = restart_point(x, beta_k, delta, "always")
+    # A rejected guarded shift returns x itself.  An unconditional one
+    # may zero out a component at beta = 1, which the kernel cannot scale
+    # by.
+    if z is x or z.min() <= 0.0:
+        return 0.0, x
+    return beta_k, z
+
+
+def _arc_fields(alpha_z, alpha_s):
+    return {"alpha": float(alpha_z), "sin_alpha": float(np.sin(alpha_z)),
+            "step_primal": float(np.sin(alpha_z)),
+            "step_dual": float(np.sin(alpha_s))}
 
 
 # ----------------------------------------------------------------------
-# Guarded arc search (neighborhood-confined, with corrector)
+# Step rules.  Each takes ``(lp, config, z, lam, s, mu_z, mu, rb, rc,
+# stop)``: the restarted point ``(z, lam, s)`` with its duality measure,
+# the measure and residuals of the iterate itself, and the stopping test.
 # ----------------------------------------------------------------------
 
 def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
@@ -319,124 +424,55 @@ def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
     return check
 
 
-def solve_alg1(lp, config=None):
-    """Neighborhood-confined arc search with momentum restarts.
+def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
+    """Guarded arc step (``alg1``) followed by a corrector.
 
-    The restart weight always uses the residual-aware (full) formula and
-    the shifted point is kept only while it stays in ``N(theta)``.  After
-    the arc step, a corrector recenters toward the next duality measure,
-    preserving the contraction invariants that ``check_invariants``
-    records: the measure and dual residual shrink by exactly
-    ``1 - sin(alpha)``, primal residual components shrink at least that
-    fast without changing sign, and the iterate stays in ``N(theta)``.
+    The angle backtracks by 0.8 from pi/2 until it, its half and its
+    quarter are admissible.  The corrector then recenters toward
+    ``(1 - sin(alpha)) * mu``, which preserves the contraction
+    invariants that :func:`_alg1_invariants` records: the measure and
+    dual residual shrink by exactly ``1 - sin(alpha)``, primal residual
+    components shrink at least that fast without changing sign, and the
+    iterate stays in ``N(theta)``.
     """
-    config = replace(config or SolverConfig(), algorithm="alg1").validate()
-    t0 = time.perf_counter()
-    x, lam, s = initial_point_alg1(lp)
-    norms = (float(np.linalg.norm(lp.b)), float(np.linalg.norm(lp.c)))
-    rb, rc = residuals(lp, x, lam, s)
-    mu = duality_measure(x, s)
-    init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
-    rb0 = rb.copy()
-    rb_floor = 1e-12 * (1.0 + np.abs(rb0).max())
-    prev_x = prev_rb = None
-    trace, violations = [], []
-    theta = config.theta
-    e = np.ones(lp.n)
+    fac = factor(lp.A, z, s)
+    dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+    ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
 
-    k = 0
-    while True:
-        if _stop(lp, x, lam, s, config, norms, init):
-            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, trace,
-                           violations)
-        if k >= config.max_iter or _deadline_hit(config, t0):
-            note = "time limit" if k < config.max_iter else ""
-            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s,
-                           trace, violations, note)
+    admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z,
+                                  config.theta)
+    alpha = np.pi / 2.0
+    while alpha >= _STEP_FLOOR and not (
+            admissible(alpha) and admissible(alpha / 2.0)
+            and admissible(alpha / 4.0)):
+        alpha *= 0.8
+    if alpha < _STEP_FLOOR:
+        return _Step(status=Status.STEP_TOO_SMALL)
 
-        if prev_x is None or config.force_zero_momentum:
-            beta_k, z = 0.0, x
-        else:
-            delta = x - prev_x
-            beta_k = momentum_weight_full(x, prev_x, rb, prev_rb,
-                                          config.beta)
-            z = restart_point(x, beta_k, delta, "guarded", s, theta)
-            if z is x:
-                beta_k = 0.0
-        mu_z = duality_measure(z, s)
-
-        try:
-            fac = factor(lp.A, z, s)
-            dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
-            ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
-        except NumericalError:
-            return _finish(lp, Status.NUMERICAL_ERROR, k, t0, x, lam, s,
-                           trace, violations)
-
-        admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z, theta)
-        alpha = np.pi / 2.0
-        while alpha >= config.step_floor and not (
-                admissible(alpha) and admissible(alpha / 2.0)
-                and admissible(alpha / 4.0)):
-            alpha *= 0.8
-        if alpha < config.step_floor:
-            return _finish(lp, Status.STEP_TOO_SMALL, k, t0, x, lam, s,
-                           trace, violations)
-
-        sin_a = np.sin(alpha)
-        xa = arc_point(z, dz, ddz, alpha)
-        la = arc_point(lam, dlam, ddlam, alpha)
-        sa = arc_point(s, ds, dds, alpha)
-
-        target_mu = mu_z if config.corrector_target == "restart" else mu
-        try:
-            fac2 = factor(lp.A, xa, sa)
-            ex, el, es = solve_block(
-                fac2, lp.A, xa, sa, np.zeros(lp.m), np.zeros(lp.n),
-                (1.0 - sin_a) * target_mu * e - xa * sa)
-        except NumericalError:
-            return _finish(lp, Status.NUMERICAL_ERROR, k, t0, x, lam, s,
-                           trace, violations)
-        x_new, lam_new, s_new = xa + ex, la + el, sa + es
-        if x_new.min() <= 0.0 or s_new.min() <= 0.0:
-            return _finish(lp, Status.NUMERICAL_ERROR, k, t0, x, lam, s,
-                           trace, violations,
-                           note="corrector left the interior")
-
-        rb_new, rc_new = residuals(lp, x_new, lam_new, s_new)
-        mu_new = duality_measure(x_new, s_new)
-        if config.check_invariants:
-            _alg1_invariants(k, violations, target_mu, mu_new, rb, rb_new, rc,
-                             rc_new, sin_a, x_new, s_new, rb0, rb_floor,
-                             theta, x, z, beta_k, config.beta)
-        if config.trace:
-            trace.append({
-                "iter": k, "mu": mu, "mu_z": mu_z, "beta_k": beta_k,
-                "alpha": float(alpha), "sin_alpha": float(sin_a),
-                "step_primal": float(sin_a), "step_dual": float(sin_a),
-                "rb_norm": float(np.linalg.norm(rb)),
-                "rc_norm": float(np.linalg.norm(rc)),
-                "rb": rb.copy(), "x": x.copy(), "s": s.copy(),
-                "z": np.array(z, copy=True),
-            })
-
-        prev_x, prev_rb = x, rb
-        x, lam, s = x_new, lam_new, s_new
-        rb, rc, mu = rb_new, rc_new, mu_new
-        k += 1
+    sin_a = np.sin(alpha)
+    xa = arc_point(z, dz, ddz, alpha)
+    la = arc_point(lam, dlam, ddlam, alpha)
+    sa = arc_point(s, ds, dds, alpha)
+    fac2 = factor(lp.A, xa, sa)
+    ex, el, es = solve_block(fac2, lp.A, xa, sa, np.zeros(lp.m),
+                             np.zeros(lp.n), (1.0 - sin_a) * mu - xa * sa)
+    x_new, lam_new, s_new = xa + ex, la + el, sa + es
+    if x_new.min() <= 0.0 or s_new.min() <= 0.0:
+        return _Step(status=Status.NUMERICAL_ERROR,
+                     note="corrector left the interior")
+    return _Step((x_new, lam_new, s_new), _arc_fields(alpha, alpha))
 
 
-def _alg1_invariants(k, violations, target_mu, mu_new, rb, rb_new, rc,
-                     rc_new, sin_a, x_new, s_new, rb0, rb_floor, theta, x,
-                     z, beta_k, beta):
+def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
+                     sin_a, x_new, s_new, rb0, x, z, beta_k, config):
     """Record breaches of the guarded method's contraction guarantees.
 
-    ``target_mu`` is the duality measure the corrector recentered
-    toward, so the contraction identity reads
-    ``mu_new = (1 - sin a) * target_mu`` for either corrector target.
+    The corrector recentered toward ``(1 - sin a) * mu``, so the
+    contraction identity reads ``mu_new = (1 - sin a) * mu``.
     """
+    rb_floor = 1e-12 * (1.0 + np.abs(rb0).max())
     shrink = 1.0 - sin_a
-    expected = shrink * target_mu
+    expected = shrink * mu
     if abs(mu_new - expected) > 1e-8 * max(expected, 1e-300):
         violations.append((k, "mu_contraction",
                            abs(mu_new - expected) / max(expected, 1e-300)))
@@ -453,199 +489,87 @@ def _alg1_invariants(k, violations, target_mu, mu_new, rb, rb_new, rc,
     if np.any(flipped):
         violations.append((k, "rb_sign_flip", int(np.sum(flipped))))
     dev = np.linalg.norm(x_new * s_new - mu_new)
-    if dev > theta * mu_new * (1.0 + 1e-8):
+    if dev > config.theta * mu_new * (1.0 + 1e-8):
         violations.append((k, "neighborhood", float(dev / mu_new)))
     if beta_k > 0.0:
-        lo = (1.0 - beta) * x - 1e-12 * np.abs(x)
-        hi = (1.0 + beta) * x + 1e-12 * np.abs(x)
+        lo = (1.0 - config.beta) * x - 1e-12 * np.abs(x)
+        hi = (1.0 + config.beta) * x + 1e-12 * np.abs(x)
         if np.any(z < lo) or np.any(z > hi):
             violations.append((k, "restart_box", float(beta_k)))
 
 
-# ----------------------------------------------------------------------
-# Practical arc search (alg2) and the arc baseline
-# ----------------------------------------------------------------------
+def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
+    """Practical arc step (``alg2``, and ``arc`` without restarts).
 
-def solve_alg2(lp, config=None):
-    """Practical arc search with unconditional momentum restarts."""
-    config = replace(config or SolverConfig(), algorithm="alg2").validate()
-    return _mehrotra_arc(lp, config, momentum=True)
+    Centering ``sigma = (mu_affine / mu_z)**3`` comes from an affine
+    probe along the first derivatives; primal and dual follow the arc to
+    ``gamma`` times their own largest positive angle.  When the undamped
+    boundary point already passes the stopping test, the solve ends
+    there.
+    """
+    fac = factor(lp.A, z, s)
+    dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+    alpha_az = _linear_ratio_step(z, dz)
+    alpha_as = _linear_ratio_step(s, ds)
+    mu_a = duality_measure(z - alpha_az * dz, s - alpha_as * ds)
+    sigma = float(np.clip((mu_a / mu_z) ** 3, _SIGMA_MIN, _SIGMA_MAX))
+    ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds, sigma, mu_z)
 
+    alpha_max_z = max_alpha_positivity(z, dz, ddz)
+    alpha_max_s = max_alpha_positivity(s, ds, dds)
+    x_cand = arc_point(z, dz, ddz, alpha_max_z)
+    lam_cand = arc_point(lam, dlam, ddlam, alpha_max_s)
+    s_cand = arc_point(s, ds, dds, alpha_max_s)
+    if x_cand.min() >= 0.0 and s_cand.min() >= 0.0 and \
+            stop(x_cand, lam_cand, s_cand):
+        return _Step((x_cand, lam_cand, s_cand),
+                     _arc_fields(alpha_max_z, alpha_max_s), Status.OPTIMAL)
 
-def solve_arc_baseline(lp, config=None):
-    """Arc search without restarts (the practical method at weight 0)."""
-    config = replace(config or SolverConfig(), algorithm="arc").validate()
-    return _mehrotra_arc(lp, config, momentum=False)
-
-
-def _mehrotra_arc(lp, config, momentum):
-    t0 = time.perf_counter()
-    x, lam, s = initial_point_mehrotra(lp)
-    norms = (float(np.linalg.norm(lp.b)), float(np.linalg.norm(lp.c)))
-    rb, rc = residuals(lp, x, lam, s)
-    mu = duality_measure(x, s)
-    init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
-    prev_x = prev_rb = None
-    trace, violations = [], []
-    e = np.ones(lp.n)
-
-    k = 0
-    while True:
-        if _stop(lp, x, lam, s, config, norms, init):
-            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, trace,
-                           violations)
-        if k >= config.max_iter or _deadline_hit(config, t0):
-            note = "time limit" if k < config.max_iter else ""
-            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s,
-                           trace, violations, note)
-
-        beta_k, z = 0.0, x
-        if momentum and prev_x is not None and not \
-                config.force_zero_momentum:
-            delta = x - prev_x
-            if config.beta_formula == "full":
-                beta_k = momentum_weight_full(x, prev_x, rb, prev_rb,
-                                              config.beta)
-            else:
-                beta_k = momentum_weight_simple(x, prev_x, config.beta)
-            z = restart_point(x, beta_k, delta, "always")
-            if z.min() <= 0.0:
-                # Only reachable at beta = 1: the shift may zero out a
-                # component, which the kernel cannot scale by.
-                beta_k, z = 0.0, x
-        mu_z = duality_measure(z, s)
-
-        try:
-            fac = factor(lp.A, z, s)
-            dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
-            alpha_az = _linear_ratio_step(z, dz)
-            alpha_as = _linear_ratio_step(s, ds)
-            mu_a = duality_measure(z - alpha_az * dz, s - alpha_as * ds)
-            sigma = float(np.clip((mu_a / mu_z) ** 3,
-                                  config.sigma_min, config.sigma_max))
-            ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds,
-                                                 sigma, mu_z)
-        except NumericalError:
-            return _finish(lp, Status.NUMERICAL_ERROR, k, t0, x, lam, s,
-                           trace, violations)
-
-        alpha_max_z = max_alpha_positivity(z, dz, ddz)
-        alpha_max_s = max_alpha_positivity(s, ds, dds)
-
-        # Whole-step candidate: accept the boundary point outright when
-        # it already meets the stopping test.
-        x_cand = arc_point(z, dz, ddz, alpha_max_z)
-        lam_cand = arc_point(lam, dlam, ddlam, alpha_max_s)
-        s_cand = arc_point(s, ds, dds, alpha_max_s)
-        if x_cand.min() >= 0.0 and s_cand.min() >= 0.0 and \
-                _stop(lp, x_cand, lam_cand, s_cand, config, norms, init):
-            if config.trace:
-                trace.append(_arc_trace(k, mu, mu_z, beta_k, alpha_max_z,
-                                        alpha_max_s, rb, rc))
-            return _finish(lp, Status.OPTIMAL, k + 1, t0, x_cand, lam_cand,
-                           s_cand, trace, violations)
-
-        alpha_z = config.gamma * alpha_max_z
-        alpha_s = config.gamma * alpha_max_s
-        if max(alpha_z, alpha_s) < config.step_floor:
-            return _finish(lp, Status.STEP_TOO_SMALL, k, t0, x, lam, s,
-                           trace, violations)
-        x_new = arc_point(z, dz, ddz, alpha_z)
-        lam_new = arc_point(lam, dlam, ddlam, alpha_s)
-        s_new = arc_point(s, ds, dds, alpha_s)
-        if x_new.min() <= 0.0 or s_new.min() <= 0.0:
-            return _finish(lp, Status.STEP_TOO_SMALL, k, t0, x, lam, s,
-                           trace, violations,
-                           note="damped arc step left the interior")
-
-        if config.trace:
-            trace.append(_arc_trace(k, mu, mu_z, beta_k, alpha_z, alpha_s,
-                                    rb, rc))
-        prev_x, prev_rb = x, rb
-        x, lam, s = x_new, lam_new, s_new
-        rb, rc = residuals(lp, x, lam, s)
-        mu = duality_measure(x, s)
-        k += 1
+    alpha_z = config.gamma * alpha_max_z
+    alpha_s = config.gamma * alpha_max_s
+    if max(alpha_z, alpha_s) < _STEP_FLOOR:
+        return _Step(status=Status.STEP_TOO_SMALL)
+    x_new = arc_point(z, dz, ddz, alpha_z)
+    lam_new = arc_point(lam, dlam, ddlam, alpha_s)
+    s_new = arc_point(s, ds, dds, alpha_s)
+    if x_new.min() <= 0.0 or s_new.min() <= 0.0:
+        return _Step(status=Status.STEP_TOO_SMALL,
+                     note="damped arc step left the interior")
+    return _Step((x_new, lam_new, s_new), _arc_fields(alpha_z, alpha_s))
 
 
-def _arc_trace(k, mu, mu_z, beta_k, alpha_z, alpha_s, rb, rc):
-    return {"iter": k, "mu": mu, "mu_z": mu_z, "beta_k": beta_k,
-            "alpha": float(alpha_z), "sin_alpha": float(np.sin(alpha_z)),
-            "step_primal": float(np.sin(alpha_z)),
-            "step_dual": float(np.sin(alpha_s)),
-            "rb_norm": float(np.linalg.norm(rb)),
-            "rc_norm": float(np.linalg.norm(rc))}
+def _line_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
+    """Predictor-corrector line step (``line``); ``z`` is the iterate."""
+    fac = factor(lp.A, z, s)
+    # Predictor: the affine direction is the negated solution.
+    px, plam, ps = solve_block(fac, lp.A, z, s, rb, rc, z * s)
+    alpha_p = _linear_ratio_step(z, px)
+    alpha_d = _linear_ratio_step(s, ps)
+    mu_aff = duality_measure(z - alpha_p * px, s - alpha_d * ps)
+    sigma = float(np.clip((mu_aff / mu) ** 3, _SIGMA_MIN, _SIGMA_MAX))
+    # Corrector recenters and cancels the predictor's second-order
+    # complementarity error.
+    cx, clam, cs = solve_block(fac, lp.A, z, s, np.zeros(lp.m),
+                               np.zeros(lp.n), sigma * mu - px * ps)
+
+    dx = -px + cx
+    dlam = -plam + clam
+    ds = -ps + cs
+    alpha_p = min(1.0, config.gamma * _linear_ratio_step(z, -dx, cap=np.inf))
+    alpha_d = min(1.0, config.gamma * _linear_ratio_step(s, -ds, cap=np.inf))
+    if max(alpha_p, alpha_d) < _STEP_FLOOR:
+        return _Step(status=Status.STEP_TOO_SMALL)
+    x_new = z + alpha_p * dx
+    lam_new = lam + alpha_d * dlam
+    s_new = s + alpha_d * ds
+    if x_new.min() <= 0.0 or s_new.min() <= 0.0:
+        return _Step(status=Status.STEP_TOO_SMALL,
+                     note="damped line step left the interior")
+    return _Step((x_new, lam_new, s_new),
+                 {"alpha": float(alpha_p), "sin_alpha": None,
+                  "step_primal": float(alpha_p),
+                  "step_dual": float(alpha_d)})
 
 
-# ----------------------------------------------------------------------
-# Line-search baseline (predictor-corrector)
-# ----------------------------------------------------------------------
-
-def solve_line_baseline(lp, config=None):
-    """Predictor-corrector line search with damped separate steps."""
-    config = replace(config or SolverConfig(), algorithm="line").validate()
-    t0 = time.perf_counter()
-    x, lam, s = initial_point_mehrotra(lp)
-    norms = (float(np.linalg.norm(lp.b)), float(np.linalg.norm(lp.c)))
-    rb, rc = residuals(lp, x, lam, s)
-    mu = duality_measure(x, s)
-    init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
-    trace = []
-    e = np.ones(lp.n)
-
-    k = 0
-    while True:
-        if _stop(lp, x, lam, s, config, norms, init):
-            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, trace, [])
-        if k >= config.max_iter or _deadline_hit(config, t0):
-            note = "time limit" if k < config.max_iter else ""
-            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s,
-                           trace, [], note)
-
-        try:
-            fac = factor(lp.A, x, s)
-            # Predictor: the affine direction is the negated solution.
-            px, plam, ps = solve_block(fac, lp.A, x, s, rb, rc, x * s)
-            alpha_p = _linear_ratio_step(x, px)
-            alpha_d = _linear_ratio_step(s, ps)
-            mu_aff = duality_measure(x - alpha_p * px, s - alpha_d * ps)
-            sigma = float(np.clip((mu_aff / mu) ** 3,
-                                  config.sigma_min, config.sigma_max))
-            # Corrector recenters and cancels the predictor's
-            # second-order complementarity error.
-            cx, clam, cs = solve_block(
-                fac, lp.A, x, s, np.zeros(lp.m), np.zeros(lp.n),
-                sigma * mu * e - px * ps)
-        except NumericalError:
-            return _finish(lp, Status.NUMERICAL_ERROR, k, t0, x, lam, s,
-                           trace, [])
-
-        dx = -px + cx
-        dlam = -plam + clam
-        ds = -ps + cs
-        alpha_p = min(1.0, config.gamma
-                      * _linear_ratio_step(x, -dx, cap=np.inf))
-        alpha_d = min(1.0, config.gamma
-                      * _linear_ratio_step(s, -ds, cap=np.inf))
-        if max(alpha_p, alpha_d) < config.step_floor:
-            return _finish(lp, Status.STEP_TOO_SMALL, k, t0, x, lam, s,
-                           trace, [])
-        x_new = x + alpha_p * dx
-        lam_new = lam + alpha_d * dlam
-        s_new = s + alpha_d * ds
-        if x_new.min() <= 0.0 or s_new.min() <= 0.0:
-            return _finish(lp, Status.STEP_TOO_SMALL, k, t0, x, lam, s,
-                           trace, [],
-                           note="damped line step left the interior")
-
-        if config.trace:
-            trace.append({"iter": k, "mu": mu, "mu_z": mu, "beta_k": 0.0,
-                          "alpha": float(alpha_p), "sin_alpha": None,
-                          "step_primal": float(alpha_p),
-                          "step_dual": float(alpha_d),
-                          "rb_norm": float(np.linalg.norm(rb)),
-                          "rc_norm": float(np.linalg.norm(rc))})
-        x, lam, s = x_new, lam_new, s_new
-        rb, rc = residuals(lp, x, lam, s)
-        mu = duality_measure(x, s)
-        k += 1
+_STEP_RULES = {"alg1": _guarded_step, "alg2": _arc_step, "arc": _arc_step,
+               "line": _line_step}

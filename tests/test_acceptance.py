@@ -15,8 +15,8 @@ from arclp.bench import (BenchmarkRecord, average_time_report,
                          performance_profile, run_benchmark)
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
-from arclp.solvers import (SolverConfig, Status, solve_alg1, solve_alg2,
-                           solve_arc_baseline)
+import arclp.solvers
+from arclp.solvers import SolverConfig, Status, solve
 from arclp.standardize import to_standard_form
 
 from conftest import NETLIB_DIR, random_feasible_lp
@@ -171,7 +171,7 @@ def _check_guarded_trace(res, theta, beta, rtol=1e-8):
 
 
 def test_criterion_4_guarded_invariants(netlib_suite_guard):
-    cfg = SolverConfig(algorithm="alg1", trace=True, check_invariants=True)
+    cfg = SolverConfig(algorithm="alg1", trace=True)
     rng = np.random.default_rng(20240901)
     runs = 0
     solved = 0
@@ -179,12 +179,12 @@ def test_criterion_4_guarded_invariants(netlib_suite_guard):
         m = int(rng.integers(2, 16))
         n = int(rng.integers(m + 2, 31))
         lp = random_feasible_lp(rng, m, n)
-        res = solve_alg1(lp, cfg)
+        res = solve(lp, cfg)
         _check_guarded_trace(res, cfg.theta, cfg.beta)
         runs += 1
         solved += res.status == Status.OPTIMAL
     for name in ("afiro", "kb2"):
-        res = solve_alg1(load_reduced(name), cfg)
+        res = solve(load_reduced(name), cfg)
         _check_guarded_trace(res, cfg.theta, cfg.beta)
         runs += 1
         solved += res.status == Status.OPTIMAL
@@ -193,15 +193,17 @@ def test_criterion_4_guarded_invariants(netlib_suite_guard):
            "runs (%d reached Optimal)" % (runs, solved))
 
 
-def test_criterion_5_momentum_equivalence():
+def test_criterion_5_momentum_equivalence(monkeypatch):
+    # The momentum path runs in full, with every restart weight zero.
+    monkeypatch.setattr(arclp.solvers, "momentum_weight_simple",
+                        lambda *args: 0.0)
     rng = np.random.default_rng(20240902)
     for i in range(10):
         m = int(rng.integers(2, 12))
         n = int(rng.integers(m + 2, 25))
         lp = random_feasible_lp(rng, m, n)
-        frozen = solve_alg2(lp, SolverConfig(trace=True,
-                                             force_zero_momentum=True))
-        plain = solve_arc_baseline(lp, SolverConfig(trace=True))
+        frozen = solve(lp, SolverConfig(algorithm="alg2", trace=True))
+        plain = solve(lp, SolverConfig(algorithm="arc", trace=True))
         assert frozen.status == plain.status, i
         assert frozen.iterations == plain.iterations, i
         mu_a = np.array([r["mu"] for r in frozen.trace])
@@ -251,8 +253,8 @@ def test_criterion_7_momentum_weight_sensitivity(netlib_suite_guard):
     for beta in (0.001, 0.1, 0.5, 0.9):
         total = 0
         for problem in REFERENCE_ITERATIONS:
-            res = solve_alg2(load_reduced(problem),
-                             SolverConfig(beta=beta))
+            res = solve(load_reduced(problem),
+                        SolverConfig(algorithm="alg2", beta=beta))
             assert res.status == Status.OPTIMAL, (problem, beta)
             total += res.iterations
         totals[beta] = total

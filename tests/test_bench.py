@@ -1,4 +1,6 @@
 """Harness tests: pipeline records, CSV round trip, profiles, timing."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -88,14 +90,6 @@ class TestRunBenchmark:
         with pytest.raises(ValueError):
             run_benchmark(tmp_path, [SolverConfig()])
 
-    def test_parallel_matches_serial(self, problem_dir):
-        configs = [SolverConfig(algorithm="alg2"),
-                   SolverConfig(algorithm="arc")]
-        serial = run_benchmark(problem_dir, configs)
-        parallel = run_benchmark(problem_dir, configs, jobs=2)
-        assert [(r.problem, r.algorithm, r.iterations) for r in serial] \
-            == [(r.problem, r.algorithm, r.iterations) for r in parallel]
-
     def test_time_limit_passes_through(self, problem_dir):
         records = run_benchmark(problem_dir, [SolverConfig()],
                                 time_limit=0.0)
@@ -125,6 +119,23 @@ class TestCsvRoundTrip:
     def test_rejects_foreign_header(self):
         with pytest.raises(ValueError):
             records_from_csv("a,b,c\n1,2,3\n")
+
+
+class TestSolverKey:
+    def test_key_holds_only_parameters_the_algorithm_reads(self):
+        # arc and line read neither beta nor beta_formula; alg1 reads
+        # beta only, alg2 both.
+        assert record("p", "arc", beta=0.5).solver_key() \
+            == record("p", "arc", beta=0.9).solver_key() == "arc"
+        assert record("p", "line", beta=0.5).solver_key() == "line"
+        alg1 = record("p", "alg1", beta=0.5)
+        assert alg1.solver_key() == "alg1|beta=0.5"
+        assert replace(alg1, beta_formula="full").solver_key() \
+            == "alg1|beta=0.5"
+        alg2 = record("p", "alg2", beta=0.5)
+        assert alg2.solver_key() == "alg2|beta=0.5|simple"
+        assert replace(alg2, beta_formula="full").solver_key() \
+            == "alg2|beta=0.5|full"
 
 
 class TestPerformanceProfile:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from arclp.core import (Iterate, arc_point, duality_measure,
+from arclp.core import (arc_point, duality_measure,
                         first_derivatives, in_neighborhood,
                         momentum_weight_full, momentum_weight_simple,
                         residuals, restart_point, second_derivatives)
@@ -250,14 +250,3 @@ class TestDerivatives:
         assert_allclose(6.0 * dz + 3.0 * ds, [18.0], rtol=1e-12)
         assert_allclose(2.0 * dlam + ds, [6.0], rtol=1e-12)
 
-
-def test_iterate_caches_consistently(small_lp):
-    rng = np.random.default_rng(2)
-    x = rng.uniform(0.5, 2.0, small_lp.n)
-    lam = rng.standard_normal(small_lp.m)
-    s = rng.uniform(0.5, 2.0, small_lp.n)
-    it = Iterate.at(small_lp, x, lam, s)
-    rb, rc = residuals(small_lp, x, lam, s)
-    assert_array_equal(it.rb, rb)
-    assert_array_equal(it.rc, rc)
-    assert it.mu == duality_measure(x, s)

@@ -1,4 +1,4 @@
-"""Driver tests: step searches, stopping rules, statuses, traces."""
+"""Solver tests: step searches, stopping rules, statuses, traces."""
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -6,12 +6,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from arclp.core import arc_point, duality_measure, in_neighborhood
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
+import arclp.solvers
 from arclp.solvers import (SolverConfig, SolveResult, Status,
                            check_convergence, check_theoretical_stop,
                            initial_point_alg1, initial_point_mehrotra,
-                           max_alpha_positivity, solve, solve_alg1,
-                           solve_alg2, solve_arc_baseline,
-                           solve_line_baseline)
+                           max_alpha_positivity, solve)
 from arclp.standardize import to_standard_form
 
 from conftest import make_standard_lp, random_feasible_lp
@@ -48,7 +47,6 @@ class TestConfig:
         dict(gamma=0.0),
         dict(gamma=1.0),
         dict(stop_rule="always"),
-        dict(corrector_target="midpoint"),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -207,7 +205,7 @@ class TestStoppingRules:
 class TestGuardedSolver:
     def test_stays_in_neighborhood(self, small_lp):
         cfg = SolverConfig(algorithm="alg1", trace=True)
-        res = solve_alg1(small_lp, cfg)
+        res = solve(small_lp, cfg)
         assert res.status == Status.OPTIMAL
         assert res.invariant_violations == []
         for row in res.trace:
@@ -219,50 +217,43 @@ class TestGuardedSolver:
         # feasible; with a loose epsilon the relative gap 1/n suffices.
         A = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 1.0]])
         lp = make_standard_lp(A, 100.0 * A @ np.ones(3), 100.0 * np.ones(3))
-        res = solve_alg1(lp, SolverConfig(algorithm="alg1", epsilon=0.5))
+        res = solve(lp, SolverConfig(algorithm="alg1", epsilon=0.5))
         assert res.status == Status.OPTIMAL
         assert res.iterations == 0
 
     def test_mu_contraction_follows_step(self, small_lp):
         cfg = SolverConfig(algorithm="alg1", trace=True)
-        res = solve_alg1(small_lp, cfg)
+        res = solve(small_lp, cfg)
         mus = [row["mu"] for row in res.trace]
         sins = [row["sin_alpha"] for row in res.trace]
         for k in range(len(mus) - 1):
             assert_allclose(mus[k + 1], mus[k] * (1.0 - sins[k]),
                             rtol=1e-8)
 
-    def test_corrector_target_variant_solves(self, small_lp):
-        cfg = SolverConfig(algorithm="alg1", corrector_target="restart")
-        res = solve_alg1(small_lp, cfg)
-        assert res.status == Status.OPTIMAL
-        assert res.invariant_violations == []
-
     def test_theoretical_stop_rule(self, small_lp):
         cfg = SolverConfig(algorithm="alg1", stop_rule="theoretical",
                            epsilon=1e-5)
-        res = solve_alg1(small_lp, cfg)
+        res = solve(small_lp, cfg)
         assert res.status == Status.OPTIMAL
         assert res.mu <= 1e-5
 
     def test_solves_netlib_instance(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
-        res = solve_alg1(lp, SolverConfig(algorithm="alg1"))
+        res = solve(lp, SolverConfig(algorithm="alg1"))
         assert res.status == Status.OPTIMAL
         assert res.invariant_violations == []
         assert_allclose(res.objective, -4.6475314286e2, rtol=1e-5)
 
 
 class TestPracticalSolvers:
-    @pytest.mark.parametrize("driver", [solve_alg2, solve_arc_baseline,
-                                        solve_line_baseline])
-    def test_random_lps_reach_optimal(self, driver):
+    @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line"])
+    def test_random_lps_reach_optimal(self, algorithm):
         rng = np.random.default_rng(23)
         for _ in range(10):
             m = int(rng.integers(2, 10))
             n = int(rng.integers(m + 2, 20))
             lp = random_feasible_lp(rng, m, n)
-            res = driver(lp)
+            res = solve(lp, SolverConfig(algorithm=algorithm))
             assert res.status == Status.OPTIMAL
             # The full-step exit may land exactly on the boundary.
             assert np.all(res.x >= 0)
@@ -271,25 +262,25 @@ class TestPracticalSolvers:
 
     def test_alg2_solves_afiro(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
-        res = solve_alg2(lp)
+        res = solve(lp)
         assert res.status == Status.OPTIMAL
         assert_allclose(res.objective, -4.6475314286e2, rtol=1e-6)
 
     def test_iteration_limit_status(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
-        res = solve_alg2(lp, SolverConfig(max_iter=2))
+        res = solve(lp, SolverConfig(max_iter=2))
         assert res.status == Status.ITERATION_LIMIT
         assert res.iterations == 2
 
     def test_time_limit_reports_note(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
-        res = solve_alg2(lp, SolverConfig(time_limit=0.0))
+        res = solve(lp, SolverConfig(time_limit=0.0))
         assert res.status == Status.ITERATION_LIMIT
         assert res.iterations == 0
         assert "time" in res.note
 
     def test_trace_schema(self, small_lp):
-        res = solve_alg2(small_lp, SolverConfig(trace=True))
+        res = solve(small_lp, SolverConfig(trace=True))
         assert res.status == Status.OPTIMAL
         assert len(res.trace) == res.iterations
         for row in res.trace:
@@ -298,25 +289,34 @@ class TestPracticalSolvers:
                 assert key in row
 
     def test_deterministic_reruns(self, small_lp):
-        a = solve_alg2(small_lp, SolverConfig(trace=True))
-        b = solve_alg2(small_lp, SolverConfig(trace=True))
+        a = solve(small_lp, SolverConfig(trace=True))
+        b = solve(small_lp, SolverConfig(trace=True))
         assert a.iterations == b.iterations
         assert_array_equal(a.x, b.x)
         for ra, rb_ in zip(a.trace, b.trace):
             assert ra["mu"] == rb_["mu"]
 
     def test_beta_formula_full_also_solves(self, small_lp):
-        res = solve_alg2(small_lp, SolverConfig(beta_formula="full"))
+        res = solve(small_lp, SolverConfig(beta_formula="full"))
         assert res.status == Status.OPTIMAL
 
-    def test_momentum_off_equals_arc_baseline(self):
+    def test_momentum_off_equals_arc_baseline(self, monkeypatch):
+        weights = []
+
+        def zero_weight(*args):
+            weights.append(0.0)
+            return 0.0
+
+        monkeypatch.setattr(arclp.solvers, "momentum_weight_simple",
+                            zero_weight)
         rng = np.random.default_rng(24)
         for _ in range(3):
             lp = random_feasible_lp(rng, 4, 9)
-            cfg = SolverConfig(trace=True)
-            frozen = solve_alg2(lp, SolverConfig(trace=True,
-                                                 force_zero_momentum=True))
-            arc = solve_arc_baseline(lp, cfg)
+            frozen = solve(lp, SolverConfig(algorithm="alg2", trace=True))
+            arc = solve(lp, SolverConfig(algorithm="arc", trace=True))
+            # Every iteration after the first restarts, at weight 0.
+            assert len(weights) == frozen.iterations - 1
+            weights.clear()
             assert frozen.iterations == arc.iterations
             assert_array_equal(frozen.x, arc.x)
             for ra, rb_ in zip(frozen.trace, arc.trace):
@@ -324,7 +324,7 @@ class TestPracticalSolvers:
                 assert ra["beta_k"] == 0.0
 
     def test_dual_feasibility_at_optimum(self, small_lp):
-        res = solve_alg2(small_lp)
+        res = solve(small_lp)
         rb = small_lp.A @ res.x - small_lp.b
         rc = small_lp.A.T @ res.lam + res.s - small_lp.c
         assert np.linalg.norm(rb) < 1e-5
