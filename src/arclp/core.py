@@ -62,9 +62,11 @@ def arc_point(base, d1, d2, alpha):
     """Point on the ellipsoidal arc at angle ``alpha``.
 
     ``arc_point(w, d1, d2, 0) == w`` and the arc ends at
-    ``w - d1 + d2`` when ``alpha = pi/2``.
+    ``w - d1 + d2`` when ``alpha = pi/2``.  ``1 - cos(alpha)`` is
+    evaluated as ``2 sin(alpha / 2)**2``, which does not cancel at small
+    angles.
     """
-    return base - d1 * np.sin(alpha) + d2 * (1.0 - np.cos(alpha))
+    return base - d1 * np.sin(alpha) + d2 * (2.0 * np.sin(0.5 * alpha) ** 2)
 
 
 def momentum_weight_full(x, x_prev, rb, rb_prev, beta):

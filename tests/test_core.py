@@ -1,4 +1,5 @@
 """Iterate-level primitives: residuals, arcs, momentum, restarts."""
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -101,6 +102,15 @@ class TestArcPoint:
         out = arc_point(np.array([1.0]), np.array([1.0]), np.array([0.0]),
                         alpha)
         assert_allclose(out, [1.0 - np.sin(alpha)], rtol=0, atol=0)
+
+    def test_curvature_term_without_cancellation(self):
+        # 1 - cos(3e-4) = 4.5e-8 loses about 9 digits to cancellation in
+        # double precision; the curvature term must keep them.
+        alpha, d2 = 3e-4, 1e3
+        with mpmath.workdps(50):
+            exact = float(d2 * (1 - mpmath.cos(mpmath.mpf(alpha))))
+        out = arc_point(np.zeros(1), np.zeros(1), np.array([d2]), alpha)
+        assert_allclose(out, [exact], rtol=1e-15)
 
 
 class TestMomentumWeightFull:
