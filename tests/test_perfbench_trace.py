@@ -7,8 +7,8 @@ if other callers still reach the binding, the layer figures go quietly
 wrong instead, which the per-algorithm counts below catch.
 """
 import collections
+import importlib.util
 import math
-import sys
 import time
 from pathlib import Path
 
@@ -17,8 +17,11 @@ from arclp.solvers import Status
 
 from conftest import NETLIB_DIR
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-import tracing  # noqa: E402
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
 
 ALGORITHMS = ("alg2", "arc", "line", "alg1")
 
