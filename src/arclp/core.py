@@ -31,7 +31,7 @@ _DEGENERATE_SHIFT = 1e-14
 def residuals(lp, x, lam, s):
     """Primal and dual residuals ``(A @ x - b, A.T @ lam + s - c)``."""
     rb = lp.A @ x - lp.b
-    rc = lp.A.T @ lam + s - lp.c
+    rc = lp.At @ lam + s - lp.c
     return rb, rc
 
 
@@ -127,7 +127,7 @@ def first_derivatives(lp, fac, z, lam, s):
     (``alpha = pi/2``) would remove the current residuals entirely.
     """
     rbz, rc = residuals(lp, z, lam, s)
-    return solve_block(fac, lp.A, z, s, rbz, rc, z * s)
+    return solve_block(fac, rbz, rc, z * s)
 
 
 def second_derivatives(lp, fac, z, s, dz, ds, sigma=0.0, mu=0.0):
@@ -137,7 +137,5 @@ def second_derivatives(lp, fac, z, s, dz, ds, sigma=0.0, mu=0.0):
     curvature used by the guarded method has ``sigma = 0`` and the
     practical method recenters with its adaptive ``sigma * mu`` term.
     """
-    n = lp.A.shape[1]
     r3 = sigma * mu - 2.0 * dz * ds
-    return solve_block(fac, lp.A, z, s, np.zeros(lp.A.shape[0]),
-                       np.zeros(n), r3)
+    return solve_block(fac, np.zeros(lp.m), np.zeros(lp.n), r3)

@@ -12,6 +12,11 @@ and ``ds`` reduces it to the m-by-m normal equations
 ``M = A @ diag(p / q) @ A.T``, factored once per scaling pair and reused
 for every right-hand side at that iterate.
 
+:func:`factor` takes the problem, whose ``A`` and transpose ``At`` are
+prepared once in CSR by :class:`~arclp.standardize.StandardLP`, and
+returns a :class:`NewtonFactor` that carries the system it factored, so
+:func:`solve_block` needs only the factor and the right-hand sides.
+
 Problems with at most ``DENSE_LIMIT`` rows use a dense Cholesky
 factorization; larger ones use a sparse LU of the (symmetric positive
 definite) normal matrix with a minimum-degree ordering.  Both paths retry
@@ -46,18 +51,23 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class NewtonFactor:
-    """Factorization of ``A @ diag(p / q) @ A.T`` bound to its inputs.
+    """Factorization of ``A @ diag(p / q) @ A.T`` with the system it solves.
 
-    Instances are immutable; build a new one per scaling pair.  The
-    ``p``/``q`` copies let :func:`solve_block` reject a factor that does
-    not match the system it is asked to solve.
+    ``A``, ``At``, ``p`` and ``q`` are the caller's arrays, not copies:
+    they must not change while the factor is in use.  Build a new factor
+    per scaling pair.
     """
 
-    m: int
     dense: bool
+    A: sp.csr_array = field(repr=False)
+    At: sp.csr_array = field(repr=False)
     p: np.ndarray = field(repr=False)
     q: np.ndarray = field(repr=False)
     _solve: object = field(repr=False)
+
+    @property
+    def m(self):
+        return self.A.shape[0]
 
     def solve(self, rhs):
         """Solve ``M @ y = rhs`` for one right-hand side."""
@@ -77,19 +87,20 @@ def _check_scaling(A, p, q):
     return p, q
 
 
-def factor(A, p, q):
-    """Factor the normal matrix ``M = A @ diag(p / q) @ A.T``.
+def factor(lp, p, q):
+    """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
     Parameters
     ----------
-    A : sparse array, shape (m, n)
-        Constraint matrix with full row rank.
+    lp : StandardLP
+        Problem whose ``A`` (full row rank) and ``At`` define the system.
     p, q : ndarray, shape (n,)
         Strictly positive scaling vectors.
 
     Returns
     -------
     NewtonFactor
+        Holds ``lp.A``, ``lp.At``, ``p`` and ``q`` by reference.
 
     Raises
     ------
@@ -99,11 +110,11 @@ def factor(A, p, q):
         If the factorization fails even after one diagonally regularized
         retry (rank-deficient ``A`` or catastrophic scaling).
     """
-    A = sp.csr_array(A)
+    A, At = lp.A, lp.At
     p, q = _check_scaling(A, p, q)
     m = A.shape[0]
     W = A.multiply(p / q)
-    M = (W @ A.T).tocsc()
+    M = (W @ At).tocsc()
     reg = 1e-12 * max(M.diagonal().max(), 1.0)
 
     if m <= DENSE_LIMIT:
@@ -118,8 +129,7 @@ def factor(A, p, q):
                 raise NumericalError(
                     "normal matrix is not positive definite") from None
         solve = lambda rhs, cf=cf: scipy.linalg.cho_solve(cf, rhs)
-        return NewtonFactor(m=m, dense=True, p=p.copy(), q=q.copy(),
-                            _solve=solve)
+        return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
 
     try:
         lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
@@ -133,19 +143,16 @@ def factor(A, p, q):
             raise NumericalError("normal matrix factorization failed") \
                 from None
     solve = lambda rhs, lu=lu: lu.solve(rhs)
-    return NewtonFactor(m=m, dense=False, p=p.copy(), q=q.copy(),
-                        _solve=solve)
+    return NewtonFactor(dense=False, A=A, At=At, p=p, q=q, _solve=solve)
 
 
-def solve_block(fac, A, p, q, r1, r2, r3):
-    """Solve one Newton block system using a prebuilt factor.
+def solve_block(fac, r1, r2, r3):
+    """Solve the Newton block system that ``fac`` factored.
 
     Parameters
     ----------
     fac : NewtonFactor
-        Factor built by :func:`factor` from the same ``(A, p, q)``.
-    A : sparse array, shape (m, n)
-    p, q : ndarray, shape (n,)
+        Factor built by :func:`factor`; it supplies ``A``, ``p`` and ``q``.
     r1, r2, r3 : ndarray
         Right-hand sides of the three block rows (lengths m, n, n).
 
@@ -156,28 +163,22 @@ def solve_block(fac, A, p, q, r1, r2, r3):
     Raises
     ------
     ValueError
-        On shape mismatches or if ``fac`` was built from different
-        scaling vectors.
+        On shape mismatches.
     NumericalError
         If a backward residual exceeds ``1e-8 * (1 + ||rhs||)`` after up
         to three refinement passes with the same factor.
     """
-    A = sp.csr_array(A)
+    A, At, p, q = fac.A, fac.At, fac.p, fac.q
     m, n = A.shape
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     r3 = np.asarray(r3, dtype=float)
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
-    if fac.m != m or not (np.array_equal(fac.p, p)
-                          and np.array_equal(fac.q, q)):
-        raise ValueError("factor was built from a different system")
 
     w = r1 - A @ ((r3 - p * r2) / q)
     dlam = fac.solve(w)
-    ds = r2 - A.T @ dlam
+    ds = r2 - At @ dlam
     dx = (r3 - p * ds) / q
 
     rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
@@ -185,7 +186,7 @@ def solve_block(fac, A, p, q, r1, r2, r3):
 
     def worst_residual(dx_, dlam_, ds_):
         return max(np.linalg.norm(A @ dx_ - r1),
-                   np.linalg.norm(A.T @ dlam_ + ds_ - r2),
+                   np.linalg.norm(At @ dlam_ + ds_ - r2),
                    np.linalg.norm(q * dx_ + p * ds_ - r3))
 
     worst = worst_residual(dx, dlam, ds)
@@ -197,7 +198,7 @@ def solve_block(fac, A, p, q, r1, r2, r3):
         if worst <= tol or not worst < last:
             break
         dlam = dlam + fac.solve(r1 - A @ dx)
-        ds = r2 - A.T @ dlam
+        ds = r2 - At @ dlam
         dx = (r3 - p * ds) / q
         last, worst = worst, worst_residual(dx, dlam, ds)
     if not worst <= tol:

@@ -278,7 +278,7 @@ def presolve(lp):
 
     report.m_after, report.n_after = A.shape
     report.kept_rows, report.kept_cols = row_ids, col_ids
-    reduced = StandardLP(name=lp.name, A=A.tocsc(), b=b, c=c,
+    reduced = StandardLP(name=lp.name, A=A, b=b, c=c,
                          objective_shift=shift, var_map=lp.var_map,
                          fixed_cols=())
     return reduced, report

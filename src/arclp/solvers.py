@@ -183,11 +183,11 @@ def initial_point_mehrotra(lp):
     """
     ones = np.ones(lp.n)
     try:
-        fac = factor(lp.A, ones, ones)
+        fac = factor(lp, ones, ones)
         y = fac.solve(lp.b)
-        x = lp.A.T @ y
+        x = lp.At @ y
         lam = fac.solve(lp.A @ lp.c)
-        s = lp.c - lp.A.T @ lam
+        s = lp.c - lp.At @ lam
     except NumericalError:
         x0, lam0, s0 = initial_point_alg1(lp)
         return x0, lam0, s0
@@ -435,7 +435,7 @@ def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     components shrink at least that fast without changing sign, and the
     iterate stays in ``N(theta)``.
     """
-    fac = factor(lp.A, z, s)
+    fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
 
@@ -453,9 +453,9 @@ def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     xa = arc_point(z, dz, ddz, alpha)
     la = arc_point(lam, dlam, ddlam, alpha)
     sa = arc_point(s, ds, dds, alpha)
-    fac2 = factor(lp.A, xa, sa)
-    ex, el, es = solve_block(fac2, lp.A, xa, sa, np.zeros(lp.m),
-                             np.zeros(lp.n), (1.0 - sin_a) * mu - xa * sa)
+    fac2 = factor(lp, xa, sa)
+    ex, el, es = solve_block(fac2, np.zeros(lp.m), np.zeros(lp.n),
+                             (1.0 - sin_a) * mu - xa * sa)
     x_new, lam_new, s_new = xa + ex, la + el, sa + es
     if x_new.min() <= 0.0 or s_new.min() <= 0.0:
         return _Step(status=Status.NUMERICAL_ERROR,
@@ -507,7 +507,7 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     boundary point already passes the stopping test, the solve ends
     there.
     """
-    fac = factor(lp.A, z, s)
+    fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
     alpha_az = _linear_ratio_step(z, dz)
     alpha_as = _linear_ratio_step(s, ds)
@@ -540,17 +540,17 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
 
 def _line_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     """Predictor-corrector line step (``line``); ``z`` is the iterate."""
-    fac = factor(lp.A, z, s)
+    fac = factor(lp, z, s)
     # Predictor: the affine direction is the negated solution.
-    px, plam, ps = solve_block(fac, lp.A, z, s, rb, rc, z * s)
+    px, plam, ps = solve_block(fac, rb, rc, z * s)
     alpha_p = _linear_ratio_step(z, px)
     alpha_d = _linear_ratio_step(s, ps)
     mu_aff = duality_measure(z - alpha_p * px, s - alpha_d * ps)
     sigma = float(np.clip((mu_aff / mu) ** 3, _SIGMA_MIN, _SIGMA_MAX))
     # Corrector recenters and cancels the predictor's second-order
     # complementarity error.
-    cx, clam, cs = solve_block(fac, lp.A, z, s, np.zeros(lp.m),
-                               np.zeros(lp.n), sigma * mu - px * ps)
+    cx, clam, cs = solve_block(fac, np.zeros(lp.m), np.zeros(lp.n),
+                               sigma * mu - px * ps)
 
     dx = -px + cx
     dlam = -plam + clam

@@ -20,6 +20,7 @@ presolver removes it, which avoids emitting a zero-width bound row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,24 +50,35 @@ class VarMap:
     objective_shift: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class StandardLP:
     """Equality-form LP ``min c @ x : A @ x = b, x >= 0``.
 
-    ``objective_shift`` carries the constant (bound shifts plus the MPS
-    objective constant) so that ``c @ x + objective_shift`` equals the
-    objective of the original problem.  ``fixed_cols`` lists columns that
-    must be 0 in any feasible point (from equal-bound variables); presolve
-    eliminates them.
+    ``A`` is converted to CSR once, at construction, whatever sparse or
+    dense form it is given in; its transpose ``At``, also CSR, is built on
+    first use and kept.  The instance is frozen, so the two cannot drift
+    apart.  ``objective_shift`` carries the constant (bound shifts plus
+    the MPS objective constant) so that ``c @ x + objective_shift`` equals
+    the objective of the original problem.  ``fixed_cols`` lists columns
+    that must be 0 in any feasible point (from equal-bound variables);
+    presolve eliminates them.
     """
 
     name: str
-    A: sp.csc_array
+    A: sp.csr_array
     b: np.ndarray
     c: np.ndarray
     objective_shift: float
     var_map: VarMap
     fixed_cols: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "A", sp.csr_array(self.A))
+
+    @cached_property
+    def At(self):
+        """``A.T`` in CSR, built once per problem."""
+        return self.A.T.tocsr()
 
     @property
     def shape(self):

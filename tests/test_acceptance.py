@@ -20,7 +20,7 @@ from arclp.solvers import SolverConfig, Status, solve
 from arclp.standardize import to_standard_form
 
 from conftest import NETLIB_DIR, random_feasible_lp
-from test_linalg import brute_force, residual_norms
+from test_linalg import brute_force, lp_of, residual_norms
 from arclp.linalg import factor, solve_block
 
 # Published iteration counts for the three practical methods
@@ -230,9 +230,8 @@ def test_criterion_6_kernel_oracle():
         r1 = rng.standard_normal(m)
         r2 = rng.standard_normal(n)
         r3 = rng.standard_normal(n)
-        As = sp.csr_array(A)
-        fac = factor(As, p, q)
-        dx, dlam, ds = solve_block(fac, As, p, q, r1, r2, r3)
+        fac = factor(lp_of(A), p, q)
+        dx, dlam, ds = solve_block(fac, r1, r2, r3)
         bound = 1e-8 * (1 + np.linalg.norm(np.concatenate([r1, r2, r3])))
         assert max(residual_norms(A, p, q, r1, r2, r3,
                                   dx, dlam, ds)) <= bound

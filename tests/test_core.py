@@ -220,7 +220,7 @@ class TestDerivatives:
 
     def test_first_derivatives_defining_equations(self):
         lp, z, lam, s = self._setup()
-        fac = factor(lp.A, z, s)
+        fac = factor(lp, z, s)
         dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
         rb, rc = residuals(lp, z, lam, s)
         assert_allclose(lp.A @ dz, rb, atol=1e-9)
@@ -229,7 +229,7 @@ class TestDerivatives:
 
     def test_second_derivatives_sigma_zero(self):
         lp, z, lam, s = self._setup(seed=14)
-        fac = factor(lp.A, z, s)
+        fac = factor(lp, z, s)
         dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
         ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
         assert_allclose(lp.A @ ddz, 0.0, atol=1e-9)
@@ -238,7 +238,7 @@ class TestDerivatives:
 
     def test_second_derivatives_with_centering(self):
         lp, z, lam, s = self._setup(seed=15)
-        fac = factor(lp.A, z, s)
+        fac = factor(lp, z, s)
         dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
         mu_z = duality_measure(z, s)
         sigma = 0.3
@@ -254,7 +254,7 @@ class TestDerivatives:
         lam = np.zeros(1)
         # rb = 2*3 - 2 = 4, rc = 6 - 0 = 6, z*s = 18; eliminating as in
         # the scalar kernel oracle gives dz = 2, dlam = 1/3, ds = 16/3.
-        fac = factor(lp.A, z, s)
+        fac = factor(lp, z, s)
         dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
         assert_allclose(dz, [2.0], rtol=1e-12)
         assert_allclose(6.0 * dz + 3.0 * ds, [18.0], rtol=1e-12)

@@ -4,9 +4,20 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.linalg import DENSE_LIMIT, NumericalError, factor, solve_block
+from arclp.mps import parse_mps
+from arclp.presolve import presolve
+from arclp.standardize import to_standard_form
+
+from conftest import FIX1_MPS, make_standard_lp
+
+
+def lp_of(A):
+    """A problem that carries only the matrix ``A`` of a kernel test."""
+    m, n = np.shape(A)
+    return make_standard_lp(A, np.zeros(m), np.zeros(n))
 
 
 def brute_force(A, p, q, r1, r2, r3):
@@ -28,9 +39,31 @@ def residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
             np.linalg.norm(q * dx + p * ds - r3))
 
 
+def _standardized():
+    return to_standard_form(parse_mps(FIX1_MPS))
+
+
+@pytest.mark.parametrize("build", [
+    _standardized,
+    lambda: presolve(_standardized())[0],
+    lambda: make_standard_lp([[1.0, 0.0, 2.0], [0.0, 3.0, 1.0]],
+                             [1.0, 2.0], [1.0, 1.0, 1.0]),
+], ids=["to_standard_form", "presolve", "make_standard_lp"])
+def test_problem_prepares_its_matrix_once(build):
+    lp = build()
+    assert lp.A.format == "csr" and lp.At.format == "csr"
+    assert lp.At is lp.At
+    assert (lp.At != lp.A.T).nnz == 0
+    assert_array_equal(lp.At.toarray(), lp.A.toarray().T)
+    # The factor shares the problem's arrays and the scalings; no copies.
+    p, q = np.full(lp.n, 2.0), np.full(lp.n, 0.5)
+    fac = factor(lp, p, q)
+    assert fac.A is lp.A and fac.At is lp.At
+    assert fac.p is p and fac.q is q
+
+
 def test_scalar_normal_matrix():
-    A = sp.csr_array(np.array([[2.0]]))
-    fac = factor(A, np.array([3.0]), np.array([6.0]))
+    fac = factor(lp_of([[2.0]]), np.array([3.0]), np.array([6.0]))
     assert fac.dense
     assert fac.m == 1
     # M = 2 * (3/6) * 2 = 2, so solving M u = 1 gives u = 0.5.
@@ -38,11 +71,9 @@ def test_scalar_normal_matrix():
 
 
 def test_scalar_block_solve():
-    A = sp.csr_array(np.array([[2.0]]))
-    p, q = np.array([3.0]), np.array([6.0])
-    fac = factor(A, p, q)
-    dx, dlam, ds = solve_block(fac, A, p, q, np.array([2.0]),
-                               np.array([0.0]), np.array([6.0]))
+    fac = factor(lp_of([[2.0]]), np.array([3.0]), np.array([6.0]))
+    dx, dlam, ds = solve_block(fac, np.array([2.0]), np.array([0.0]),
+                               np.array([6.0]))
     assert_allclose(dx, [1.0], atol=1e-14)
     assert_allclose(dlam, [0.0], atol=1e-14)
     assert_allclose(ds, [0.0], atol=1e-14)
@@ -51,7 +82,7 @@ def test_scalar_block_solve():
 def test_unit_scaling_gives_gram_matrix():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((3, 6))
-    fac = factor(sp.csr_array(A), np.ones(6), np.ones(6))
+    fac = factor(lp_of(A), np.ones(6), np.ones(6))
     rhs = rng.standard_normal(3)
     assert_allclose(fac.solve(rhs), np.linalg.solve(A @ A.T, rhs),
                     rtol=1e-10)
@@ -59,39 +90,28 @@ def test_unit_scaling_gives_gram_matrix():
 
 def test_homogeneous_rhs_gives_zero():
     rng = np.random.default_rng(1)
-    A = sp.csr_array(rng.standard_normal((3, 5)))
+    lp = lp_of(rng.standard_normal((3, 5)))
     p = rng.uniform(0.5, 2.0, 5)
     q = rng.uniform(0.5, 2.0, 5)
-    fac = factor(A, p, q)
-    dx, dlam, ds = solve_block(fac, A, p, q, np.zeros(3), np.zeros(5),
-                               np.zeros(5))
+    fac = factor(lp, p, q)
+    dx, dlam, ds = solve_block(fac, np.zeros(3), np.zeros(5), np.zeros(5))
     assert_allclose(dx, 0.0, atol=1e-14)
     assert_allclose(dlam, 0.0, atol=1e-14)
     assert_allclose(ds, 0.0, atol=1e-14)
 
 
 def test_nonpositive_scaling_rejected():
-    A = sp.csr_array(np.array([[1.0, 2.0]]))
+    lp = lp_of([[1.0, 2.0]])
     with pytest.raises(ValueError):
-        factor(A, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        factor(lp, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        factor(A, np.array([1.0, 1.0]), np.array([1.0, -2.0]))
+        factor(lp, np.array([1.0, 1.0]), np.array([1.0, -2.0]))
 
 
 def test_shape_mismatch_rejected():
-    A = sp.csr_array(np.ones((2, 3)))
-    p = q = np.ones(3)
-    fac = factor(A, p, q)
+    fac = factor(lp_of(np.ones((2, 3))), np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
-        solve_block(fac, A, p, q, np.zeros(3), np.zeros(3), np.zeros(3))
-
-
-def test_factor_must_match_scalings():
-    A = sp.csr_array(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    p = q = np.ones(2)
-    fac = factor(A, p, q)
-    with pytest.raises(ValueError):
-        solve_block(fac, A, 2 * p, q, np.zeros(2), np.zeros(2), np.zeros(2))
+        solve_block(fac, np.zeros(3), np.zeros(3), np.zeros(3))
 
 
 def test_random_systems_match_brute_force():
@@ -107,9 +127,8 @@ def test_random_systems_match_brute_force():
         r1 = rng.standard_normal(m)
         r2 = rng.standard_normal(n)
         r3 = rng.standard_normal(n)
-        As = sp.csr_array(A)
-        fac = factor(As, p, q)
-        dx, dlam, ds = solve_block(fac, As, p, q, r1, r2, r3)
+        fac = factor(lp_of(A), p, q)
+        dx, dlam, ds = solve_block(fac, r1, r2, r3)
         bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
         assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
         assert_allclose(dlam, blam, rtol=1e-6, atol=1e-9)
@@ -119,16 +138,15 @@ def test_random_systems_match_brute_force():
 def test_residual_bound_holds():
     rng = np.random.default_rng(3)
     for _ in range(10):
-        A = sp.csr_array(rng.standard_normal((4, 9)))
+        A = rng.standard_normal((4, 9))
         p = 10.0 ** rng.uniform(-3, 3, 9)
         q = 10.0 ** rng.uniform(-3, 3, 9)
         r1, r2, r3 = (rng.standard_normal(4), rng.standard_normal(9),
                       rng.standard_normal(9))
-        fac = factor(A, p, q)
-        dx, dlam, ds = solve_block(fac, A, p, q, r1, r2, r3)
+        fac = factor(lp_of(A), p, q)
+        dx, dlam, ds = solve_block(fac, r1, r2, r3)
         bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
-        for res in residual_norms(A.toarray(), p, q, r1, r2, r3,
-                                  dx, dlam, ds):
+        for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
             assert res <= bound
 
 
@@ -136,12 +154,12 @@ def test_common_scaling_leaves_dual_unchanged():
     # p/q enters the normal matrix only through the ratio, so scaling
     # both by the same constant must reproduce the same dual solve.
     rng = np.random.default_rng(4)
-    A = sp.csr_array(rng.standard_normal((3, 7)))
+    lp = lp_of(rng.standard_normal((3, 7)))
     p = rng.uniform(0.5, 2.0, 7)
     q = rng.uniform(0.5, 2.0, 7)
     rhs = rng.standard_normal(3)
-    base = factor(A, p, q).solve(rhs)
-    scaled = factor(A, 7.5 * p, 7.5 * q).solve(rhs)
+    base = factor(lp, p, q).solve(rhs)
+    scaled = factor(lp, 7.5 * p, 7.5 * q).solve(rhs)
     assert_allclose(scaled, base, rtol=1e-12)
 
 
@@ -159,44 +177,42 @@ def test_sparse_path_above_dense_limit():
             A[i, i + 1] = diags[1][i]
             A[i + 1, i + 40] = diags[2][i]
         A[i, m + (i % 40)] = 1.0
-    A = sp.csr_array(A.tocsr())
+    A = A.toarray()
     p = rng.uniform(0.5, 2.0, n)
     q = rng.uniform(0.5, 2.0, n)
-    fac = factor(A, p, q)
+    fac = factor(lp_of(A), p, q)
     assert not fac.dense
     r1 = rng.standard_normal(m)
     r2 = rng.standard_normal(n)
     r3 = rng.standard_normal(n)
-    dx, dlam, ds = solve_block(fac, A, p, q, r1, r2, r3)
+    dx, dlam, ds = solve_block(fac, r1, r2, r3)
     bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
-    for res in residual_norms(A.toarray(), p, q, r1, r2, r3, dx, dlam, ds):
+    for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
         assert res <= bound
 
 
 def test_inconsistent_system_raises():
     # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the
     # backward check must refuse to return garbage.
-    A = sp.csr_array(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    p = q = np.ones(2)
+    lp = lp_of([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NumericalError):
-        fac = factor(A, p, q)
-        solve_block(fac, A, p, q, np.array([1.0, 2.0]), np.zeros(2),
-                    np.zeros(2))
+        fac = factor(lp, np.ones(2), np.ones(2))
+        solve_block(fac, np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
 
 
 def test_extreme_scaling_still_solves():
     # Ratios spanning 14 orders of magnitude, as near convergence.
     rng = np.random.default_rng(6)
-    A = sp.csr_array(rng.standard_normal((5, 12)))
+    A = rng.standard_normal((5, 12))
     p = 10.0 ** rng.uniform(-7, 7, 12)
     q = 10.0 ** rng.uniform(-7, 7, 12)
     r1 = rng.standard_normal(5)
     r2 = rng.standard_normal(12)
     r3 = rng.standard_normal(12)
-    fac = factor(A, p, q)
-    dx, dlam, ds = solve_block(fac, A, p, q, r1, r2, r3)
+    fac = factor(lp_of(A), p, q)
+    dx, dlam, ds = solve_block(fac, r1, r2, r3)
     bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
-    for res in residual_norms(A.toarray(), p, q, r1, r2, r3, dx, dlam, ds):
+    for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
         assert res <= bound
 
 
@@ -209,12 +225,12 @@ def test_refinement_passes(error, solves, converges):
     # A factor whose solves are off by a relative `error` leaves a
     # first-row defect that shrinks by that factor per refinement pass.
     rng = np.random.default_rng(7)
-    A = sp.csr_array(rng.standard_normal((4, 9)))
+    A = rng.standard_normal((4, 9))
     p = rng.uniform(0.5, 2.0, 9)
     q = rng.uniform(0.5, 2.0, 9)
     r1, r2, r3 = (rng.standard_normal(4), rng.standard_normal(9),
                   rng.standard_normal(9))
-    exact = factor(A, p, q)
+    exact = factor(lp_of(A), p, q)
     calls = []
 
     def inexact(rhs):
@@ -223,10 +239,10 @@ def test_refinement_passes(error, solves, converges):
 
     fac = dataclasses.replace(exact, _solve=inexact)
     if converges:
-        for got, want in zip(solve_block(fac, A, p, q, r1, r2, r3),
-                             brute_force(A.toarray(), p, q, r1, r2, r3)):
+        for got, want in zip(solve_block(fac, r1, r2, r3),
+                             brute_force(A, p, q, r1, r2, r3)):
             assert_allclose(got, want, rtol=1e-6, atol=1e-9)
     else:
         with pytest.raises(NumericalError):
-            solve_block(fac, A, p, q, r1, r2, r3)
+            solve_block(fac, r1, r2, r3)
     assert len(calls) == solves

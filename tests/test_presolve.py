@@ -1,4 +1,6 @@
 """Presolve rule tests: each rule alone, the cascade, and verdicts."""
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -82,7 +84,7 @@ def test_duplicate_rows_inconsistent_rhs_infeasible():
 def test_fixed_columns_eliminated():
     lp = make_standard_lp([[1.0, 1.0, 1.0], [1.0, -1.0, 2.0]],
                           [3.0, 1.0], [1.0, 1.0, 1.0])
-    lp.fixed_cols = (2,)
+    lp = dataclasses.replace(lp, fixed_cols=(2,))
     reduced, report = presolve(lp)
     assert report.verdict is None
     assert reduced.shape == (2, 2)
