@@ -80,10 +80,11 @@ def _check_scaling(A, p, q):
     n = A.shape[1]
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
-    if not (np.all(p > 0) and np.all(q > 0) and np.all(np.isfinite(p))
-            and np.all(np.isfinite(q))):
-        raise ValueError("scaling vectors must be strictly positive "
-                         "and finite")
+    # A diverging iterate overflows: that ends a solve, it is no misuse.
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
+        raise NumericalError("scaling vectors are not finite")
+    if not (np.all(p > 0) and np.all(q > 0)):
+        raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
 
@@ -105,9 +106,10 @@ def factor(lp, p, q):
     Raises
     ------
     ValueError
-        If ``p`` or ``q`` has a nonpositive or nonfinite entry.
+        If ``p`` or ``q`` has a nonpositive entry.
     NumericalError
-        If the factorization fails even after one diagonally regularized
+        If ``p``, ``q`` or the normal matrix has a nonfinite entry, or if
+        the factorization fails even after one diagonally regularized
         retry (rank-deficient ``A`` or catastrophic scaling).
     """
     A, At = lp.A, lp.At
@@ -116,6 +118,9 @@ def factor(lp, p, q):
     W = A.multiply(p / q)
     M = (W @ At).tocsc()
     reg = 1e-12 * max(M.diagonal().max(), 1.0)
+    # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M.
+    if not np.isfinite(reg):
+        raise NumericalError("normal matrix is not finite")
 
     if m <= DENSE_LIMIT:
         Md = M.toarray()
@@ -128,7 +133,9 @@ def factor(lp, p, q):
             except scipy.linalg.LinAlgError:
                 raise NumericalError(
                     "normal matrix is not positive definite") from None
-        solve = lambda rhs, cf=cf: scipy.linalg.cho_solve(cf, rhs)
+        # Non-finite solutions are left to solve_block's residual guard.
+        solve = lambda rhs, cf=cf: scipy.linalg.cho_solve(
+            cf, rhs, check_finite=False)
         return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
 
     try:
@@ -165,8 +172,9 @@ def solve_block(fac, r1, r2, r3):
     ValueError
         On shape mismatches.
     NumericalError
-        If a backward residual exceeds ``1e-8 * (1 + ||rhs||)`` after up
-        to three refinement passes with the same factor.
+        If ``||rhs||`` is not finite, or if a backward residual exceeds
+        ``1e-8 * (1 + ||rhs||)`` after up to three refinement passes with
+        the same factor.
     """
     A, At, p, q = fac.A, fac.At, fac.p, fac.q
     m, n = A.shape
@@ -176,13 +184,15 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
+    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
+    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
+    if not np.isfinite(tol):
+        raise NumericalError("right-hand side norm is not finite")
+
     w = r1 - A @ ((r3 - p * r2) / q)
     dlam = fac.solve(w)
     ds = r2 - At @ dlam
     dx = (r3 - p * ds) / q
-
-    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
-    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
     def worst_residual(dx_, dlam_, ds_):
         return max(np.linalg.norm(A @ dx_ - r1),

@@ -108,6 +108,22 @@ def test_nonpositive_scaling_rejected():
         factor(lp, np.array([1.0, 1.0]), np.array([1.0, -2.0]))
 
 
+def test_nonfinite_data_is_a_numerical_error():
+    # An overflowing iterate ends a solve; it is not a misuse.
+    lp = lp_of([[1.0, 2.0]])
+    with pytest.raises(NumericalError):
+        factor(lp, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
+    with pytest.raises(NumericalError):
+        factor(lp, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+    with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
+    fac = factor(lp, np.ones(2), np.ones(2))
+    with pytest.raises(NumericalError), np.errstate(over="ignore"):
+        solve_block(fac, np.array([1e200]), np.zeros(2), np.zeros(2))
+    with pytest.raises(NumericalError):
+        solve_block(fac, np.array([np.nan]), np.zeros(2), np.zeros(2))
+
+
 def test_shape_mismatch_rejected():
     fac = factor(lp_of(np.ones((2, 3))), np.ones(3), np.ones(3))
     with pytest.raises(ValueError):

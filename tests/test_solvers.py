@@ -323,6 +323,18 @@ class TestPracticalSolvers:
                 assert ra["mu"] == rb_["mu"]
                 assert ra["beta_k"] == 0.0
 
+    @pytest.mark.parametrize("algorithm, status", [
+        ("alg1", Status.STEP_TOO_SMALL), ("alg2", Status.NUMERICAL_ERROR),
+        ("arc", Status.NUMERICAL_ERROR), ("line", Status.NUMERICAL_ERROR)])
+    def test_diverging_iterate_ends_with_a_status(self, algorithm, status):
+        # x1 is a free ray of negative cost: the LP is unbounded, and the
+        # practical iterates grow until they overflow.
+        lp = make_standard_lp([[0.0, 0.8, 0.3, -1.3], [0.0, 0.4, -0.5, 0.6]],
+                              [-0.2, 0.5], [-1.0, -0.3, 0.0, -0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solve(lp, SolverConfig(algorithm=algorithm))
+        assert res.status == status
+
     def test_dual_feasibility_at_optimum(self, small_lp):
         res = solve(small_lp)
         rb = small_lp.A @ res.x - small_lp.b
