@@ -106,7 +106,9 @@ def solve_mps_file(path, config=None):
     record : BenchmarkRecord
     result : SolveResult or None
         ``None`` when parsing, standardization or presolve already decided
-        the outcome.
+        the outcome: ``InputError`` for an unreadable file, a parse error
+        or a problem without constraints, ``Infeasible`` or ``Unbounded``
+        for a verdict.
     x_raw : ndarray or None
         The solution mapped back to the original (MPS) variables, when
         the solve reached optimality.
@@ -122,16 +124,19 @@ def solve_mps_file(path, config=None):
         raw = parse_mps(path.read_text())
     except (OSError, MpsParseError) as exc:
         return (BenchmarkRecord(problem=path.stem, n=0, m=0,
-                                status=Status.NUMERICAL_ERROR,
+                                status=Status.INPUT_ERROR,
                                 note=str(exc), **stub), None, None)
     name = raw.name or path.stem
 
     try:
         std = to_standard_form(raw)
         reduced, report = presolve(std)
-    except (InfeasibleBoundsError, ValueError) as exc:
-        return (BenchmarkRecord(problem=name, n=0, m=0,
-                                status=Status.NUMERICAL_ERROR,
+    except ValueError as exc:
+        # An upper bound below its lower bound is a verdict on the
+        # problem; any other ValueError (no constraints) is bad input.
+        status = (Status.INFEASIBLE if isinstance(exc, InfeasibleBoundsError)
+                  else Status.INPUT_ERROR)
+        return (BenchmarkRecord(problem=name, n=0, m=0, status=status,
                                 note=str(exc), **stub), None, None)
     if report.verdict is not None:
         status = (Status.INFEASIBLE if report.verdict == "infeasible"

@@ -1,8 +1,9 @@
 """Command-line interface: ``arclp solve | bench | profile``.
 
 Exit codes of ``solve``: 0 optimal, 2 iteration limit or step too small,
-3 numerical failure, 4 parse error or a presolve infeasible/unbounded
-verdict.  Bad flags or a missing file exit 1.
+3 numerical failure, 4 unreadable input (I/O or parse error, no
+constraints) or an infeasible/unbounded verdict.  Bad flags or a missing
+file exit 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ _EXIT_BY_STATUS = {
     Status.NUMERICAL_ERROR: 3,
     Status.INFEASIBLE: 4,
     Status.UNBOUNDED: 4,
+    Status.INPUT_ERROR: 4,
 }
 
 _TRACE_FIELDS = ["iter", "mu", "mu_z", "beta_k", "step_primal",
@@ -127,11 +129,6 @@ def cmd_solve(args):
         return 1
 
     record, result, _ = solve_mps_file(path, config)
-    if record.status == Status.NUMERICAL_ERROR and result is None:
-        # The pipeline never reached the solver: treat as a parse error.
-        sys.stderr.write("arclp: %s\n" % record.note)
-        return 4
-
     if args.trace and result is not None:
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -155,7 +152,7 @@ def cmd_solve(args):
                  record.rc_norm))
         if record.note:
             print("  note: %s" % record.note)
-    return _EXIT_BY_STATUS.get(record.status, 3)
+    return _EXIT_BY_STATUS[record.status]
 
 
 def cmd_bench(args):

@@ -62,6 +62,7 @@ class Status:
     NUMERICAL_ERROR = "NumericalError"
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
+    INPUT_ERROR = "InputError"
 
 
 @dataclass(frozen=True)

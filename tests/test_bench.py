@@ -41,7 +41,7 @@ class TestSolveMpsFile:
 
     def test_missing_file_recorded(self, tmp_path):
         rec, result, x_raw = solve_mps_file(tmp_path / "nope.mps")
-        assert rec.status == Status.NUMERICAL_ERROR
+        assert rec.status == Status.INPUT_ERROR
         assert result is None and x_raw is None
         assert rec.note != ""
 
@@ -49,7 +49,7 @@ class TestSolveMpsFile:
         bad = tmp_path / "bad.mps"
         bad.write_text("ROWS\ngarbage\n")
         rec, _, _ = solve_mps_file(bad)
-        assert rec.status == Status.NUMERICAL_ERROR
+        assert rec.status == Status.INPUT_ERROR
 
     def test_infeasible_verdict(self, tmp_path):
         path = tmp_path / "inf.mps"
@@ -57,6 +57,24 @@ class TestSolveMpsFile:
         rec, result, _ = solve_mps_file(path)
         assert rec.status == Status.INFEASIBLE
         assert result is None
+
+    def test_bound_conflict_is_infeasible(self, tmp_path):
+        path = tmp_path / "cross.mps"
+        path.write_text("NAME CROSS\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
+                        "    X1  OBJ  1.0  R1  1.0\nRHS\n    RHS  R1  4.0\n"
+                        "BOUNDS\n LO BND  X1  3.0\n UP BND  X1  2.0\n"
+                        "ENDATA\n")
+        rec, result, _ = solve_mps_file(path)
+        assert rec.status == Status.INFEASIBLE
+        assert result is None and "upper bound" in rec.note
+
+    def test_no_constraints_is_input_error(self, tmp_path):
+        path = tmp_path / "free.mps"
+        path.write_text("NAME FREE\nROWS\n N  OBJ\nCOLUMNS\n"
+                        "    X1  OBJ  1.0\nENDATA\n")
+        rec, result, _ = solve_mps_file(path)
+        assert rec.status == Status.INPUT_ERROR
+        assert result is None and "no constraints" in rec.note
 
     def test_config_echoed(self, problem_dir):
         cfg = SolverConfig(algorithm="line", beta=0.5)
@@ -83,7 +101,7 @@ class TestRunBenchmark:
         records = run_benchmark(problem_dir, [SolverConfig()])
         assert len(records) == 3
         statuses = {r.problem: r.status for r in records}
-        assert statuses["bad"] == Status.NUMERICAL_ERROR
+        assert statuses["bad"] == Status.INPUT_ERROR
         assert statuses["FIX1"] == Status.OPTIMAL
 
     def test_empty_directory_raises(self, tmp_path):
