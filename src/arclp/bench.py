@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mps import MpsParseError, parse_mps
+from .mps import parse_mps
 from .presolve import presolve
 from .solvers import SolverConfig, Status, solve
 from .standardize import (InfeasibleBoundsError, recover_solution,
@@ -106,9 +106,7 @@ def solve_mps_file(path, config=None):
     record : BenchmarkRecord
     result : SolveResult or None
         ``None`` when parsing, standardization or presolve already decided
-        the outcome: ``InputError`` for an unreadable file, a parse error
-        or a problem without constraints, ``Infeasible`` or ``Unbounded``
-        for a verdict.
+        the outcome (``InputError``, ``Infeasible`` or ``Unbounded``).
     x_raw : ndarray or None
         The solution mapped back to the original (MPS) variables, when
         the solve reached optimality.
@@ -120,20 +118,14 @@ def solve_mps_file(path, config=None):
                 time_seconds=0.0, mu=float("nan"), rb_norm=float("nan"),
                 rc_norm=float("nan"), objective=float("nan"))
 
+    name = path.stem
     try:
         raw = parse_mps(path.read_text())
-    except (OSError, MpsParseError) as exc:
-        return (BenchmarkRecord(problem=path.stem, n=0, m=0,
-                                status=Status.INPUT_ERROR,
-                                note=str(exc), **stub), None, None)
-    name = raw.name or path.stem
-
-    try:
+        name = raw.name or name
         std = to_standard_form(raw)
         reduced, report = presolve(std)
-    except ValueError as exc:
-        # An upper bound below its lower bound is a verdict on the
-        # problem; any other ValueError (no constraints) is bad input.
+    except (OSError, ValueError) as exc:
+        # Crossed bounds are a verdict; any other error here is bad input.
         status = (Status.INFEASIBLE if isinstance(exc, InfeasibleBoundsError)
                   else Status.INPUT_ERROR)
         return (BenchmarkRecord(problem=name, n=0, m=0, status=status,

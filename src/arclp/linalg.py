@@ -10,12 +10,7 @@ with strictly positive scaling vectors ``p`` and ``q``.  Eliminating ``dx``
 and ``ds`` reduces it to the m-by-m normal equations
 ``M @ dlam = r1 - A @ (r3 / q) + A @ ((p / q) * r2)`` with
 ``M = A @ diag(p / q) @ A.T``, factored once per scaling pair and reused
-for every right-hand side at that iterate.
-
-:func:`factor` takes the problem, whose ``A`` and transpose ``At`` are
-prepared once in CSR by :class:`~arclp.standardize.StandardLP`, and
-returns a :class:`NewtonFactor` that carries the system it factored, so
-:func:`solve_block` needs only the factor and the right-hand sides.
+for every right-hand side at that iterate; the factor carries the system.
 
 Problems with at most ``DENSE_LIMIT`` rows use a dense Cholesky
 factorization; larger ones use a sparse LU of the (symmetric positive
@@ -65,10 +60,6 @@ class NewtonFactor:
     q: np.ndarray = field(repr=False)
     _solve: object = field(repr=False)
 
-    @property
-    def m(self):
-        return self.A.shape[0]
-
     def solve(self, rhs):
         """Solve ``M @ y = rhs`` for one right-hand side."""
         return self._solve(rhs)
@@ -80,10 +71,8 @@ def _check_scaling(A, p, q):
     n = A.shape[1]
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
-    # A diverging iterate overflows: that ends a solve, it is no misuse.
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise NumericalError("scaling vectors are not finite")
-    if not (np.all(p > 0) and np.all(q > 0)):
+    # A nonfinite entry passes: it makes M or the block residual nonfinite.
+    if np.any(p <= 0) or np.any(q <= 0):
         raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
@@ -108,9 +97,9 @@ def factor(lp, p, q):
     ValueError
         If ``p`` or ``q`` has a nonpositive entry.
     NumericalError
-        If ``p``, ``q`` or the normal matrix has a nonfinite entry, or if
-        the factorization fails even after one diagonally regularized
-        retry (rank-deficient ``A`` or catastrophic scaling).
+        If the normal matrix is not finite, or if the factorization fails
+        even after one diagonally regularized retry (rank-deficient ``A``
+        or catastrophic scaling).
     """
     A, At = lp.A, lp.At
     p, q = _check_scaling(A, p, q)
@@ -133,7 +122,7 @@ def factor(lp, p, q):
             except scipy.linalg.LinAlgError:
                 raise NumericalError(
                     "normal matrix is not positive definite") from None
-        # Non-finite solutions are left to solve_block's residual guard.
+        # Nonfinite solutions are left to solve_block's residual guard.
         solve = lambda rhs, cf=cf: scipy.linalg.cho_solve(
             cf, rhs, check_finite=False)
         return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
@@ -184,15 +173,13 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
-    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
-    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
-    if not np.isfinite(tol):
-        raise NumericalError("right-hand side norm is not finite")
-
     w = r1 - A @ ((r3 - p * r2) / q)
     dlam = fac.solve(w)
     ds = r2 - At @ dlam
     dx = (r3 - p * ds) / q
+
+    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
+    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
     def worst_residual(dx_, dlam_, ds_):
         return max(np.linalg.norm(A @ dx_ - r1),
@@ -211,7 +198,7 @@ def solve_block(fac, r1, r2, r3):
         ds = r2 - At @ dlam
         dx = (r3 - p * ds) / q
         last, worst = worst, worst_residual(dx, dlam, ds)
-    if not worst <= tol:
+    if not worst <= tol < np.inf:
         raise NumericalError(
             "block solve residual %.3e exceeds tolerance %.3e"
             % (worst, tol))

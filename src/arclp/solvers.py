@@ -190,8 +190,7 @@ def initial_point_mehrotra(lp):
         lam = fac.solve(lp.A @ lp.c)
         s = lp.c - lp.At @ lam
     except NumericalError:
-        x0, lam0, s0 = initial_point_alg1(lp)
-        return x0, lam0, s0
+        return initial_point_alg1(lp)
 
     dx = max(-1.5 * x.min(), 0.0)
     ds = max(-1.5 * s.min(), 0.0)

@@ -54,14 +54,11 @@ class VarMap:
 class StandardLP:
     """Equality-form LP ``min c @ x : A @ x = b, x >= 0``.
 
-    ``A`` is converted to CSR once, at construction, whatever sparse or
-    dense form it is given in; its transpose ``At``, also CSR, is built on
-    first use and kept.  The instance is frozen, so the two cannot drift
-    apart.  ``objective_shift`` carries the constant (bound shifts plus
-    the MPS objective constant) so that ``c @ x + objective_shift`` equals
-    the objective of the original problem.  ``fixed_cols`` lists columns
-    that must be 0 in any feasible point (from equal-bound variables);
-    presolve eliminates them.
+    ``A`` is held in CSR with its transpose ``At``, built once (frozen, so
+    they cannot drift apart).  ``c @ x + objective_shift`` is the original
+    objective (bound shifts plus the MPS objective constant).
+    ``fixed_cols`` lists columns that must be 0 in any feasible point
+    (from equal-bound variables); presolve eliminates them.
     """
 
     name: str

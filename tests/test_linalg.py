@@ -65,7 +65,6 @@ def test_problem_prepares_its_matrix_once(build):
 def test_scalar_normal_matrix():
     fac = factor(lp_of([[2.0]]), np.array([3.0]), np.array([6.0]))
     assert fac.dense
-    assert fac.m == 1
     # M = 2 * (3/6) * 2 = 2, so solving M u = 1 gives u = 0.5.
     assert_allclose(fac.solve(np.array([1.0])), [0.5])
 
