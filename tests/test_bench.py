@@ -58,6 +58,12 @@ class TestSolveMpsFile:
         assert rec.status == Status.INFEASIBLE
         assert result is None
 
+    def test_undecodable_file_is_input_error(self, tmp_path):
+        bad = tmp_path / "binary.mps"
+        bad.write_bytes(b"\xff\xfe\x00")
+        rec, result, _ = solve_mps_file(bad)
+        assert rec.status == Status.INPUT_ERROR and result is None
+
     def test_bound_conflict_is_infeasible(self, tmp_path):
         path = tmp_path / "cross.mps"
         path.write_text("NAME CROSS\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n"
