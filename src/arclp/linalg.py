@@ -77,6 +77,50 @@ def _check_scaling(A, p, q):
     return p, q
 
 
+@dataclass(frozen=True)
+class RowOrder:
+    """Fill-reducing row order of a problem's sparse normal matrices.
+
+    ``perm`` lists the rows of the problem's ``A`` in elimination order;
+    ``A`` is that matrix with its rows permuted (``A[perm]``) and ``At``
+    its transpose, both CSR.
+    """
+
+    perm: np.ndarray
+    A: sp.csr_array = field(repr=False)
+    At: sp.csr_array = field(repr=False)
+
+
+def order_rows(A):
+    """Minimum-degree row order for every normal matrix of ``A``.
+
+    For positive ``d`` the pattern of ``A @ diag(d) @ A.T`` is that of
+    ``|A| @ |A|.T``, so one ordering of that pattern (SuperLU's
+    ``MMD_AT_PLUS_A``) serves every factorization of the problem.  With
+    unit entries and ``m`` added to the diagonal the matrix is strictly
+    diagonally dominant, so the LU that computes the order cannot fail.
+    """
+    m = A.shape[0]
+    pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr),
+                           shape=A.shape)
+    S = pattern @ pattern.T
+    S.data[:] = 1.0
+    lu = spla.splu((S + m * sp.identity(m)).tocsc(),
+                   permc_spec="MMD_AT_PLUS_A",
+                   options={"SymmetricMode": True})
+    perm = np.argsort(lu.perm_c)
+    Ap = A[perm]
+    return RowOrder(perm=perm, A=Ap, At=Ap.T.tocsr())
+
+
+def _splu_in_order(M):
+    # M is symmetric positive definite (up to regularization) and already
+    # in fill-reducing order: keep that order and pivot on the diagonal,
+    # so the fill is fixed by the pattern, not by the data.
+    return spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
@@ -104,14 +148,19 @@ def factor(lp, p, q):
     A, At = lp.A, lp.At
     p, q = _check_scaling(A, p, q)
     m = A.shape[0]
-    W = A.multiply(p / q)
-    M = (W @ At).tocsc()
-    reg = 1e-12 * max(M.diagonal().max(), 1.0)
-    # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M.
+    sparse = m > DENSE_LIMIT
+    # The sparse path assembles M with rows and columns in the problem's
+    # fill-reducing order.
+    system = lp.row_order if sparse else lp
+    # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
+    # an overflow here is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = system.A.multiply(p / q) @ system.At
+        reg = 1e-12 * max(M.diagonal().max(), 1.0)
     if not np.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
-    if m <= DENSE_LIMIT:
+    if not sparse:
         Md = M.toarray()
         try:
             cf = scipy.linalg.cho_factor(Md, lower=True)
@@ -127,18 +176,20 @@ def factor(lp, p, q):
             cf, rhs, check_finite=False)
         return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
 
+    M = M.tocsc()
     try:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A",
-                       options={"SymmetricMode": True})
+        lu = _splu_in_order(M)
     except RuntimeError:
         try:
-            lu = spla.splu(M + reg * sp.identity(m, format="csc"),
-                           permc_spec="MMD_AT_PLUS_A",
-                           options={"SymmetricMode": True})
+            lu = _splu_in_order(M + reg * sp.identity(m, format="csc"))
         except RuntimeError:
             raise NumericalError("normal matrix factorization failed") \
                 from None
-    solve = lambda rhs, lu=lu: lu.solve(rhs)
+
+    def solve(rhs, lu=lu, perm=system.perm):
+        y = np.empty(m)
+        y[perm] = lu.solve(rhs[perm])
+        return y
     return NewtonFactor(dense=False, A=A, At=At, p=p, q=q, _solve=solve)
 
 
@@ -173,31 +224,35 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
-    w = r1 - A @ ((r3 - p * r2) / q)
-    dlam = fac.solve(w)
-    ds = r2 - At @ dlam
-    dx = (r3 - p * ds) / q
-
-    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
-    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
-
     def worst_residual(dx_, dlam_, ds_):
-        return max(np.linalg.norm(A @ dx_ - r1),
-                   np.linalg.norm(At @ dlam_ + ds_ - r2),
-                   np.linalg.norm(q * dx_ + p * ds_ - r3))
+        # np.max, unlike max, is nan when any of the three is.
+        return np.max([np.linalg.norm(A @ dx_ - r1),
+                       np.linalg.norm(At @ dlam_ + ds_ - r2),
+                       np.linalg.norm(q * dx_ + p * ds_ - r3)])
 
-    worst = worst_residual(dx, dlam, ds)
-    # Refine with the same factor while the residual is above tolerance
-    # and still falling.  Back-substitution satisfies the second and third
-    # block rows exactly, so only the first-row defect needs correcting.
-    last = np.inf
-    for _ in range(_MAX_REFINEMENTS):
-        if worst <= tol or not worst < last:
-            break
-        dlam = dlam + fac.solve(r1 - A @ dx)
+    # Every value computed here reaches the guard below, which turns an
+    # overflow (an infinite tolerance or a nonfinite residual) into
+    # NumericalError, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = r1 - A @ ((r3 - p * r2) / q)
+        dlam = fac.solve(w)
         ds = r2 - At @ dlam
         dx = (r3 - p * ds) / q
-        last, worst = worst, worst_residual(dx, dlam, ds)
+        rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
+        tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
+        worst = worst_residual(dx, dlam, ds)
+        # Refine with the same factor while the residual is above
+        # tolerance and still falling.  Back-substitution satisfies the
+        # second and third block rows exactly, so only the first-row
+        # defect needs correcting.
+        last = np.inf
+        for _ in range(_MAX_REFINEMENTS):
+            if worst <= tol or not worst < last:
+                break
+            dlam = dlam + fac.solve(r1 - A @ dx)
+            ds = r2 - At @ dlam
+            dx = (r3 - p * ds) / q
+            last, worst = worst, worst_residual(dx, dlam, ds)
     if not worst <= tol < np.inf:
         raise NumericalError(
             "block solve residual %.3e exceeds tolerance %.3e"

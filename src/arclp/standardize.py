@@ -25,6 +25,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import order_rows
+
 __all__ = ["InfeasibleBoundsError", "VarMap", "StandardLP",
            "to_standard_form", "recover_solution"]
 
@@ -76,6 +78,12 @@ class StandardLP:
     def At(self):
         """``A.T`` in CSR, built once per problem."""
         return self.A.T.tocsr()
+
+    @cached_property
+    def row_order(self):
+        """Fill-reducing :class:`~arclp.linalg.RowOrder` of the normal
+        matrix, built on the first sparse factorization."""
+        return order_rows(self.A)
 
     @property
     def shape(self):

@@ -1,14 +1,18 @@
 """Newton-kernel tests: hand oracles, brute-force cross-checks, guards."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
 
+import arclp.linalg
+import arclp.standardize
 from arclp.linalg import DENSE_LIMIT, NumericalError, factor, solve_block
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
+from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
 from conftest import FIX1_MPS, make_standard_lp
@@ -18,6 +22,15 @@ def lp_of(A):
     """A problem that carries only the matrix ``A`` of a kernel test."""
     m, n = np.shape(A)
     return make_standard_lp(A, np.zeros(m), np.zeros(n))
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def kernel_path(request, monkeypatch):
+    """Run a kernel test on the dense Cholesky path and, with every
+    problem above the dense limit, on the sparse LU path."""
+    if request.param == "sparse":
+        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
+    return request.param
 
 
 def brute_force(A, p, q, r1, r2, r3):
@@ -59,6 +72,32 @@ def test_problem_prepares_its_matrix_once(build):
     fac = factor(lp, p, q)
     assert fac.A is lp.A and fac.At is lp.At
     assert fac.p is p and fac.q is q
+
+
+def test_row_order_is_built_once_per_problem(monkeypatch):
+    built = []
+
+    def order_rows(A):
+        built.append(A)
+        return arclp.linalg.order_rows(A)
+
+    monkeypatch.setattr(arclp.standardize, "order_rows", order_rows)
+    rng = np.random.default_rng(8)
+    dense_lp = lp_of(rng.standard_normal((3, 6)))
+    factor(dense_lp, np.ones(6), np.ones(6))
+    initial_point_mehrotra(dense_lp)
+    assert built == [] and "row_order" not in vars(dense_lp)
+
+    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
+    lp = lp_of(rng.standard_normal((3, 6)))
+    factor(lp, np.ones(6), np.ones(6))
+    order = lp.row_order
+    factor(lp, rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6))
+    initial_point_mehrotra(lp)
+    assert lp.row_order is order
+    assert len(built) == 1 and built[0] is lp.A
+    assert (order.A != lp.A[order.perm]).nnz == 0
+    assert (order.At != order.A.T).nnz == 0
 
 
 def test_scalar_normal_matrix():
@@ -106,20 +145,30 @@ def test_nonpositive_scaling_rejected():
         factor(lp, np.array([1.0, 1.0]), np.array([1.0, -2.0]))
 
 
-def test_nonfinite_data_is_a_numerical_error():
-    # An overflowing iterate ends a solve; it is not a misuse.
+def test_nonfinite_data_is_a_numerical_error(kernel_path):
+    # An overflowing iterate ends a solve; it is not a misuse, and the
+    # kernel reports it without numpy warnings.
     lp = lp_of([[1.0, 2.0]])
-    with pytest.raises(NumericalError):
-        factor(lp, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
-    with pytest.raises(NumericalError):
-        factor(lp, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
-    with pytest.raises(NumericalError), np.errstate(over="ignore"):
-        factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
-    fac = factor(lp, np.ones(2), np.ones(2))
-    with pytest.raises(NumericalError), np.errstate(over="ignore"):
-        solve_block(fac, np.array([1e200]), np.zeros(2), np.zeros(2))
-    with pytest.raises(NumericalError):
-        solve_block(fac, np.array([np.nan]), np.zeros(2), np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            factor(lp, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError):
+            factor(lp, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(NumericalError):
+            factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
+        fac = factor(lp, np.ones(2), np.ones(2))
+        with pytest.raises(NumericalError):
+            solve_block(fac, np.array([1e200]), np.zeros(2), np.zeros(2))
+        with pytest.raises(NumericalError):
+            solve_block(fac, np.array([np.nan]), np.zeros(2), np.zeros(2))
+        # A zero column keeps an infinite ratio out of M, but the block
+        # solve's dx overflows; the nan residual of the third block row
+        # must be caught although the first two rows are finite.
+        lp = lp_of([[0.0, 1.0]])
+        fac = factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
+        with pytest.raises(NumericalError):
+            solve_block(fac, np.zeros(1), np.array([1e10, 0.0]), np.zeros(2))
 
 
 def test_shape_mismatch_rejected():
@@ -128,7 +177,7 @@ def test_shape_mismatch_rejected():
         solve_block(fac, np.zeros(3), np.zeros(3), np.zeros(3))
 
 
-def test_random_systems_match_brute_force():
+def test_random_systems_match_brute_force(kernel_path):
     rng = np.random.default_rng(42)
     for _ in range(25):
         m = int(rng.integers(1, 8))
@@ -142,6 +191,7 @@ def test_random_systems_match_brute_force():
         r2 = rng.standard_normal(n)
         r3 = rng.standard_normal(n)
         fac = factor(lp_of(A), p, q)
+        assert fac.dense == (kernel_path == "dense")
         dx, dlam, ds = solve_block(fac, r1, r2, r3)
         bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
         assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
@@ -205,7 +255,7 @@ def test_sparse_path_above_dense_limit():
         assert res <= bound
 
 
-def test_inconsistent_system_raises():
+def test_inconsistent_system_raises(kernel_path):
     # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the
     # backward check must refuse to return garbage.
     lp = lp_of([[1.0, 0.0], [1.0, 0.0]])
@@ -214,7 +264,7 @@ def test_inconsistent_system_raises():
         solve_block(fac, np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
 
 
-def test_extreme_scaling_still_solves():
+def test_extreme_scaling_still_solves(kernel_path):
     # Ratios spanning 14 orders of magnitude, as near convergence.
     rng = np.random.default_rng(6)
     A = rng.standard_normal((5, 12))

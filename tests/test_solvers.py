@@ -1,4 +1,6 @@
 """Solver tests: step searches, stopping rules, statuses, traces."""
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -331,7 +333,9 @@ class TestPracticalSolvers:
         # practical iterates grow until they overflow.
         lp = make_standard_lp([[0.0, 0.8, 0.3, -1.3], [0.0, 0.4, -0.5, 0.6]],
                               [-0.2, 0.5], [-1.0, -0.3, 0.0, -0.5])
-        with np.errstate(over="ignore", invalid="ignore"):
+        # The overflow is reported as a status, not as numpy warnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             res = solve(lp, SolverConfig(algorithm=algorithm))
         assert res.status == status
 
