@@ -13,9 +13,11 @@ and ``ds`` reduces it to the m-by-m normal equations
 for every right-hand side at that iterate; the factor carries the system.
 
 Problems with at most ``DENSE_LIMIT`` rows use a dense Cholesky
-factorization; larger ones use a sparse LU of the (symmetric positive
-definite) normal matrix with a minimum-degree ordering.  Both paths retry
-once with a small diagonal regularization before giving up.
+factorization.  Larger ones use a sparse LU of the (symmetric positive
+definite) normal matrix in one fill-reducing row order per problem
+(:func:`order_rows`, cached as ``StandardLP.row_order``), pivoting on the
+diagonal, so every factorization of a problem has the same fill.  Both
+paths retry once with a small diagonal regularization before giving up.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["NumericalError", "NewtonFactor", "factor", "solve_block",
-           "DENSE_LIMIT"]
+__all__ = ["NumericalError", "NewtonFactor", "RowOrder", "order_rows",
+           "factor", "solve_block", "DENSE_LIMIT"]
 
 DENSE_LIMIT = 200
 
@@ -123,6 +125,11 @@ def _splu_in_order(M):
 
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
+
+    Up to ``DENSE_LIMIT`` rows, ``M`` is factored by dense Cholesky.
+    Above it, ``M`` is assembled with its rows and columns in the order of
+    ``lp.row_order`` (computed on the first such call and kept with the
+    problem) and factored by SuperLU in that order with diagonal pivots.
 
     Parameters
     ----------

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from arclp.bench import (BenchmarkRecord, average_time_report,
