@@ -200,6 +200,10 @@ def factor(lp, p, q):
     return NewtonFactor(dense=False, A=A, At=At, p=p, q=q, _solve=solve)
 
 
+# Every value solve_block computes reaches its residual guard, which turns
+# an overflow (an infinite tolerance or a nonfinite residual) into
+# NumericalError, so numpy need not warn about it.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_block(fac, r1, r2, r3):
     """Solve the Newton block system that ``fac`` factored.
 
@@ -231,35 +235,32 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
+    w = r1 - A @ ((r3 - p * r2) / q)
+    dlam = fac.solve(w)
+    ds = r2 - At @ dlam
+    dx = (r3 - p * ds) / q
+
+    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
+    tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
+
     def worst_residual(dx_, dlam_, ds_):
         # np.max, unlike max, is nan when any of the three is.
         return np.max([np.linalg.norm(A @ dx_ - r1),
                        np.linalg.norm(At @ dlam_ + ds_ - r2),
                        np.linalg.norm(q * dx_ + p * ds_ - r3)])
 
-    # Every value computed here reaches the guard below, which turns an
-    # overflow (an infinite tolerance or a nonfinite residual) into
-    # NumericalError, so numpy need not warn about it.
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = r1 - A @ ((r3 - p * r2) / q)
-        dlam = fac.solve(w)
+    worst = worst_residual(dx, dlam, ds)
+    # Refine with the same factor while the residual is above tolerance
+    # and still falling.  Back-substitution satisfies the second and third
+    # block rows exactly, so only the first-row defect needs correcting.
+    last = np.inf
+    for _ in range(_MAX_REFINEMENTS):
+        if worst <= tol or not worst < last:
+            break
+        dlam = dlam + fac.solve(r1 - A @ dx)
         ds = r2 - At @ dlam
         dx = (r3 - p * ds) / q
-        rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
-        tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
-        worst = worst_residual(dx, dlam, ds)
-        # Refine with the same factor while the residual is above
-        # tolerance and still falling.  Back-substitution satisfies the
-        # second and third block rows exactly, so only the first-row
-        # defect needs correcting.
-        last = np.inf
-        for _ in range(_MAX_REFINEMENTS):
-            if worst <= tol or not worst < last:
-                break
-            dlam = dlam + fac.solve(r1 - A @ dx)
-            ds = r2 - At @ dlam
-            dx = (r3 - p * ds) / q
-            last, worst = worst, worst_residual(dx, dlam, ds)
+        last, worst = worst, worst_residual(dx, dlam, ds)
     if not worst <= tol < np.inf:
         raise NumericalError(
             "block solve residual %.3e exceeds tolerance %.3e"
