@@ -23,6 +23,7 @@ paths retry once with a small diagonal regularization before giving up.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -79,18 +80,13 @@ def _check_scaling(A, p, q):
     return p, q
 
 
-@dataclass(frozen=True)
-class RowOrder:
-    """Fill-reducing row order of a problem's sparse normal matrices.
-
-    ``perm`` lists the rows of the problem's ``A`` in elimination order;
-    ``A`` is that matrix with its rows permuted (``A[perm]``) and ``At``
-    its transpose, both CSR.
-    """
+class RowOrder(NamedTuple):
+    """Fill-reducing row order ``perm`` of a problem's normal matrices,
+    with the permuted ``A[perm]`` and its transpose ``At``, both CSR."""
 
     perm: np.ndarray
-    A: sp.csr_array = field(repr=False)
-    At: sp.csr_array = field(repr=False)
+    A: sp.csr_array
+    At: sp.csr_array
 
 
 def order_rows(A):
@@ -156,8 +152,6 @@ def factor(lp, p, q):
     p, q = _check_scaling(A, p, q)
     m = A.shape[0]
     sparse = m > DENSE_LIMIT
-    # The sparse path assembles M with rows and columns in the problem's
-    # fill-reducing order.
     system = lp.row_order if sparse else lp
     # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
     # an overflow here is reported below, not warned about.
