@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
 
 import arclp.linalg
@@ -98,6 +99,21 @@ def test_row_order_is_built_once_per_problem(monkeypatch):
     assert len(built) == 1 and built[0] is lp.A
     assert (order.A != lp.A[order.perm]).nnz == 0
     assert (order.At != order.A.T).nnz == 0
+
+
+def test_row_order_keeps_the_minimum_degree_fill():
+    # Factoring in the cached order gives the fill of SuperLU's own
+    # minimum-degree factorization (its inverse permutation gives more).
+    A = sp.random(100, 200, density=0.03, random_state=9, format="csr")
+    A = (A + sp.eye(100, 200)).tocsr()
+    d = np.random.default_rng(9).uniform(0.5, 2.0, 200)
+    options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    own = spla.splu((A.multiply(d) @ A.T).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", **options)
+    order = arclp.linalg.order_rows(sp.csr_array(A))
+    ours = spla.splu((order.A.multiply(d) @ order.At).tocsc(),
+                     permc_spec="NATURAL", **options)
+    assert ours.L.nnz + ours.U.nnz == own.L.nnz + own.U.nnz
 
 
 def test_scalar_normal_matrix():
