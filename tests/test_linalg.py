@@ -161,58 +161,10 @@ def test_nonpositive_scaling_rejected():
         factor(lp, np.array([1.0, 1.0]), np.array([1.0, -2.0]))
 
 
-def test_nonfinite_data_is_a_numerical_error(kernel_path):
-    # An overflowing iterate ends a solve; it is not a misuse, and the
-    # kernel reports it without numpy warnings.
-    lp = lp_of([[1.0, 2.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError):
-            factor(lp, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
-        with pytest.raises(NumericalError):
-            factor(lp, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
-        with pytest.raises(NumericalError):
-            factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
-        fac = factor(lp, np.ones(2), np.ones(2))
-        with pytest.raises(NumericalError):
-            solve_block(fac, np.array([1e200]), np.zeros(2), np.zeros(2))
-        with pytest.raises(NumericalError):
-            solve_block(fac, np.array([np.nan]), np.zeros(2), np.zeros(2))
-        # A zero column keeps an infinite ratio out of M, but the block
-        # solve's dx overflows; the nan residual of the third block row
-        # must be caught although the first two rows are finite.
-        lp = lp_of([[0.0, 1.0]])
-        fac = factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
-        with pytest.raises(NumericalError):
-            solve_block(fac, np.zeros(1), np.array([1e10, 0.0]), np.zeros(2))
-
-
 def test_shape_mismatch_rejected():
     fac = factor(lp_of(np.ones((2, 3))), np.ones(3), np.ones(3))
     with pytest.raises(ValueError):
         solve_block(fac, np.zeros(3), np.zeros(3), np.zeros(3))
-
-
-def test_random_systems_match_brute_force(kernel_path):
-    rng = np.random.default_rng(42)
-    for _ in range(25):
-        m = int(rng.integers(1, 8))
-        n = int(rng.integers(m, 15))
-        A = rng.standard_normal((m, n))
-        if np.linalg.matrix_rank(A) < m:
-            continue
-        p = 10.0 ** rng.uniform(-2, 2, n)
-        q = 10.0 ** rng.uniform(-2, 2, n)
-        r1 = rng.standard_normal(m)
-        r2 = rng.standard_normal(n)
-        r3 = rng.standard_normal(n)
-        fac = factor(lp_of(A), p, q)
-        assert fac.dense == (kernel_path == "dense")
-        dx, dlam, ds = solve_block(fac, r1, r2, r3)
-        bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
-        assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
-        assert_allclose(dlam, blam, rtol=1e-6, atol=1e-9)
-        assert_allclose(ds, bs, rtol=1e-6, atol=1e-9)
 
 
 def test_residual_bound_holds():
@@ -271,29 +223,79 @@ def test_sparse_path_above_dense_limit():
         assert res <= bound
 
 
-def test_inconsistent_system_raises(kernel_path):
-    # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the
-    # backward check must refuse to return garbage.
-    lp = lp_of([[1.0, 0.0], [1.0, 0.0]])
-    with pytest.raises(NumericalError):
-        fac = factor(lp, np.ones(2), np.ones(2))
-        solve_block(fac, np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
+class TestOnBothFactorPaths:
+    """Kernel oracles run on the dense Cholesky path and on the sparse LU
+    path (see ``kernel_path``)."""
 
+    def test_nonfinite_data_is_a_numerical_error(self, kernel_path):
+        # An overflowing iterate ends a solve; it is not a misuse, and the
+        # kernel reports it without numpy warnings.
+        lp = lp_of([[1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                factor(lp, np.array([1.0, np.inf]), np.array([1.0, 1.0]))
+            with pytest.raises(NumericalError):
+                factor(lp, np.array([1.0, np.nan]), np.array([1.0, 1.0]))
+            with pytest.raises(NumericalError):
+                factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
+            fac = factor(lp, np.ones(2), np.ones(2))
+            with pytest.raises(NumericalError):
+                solve_block(fac, np.array([1e200]), np.zeros(2), np.zeros(2))
+            with pytest.raises(NumericalError):
+                solve_block(fac, np.array([np.nan]), np.zeros(2), np.zeros(2))
+            # A zero column keeps an infinite ratio out of M, but the block
+            # solve's dx overflows; the nan residual of the third block row
+            # must be caught although the first two rows are finite.
+            lp = lp_of([[0.0, 1.0]])
+            fac = factor(lp, np.array([1e300, 1.0]), np.array([1e-300, 1.0]))
+            with pytest.raises(NumericalError):
+                solve_block(fac, np.zeros(1), np.array([1e10, 0.0]),
+                            np.zeros(2))
 
-def test_extreme_scaling_still_solves(kernel_path):
-    # Ratios spanning 14 orders of magnitude, as near convergence.
-    rng = np.random.default_rng(6)
-    A = rng.standard_normal((5, 12))
-    p = 10.0 ** rng.uniform(-7, 7, 12)
-    q = 10.0 ** rng.uniform(-7, 7, 12)
-    r1 = rng.standard_normal(5)
-    r2 = rng.standard_normal(12)
-    r3 = rng.standard_normal(12)
-    fac = factor(lp_of(A), p, q)
-    dx, dlam, ds = solve_block(fac, r1, r2, r3)
-    bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
-    for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
-        assert res <= bound
+    def test_random_systems_match_brute_force(self, kernel_path):
+        rng = np.random.default_rng(42)
+        for _ in range(25):
+            m = int(rng.integers(1, 8))
+            n = int(rng.integers(m, 15))
+            A = rng.standard_normal((m, n))
+            if np.linalg.matrix_rank(A) < m:
+                continue
+            p = 10.0 ** rng.uniform(-2, 2, n)
+            q = 10.0 ** rng.uniform(-2, 2, n)
+            r1 = rng.standard_normal(m)
+            r2 = rng.standard_normal(n)
+            r3 = rng.standard_normal(n)
+            fac = factor(lp_of(A), p, q)
+            assert fac.dense == (kernel_path == "dense")
+            dx, dlam, ds = solve_block(fac, r1, r2, r3)
+            bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
+            assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
+            assert_allclose(dlam, blam, rtol=1e-6, atol=1e-9)
+            assert_allclose(ds, bs, rtol=1e-6, atol=1e-9)
+
+    def test_inconsistent_system_raises(self, kernel_path):
+        # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the
+        # backward check must refuse to return garbage.
+        lp = lp_of([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError):
+            fac = factor(lp, np.ones(2), np.ones(2))
+            solve_block(fac, np.array([1.0, 2.0]), np.zeros(2), np.zeros(2))
+
+    def test_extreme_scaling_still_solves(self, kernel_path):
+        # Ratios spanning 14 orders of magnitude, as near convergence.
+        rng = np.random.default_rng(6)
+        A = rng.standard_normal((5, 12))
+        p = 10.0 ** rng.uniform(-7, 7, 12)
+        q = 10.0 ** rng.uniform(-7, 7, 12)
+        r1 = rng.standard_normal(5)
+        r2 = rng.standard_normal(12)
+        r3 = rng.standard_normal(12)
+        fac = factor(lp_of(A), p, q)
+        dx, dlam, ds = solve_block(fac, r1, r2, r3)
+        bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
+        for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
+            assert res <= bound
 
 
 @pytest.mark.parametrize("error, solves, converges", [
