@@ -5,11 +5,13 @@ Netlib collection: NAME, ROWS, COLUMNS, RHS, RANGES, BOUNDS and ENDATA
 sections, one N (objective) row, bound types LO/UP/FX/FR/MI/PL, and
 Fortran-style ``D`` exponents.  Section keywords start in column one; data
 lines are indented and whitespace-delimited.  Integer markers (MARKER /
-INTORG) and OBJSENSE sections are rejected rather than silently ignored.
+INTORG) and OBJSENSE sections are rejected rather than silently ignored,
+as are ``nan`` in any numeric field and infinite values outside BOUNDS.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,12 +99,20 @@ class RawLP:
         return True
 
 
-def _parse_number(token, lineno):
+def _parse_number(token, lineno, bound=False):
+    """Read one numeric field: finite, or also infinite when ``bound``.
+
+    ``nan`` is never a value, and only a bound may be infinite; either
+    would otherwise reach the standard form silently.
+    """
     # Netlib files use Fortran 'D' exponents in a few places.
     try:
-        return float(token.replace("D", "E").replace("d", "e"))
+        value = float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
         raise MpsParseError("bad numeric field %r" % token, lineno) from None
+    if not math.isfinite(value) and (math.isnan(value) or not bound):
+        raise MpsParseError("non-finite numeric field %r" % token, lineno)
+    return value
 
 
 class _Reader:
@@ -222,7 +232,8 @@ class _Reader:
         cname = tokens[1]
         if cname not in self.col_index:
             raise MpsParseError("bound for unknown column %r" % cname, lineno)
-        value = _parse_number(tokens[2], lineno) if needs_value else None
+        value = (_parse_number(tokens[2], lineno, bound=True)
+                 if needs_value else None)
         self.bound_records.append((btype, self.col_index[cname], value,
                                    lineno))
 

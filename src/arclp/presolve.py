@@ -126,14 +126,16 @@ def _rank_guard(A, b, row_ids):
     Returns ``(rows_to_drop, reason_or_None)`` where a non-``None`` reason
     means the dependent equations contradict the kept ones.  Uses a dense
     pivoted QR, which is exact where a regularized Cholesky attempt could
-    mask semidefiniteness; beyond the size cap the check is skipped and
-    rank trouble surfaces through the kernel's residual guard instead.
+    mask semidefiniteness; only ``R`` and the pivots are computed, since
+    the rank and the kept rows follow from them and ``Q`` is never read.
+    Beyond the size cap the check is skipped and rank trouble surfaces
+    through the kernel's residual guard instead.
     """
     m, n = A.shape
     if m * n > 4_000_000:
         return [], None
     At = A.toarray().T
-    _, R, piv = scipy.linalg.qr(At, mode="economic", pivoting=True)
+    R, piv = scipy.linalg.qr(At, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = max(At.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0)
     rank = int(np.sum(diag > tol))

@@ -32,7 +32,9 @@ __all__ = ["InfeasibleBoundsError", "VarMap", "StandardLP",
 
 
 class InfeasibleBoundsError(ValueError):
-    """A variable's upper bound lies strictly below its lower bound."""
+    """A variable's bounds hold no finite value: the upper bound lies
+    strictly below the lower bound, or a bound is infinite on the wrong
+    side (a lower bound of ``+inf`` or an upper bound of ``-inf``)."""
 
 
 @dataclass(frozen=True)
@@ -101,127 +103,84 @@ class StandardLP:
 def to_standard_form(raw):
     """Build a :class:`StandardLP` from a :class:`~arclp.mps.RawLP`.
 
+    Every raw entry is placed through one column map: raw variable ``i``
+    starts at column ``col[i]``, the running sum of the widths of the
+    variables before it (width 2 for a split variable, 1 otherwise), and
+    a split variable's negative half sits at ``col[i] + 1``.  Each block's
+    entries keep their values (explicit zeros included) and are copied
+    with the opposite sign into the negative half of a split column; the
+    slack and bound-slack entries follow from their row positions.
+
     Raises
     ------
     InfeasibleBoundsError
-        If some upper bound is below the matching lower bound.
+        If the bounds of some variable hold no finite value.
     ValueError
         If the problem has no rows and no bounds (nothing to solve).
     """
-    n_raw = raw.n_cols
     lower, upper = raw.lower, raw.upper
-    bad = np.nonzero(upper < lower)[0]
+    bad = np.nonzero((upper < lower) | (lower == np.inf)
+                     | (upper == -np.inf))[0]
     if bad.size:
+        i = bad[0]
         raise InfeasibleBoundsError(
-            "upper bound below lower bound for column %r"
-            % raw.col_names[bad[0]])
+            "column %r has no finite value between lower bound %r and "
+            "upper bound %r" % (raw.col_names[i], float(lower[i]),
+                                float(upper[i])))
 
     # Column plan: raw variables first (split pairs adjacent), then the
     # slack blocks in row order.
-    rules = []
-    fixed_cols = []
-    shift = np.zeros(n_raw)
-    j = 0
-    for i in range(n_raw):
-        if np.isneginf(lower[i]):
-            rules.append(("split", j, j + 1))
-            j += 2
-        else:
-            rules.append(("shift", j, lower[i]))
-            shift[i] = lower[i]
-            if upper[i] == lower[i]:
-                fixed_cols.append(j)
-            j += 1
-    n_vars = j
+    split = np.isneginf(lower)
+    width = 1 + split.astype(np.int64)
+    col = np.cumsum(width) - width
+    n_vars = int(width.sum())
+    shift = np.where(split, 0.0, lower)
+    fixed = ~split & (upper == lower)
+    bounded = np.nonzero(np.isfinite(upper) & (upper != lower))[0]
 
-    bounded = [i for i in range(n_raw)
-               if np.isfinite(upper[i]) and upper[i] != lower[i]]
-    n_ge = raw.A_ge.shape[0]
-    n_le = raw.A_le.shape[0]
-    m = raw.A_eq.shape[0] + n_ge + n_le + len(bounded)
-    n = n_vars + n_ge + n_le + len(bounded)
+    blocks = list(raw.blocks())
+    m_eq, n_ge, n_le = (A_blk.shape[0] for _, A_blk, _, _ in blocks)
+    n_b = bounded.size
+    m = m_eq + n_ge + n_le + n_b
+    n = n_vars + n_ge + n_le + n_b
     if m == 0:
         raise ValueError("problem has no constraints")
 
-    # Expand raw columns into standard columns (split pairs get +/- copies).
-    def expand(block):
-        block = block.tocsc()
-        cols, rows, vals = [], [], []
-        for i in range(n_raw):
-            lo_ptr, hi_ptr = block.indptr[i], block.indptr[i + 1]
-            idx = block.indices[lo_ptr:hi_ptr]
-            dat = block.data[lo_ptr:hi_ptr]
-            rule = rules[i]
-            if rule[0] == "split":
-                for col, sign in ((rule[1], 1.0), (rule[2], -1.0)):
-                    cols.extend([col] * len(idx))
-                    rows.extend(idx)
-                    vals.extend(sign * dat)
-            else:
-                cols.extend([rule[1]] * len(idx))
-                rows.extend(idx)
-                vals.extend(dat)
-        return rows, cols, vals
-
-    rows_, cols_, vals_ = [], [], []
-    row0 = 0
-    rhs = []
-    for kind, A_blk, b_blk, _ in raw.blocks():
-        r, cidx, v = expand(A_blk)
-        rows_.extend(row0 + np.asarray(r, dtype=int))
-        cols_.extend(cidx)
-        vals_.extend(v)
-        rhs.append(b_blk - A_blk @ shift)
-        if kind == "G":
-            for k in range(A_blk.shape[0]):
-                rows_.append(row0 + k)
-                cols_.append(n_vars + k)
-                vals_.append(-1.0)
-        elif kind == "L":
-            for k in range(A_blk.shape[0]):
-                rows_.append(row0 + k)
-                cols_.append(n_vars + n_ge + k)
-                vals_.append(1.0)
-        row0 += A_blk.shape[0]
-
+    # (rows, cols, values) of each part of the docstring's block matrix.
+    coo = sp.vstack([A_blk for _, A_blk, _, _ in blocks]).tocoo()
+    neg = split[coo.col]
+    ge, le, k = np.arange(n_ge), np.arange(n_le), np.arange(n_b)
+    row_b = m_eq + n_ge + n_le + k
+    b_neg = split[bounded]
+    parts = [
+        (coo.row, col[coo.col], coo.data),
+        (coo.row[neg], col[coo.col[neg]] + 1, -coo.data[neg]),
+        (m_eq + ge, n_vars + ge, np.full(n_ge, -1.0)),
+        (m_eq + n_ge + le, n_vars + n_ge + le, np.ones(n_le)),
+        (row_b, col[bounded], np.ones(n_b)),
+        (row_b[b_neg], col[bounded[b_neg]] + 1, np.full(b_neg.sum(), -1.0)),
+        (row_b, n_vars + n_ge + n_le + k, np.ones(n_b)),
+    ]
+    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
+    A = sp.csr_array((vals, (rows, cols)), shape=(m, n))
     # Bound rows: x'_i + s_B = upper - lower (split columns keep their
     # +/- pair on the left side and are not shifted).
-    b_bound = np.empty(len(bounded))
-    for k, i in enumerate(bounded):
-        rule = rules[i]
-        if rule[0] == "split":
-            rows_.extend([row0 + k, row0 + k])
-            cols_.extend([rule[1], rule[2]])
-            vals_.extend([1.0, -1.0])
-            b_bound[k] = upper[i]
-        else:
-            rows_.append(row0 + k)
-            cols_.append(rule[1])
-            vals_.append(1.0)
-            b_bound[k] = upper[i] - lower[i]
-        rows_.append(row0 + k)
-        cols_.append(n_vars + n_ge + n_le + k)
-        vals_.append(1.0)
-    rhs.append(b_bound)
-
-    A = sp.csc_array((vals_, (rows_, cols_)), shape=(m, n))
-    b = np.concatenate(rhs)
+    b = np.concatenate([b_blk - A_blk @ shift for _, A_blk, b_blk, _ in blocks]
+                       + [upper[bounded] - shift[bounded]])
 
     c = np.zeros(n)
-    for i in range(n_raw):
-        rule = rules[i]
-        if rule[0] == "split":
-            c[rule[1]] += raw.c[i]
-            c[rule[2]] -= raw.c[i]
-        else:
-            c[rule[1]] += raw.c[i]
+    c[col] += raw.c
+    c[col[split] + 1] -= raw.c[split]
     objective_shift = float(raw.c @ shift) + raw.objective_constant
 
-    var_map = VarMap(rules=tuple(rules), n_std=n, c=c.copy(),
+    rules = tuple(("split", j, j + 1) if s else ("shift", j, lo)
+                  for j, s, lo in zip(col.tolist(), split.tolist(), lower))
+    var_map = VarMap(rules=rules, n_std=n, c=c.copy(),
                      objective_shift=objective_shift)
     return StandardLP(name=raw.name, A=A, b=b, c=c,
                       objective_shift=objective_shift,
-                      var_map=var_map, fixed_cols=tuple(fixed_cols))
+                      var_map=var_map,
+                      fixed_cols=tuple(col[fixed].tolist()))
 
 
 def recover_solution(x_std, var_map):

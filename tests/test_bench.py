@@ -82,6 +82,23 @@ class TestSolveMpsFile:
         assert rec.status == Status.INPUT_ERROR
         assert result is None and "no constraints" in rec.note
 
+    @pytest.mark.parametrize("old, new, lineno", [
+        ("ENDATA", "BOUNDS\n UP BND  X1  nan\nENDATA", 14),
+        ("R1        1.0\n    X3", "R1        NaN\n    X3", 9),
+        ("R1        1.0\n    X3", "R1        inf\n    X3", 9),
+        ("R1        2.0", "R1        -1e400", 12),
+        ("ENDATA", "RANGES\n    RNG  R2  nan\nENDATA", 14),
+    ], ids=["nan-bound", "nan-coefficient", "inf-coefficient", "inf-rhs",
+            "nan-range"])
+    def test_nonfinite_number_is_input_error(self, tmp_path, old, new,
+                                             lineno):
+        path = tmp_path / "nonfinite.mps"
+        assert old in FIX2_MPS
+        path.write_text(FIX2_MPS.replace(old, new, 1))
+        rec, result, _ = solve_mps_file(path)
+        assert rec.status == Status.INPUT_ERROR and result is None
+        assert rec.note.startswith("line %d: non-finite" % lineno)
+
     def test_config_echoed(self, problem_dir):
         cfg = SolverConfig(algorithm="line", beta=0.5)
         rec, _, _ = solve_mps_file(problem_dir / "fix2.mps", cfg)

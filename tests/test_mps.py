@@ -108,6 +108,14 @@ def test_negative_upper_bound_kept_literally():
     assert lp.upper[0] == -1.0
 
 
+def test_infinite_bounds_accepted():
+    text = FIX2_MPS.replace("ENDATA", "BOUNDS\n UP BND       X1        inf\n"
+                            " LO BND       X2        -1e400\nENDATA")
+    lp = parse_mps(text)
+    assert_array_equal(lp.lower, [0.0, -np.inf, 0.0])
+    assert_array_equal(lp.upper, [np.inf, np.inf, np.inf])
+
+
 class TestRanges:
     def _base(self, kind, rhs, rng):
         return """\

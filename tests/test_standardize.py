@@ -1,10 +1,15 @@
-"""Standard-form transformation tests against hand-worked examples."""
+"""Standard-form transformation tests against hand-worked examples and a
+dense reference built from the module docstring's block formula."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
-from arclp.mps import parse_mps
+from arclp.mps import RawLP, parse_mps
 from arclp.standardize import (InfeasibleBoundsError, recover_solution,
                                to_standard_form)
 
@@ -113,6 +118,15 @@ def test_inconsistent_bounds_raise():
         to_standard_form(parse_mps(text))
 
 
+@pytest.mark.parametrize("bounds", [" LO BND       X1        inf\n",
+                                    " MI BND       X1\n"
+                                    " UP BND       X1        -1e400\n"])
+def test_infinite_bound_on_the_wrong_side_raises(bounds):
+    text = MINIMAL.replace("ENDATA", "BOUNDS\n" + bounds + "ENDATA")
+    with pytest.raises(InfeasibleBoundsError, match="no finite value"):
+        to_standard_form(parse_mps(text))
+
+
 def test_objective_constant_flows_into_shift(fix2_text):
     text = fix2_text.replace("    RHS       R1        2.0\n",
                              "    RHS       R1        2.0\n"
@@ -186,3 +200,118 @@ def test_feasible_point_maps_forward(fix1_text):
     assert np.all(x_std >= -1e-12)
     assert_allclose(std.c @ x_std + std.objective_shift,
                     raw.c @ x_raw + raw.objective_constant, rtol=1e-12)
+
+
+# Small integers keep every product and sum exact, so the dense reference
+# and the sparse assembly must agree to the last bit.
+SMALL = st.integers(-4, 4).map(float)
+
+
+@st.composite
+def bounds(draw):
+    """``(lower, upper)`` of one of the MPS bound types, never crossed."""
+    kind = draw(st.sampled_from(["PL", "FR", "MI", "FX", "LO", "UP",
+                                 "LO+UP"]))
+    lo, up = sorted([draw(SMALL), draw(SMALL)])
+    return {"PL": (0.0, np.inf), "FR": (-np.inf, np.inf),
+            "MI": (-np.inf, up), "FX": (lo, lo), "LO": (lo, np.inf),
+            "UP": (0.0, abs(up)), "LO+UP": (lo, up)}[kind]
+
+
+@st.composite
+def raw_lps(draw):
+    """RawLP with 0-3 rows per E/G/L block and stored zero entries."""
+    n = draw(st.integers(1, 5))
+    blocks = {}
+    for kind in "EGL":
+        m = draw(st.integers(0, 3))
+        vals = draw(hnp.arrays(float, (m, n), elements=SMALL))
+        stored = draw(hnp.arrays(bool, (m, n)))
+        rows, cols = np.nonzero(stored)
+        blocks[kind] = (
+            sp.csr_array((vals[rows, cols], (rows, cols)), shape=(m, n)),
+            draw(hnp.arrays(float, m, elements=SMALL)),
+            ["%s%d" % (kind, i) for i in range(m)])
+    lower, upper = np.array(draw(st.lists(bounds(), min_size=n,
+                                          max_size=n))).T
+    (A_eq, b_eq, r_eq), (A_ge, b_ge, r_ge), (A_le, b_le, r_le) = \
+        blocks.values()
+    return RawLP(name="P", col_names=["X%d" % j for j in range(n)],
+                 c=draw(hnp.arrays(float, n, elements=SMALL)),
+                 A_eq=A_eq, b_eq=b_eq, row_names_eq=r_eq,
+                 A_ge=A_ge, b_ge=b_ge, row_names_ge=r_ge,
+                 A_le=A_le, b_le=b_le, row_names_le=r_le,
+                 lower=lower, upper=upper,
+                 objective_constant=draw(SMALL))
+
+
+def dense_standard_form(raw):
+    """Dense reference: the module docstring's blocks, assembled whole.
+
+    ``X`` maps standard variable columns to raw variables (a split
+    variable owns a ``+e_i, -e_i`` pair), so the variable part of every
+    block row is the raw row times ``X``.
+    """
+    lower, upper = raw.lower, raw.upper
+    X, rules, fixed = [], [], []
+    for i, e in enumerate(np.eye(raw.n_cols)):
+        if np.isneginf(lower[i]):
+            rules.append(("split", len(X), len(X) + 1))
+            X += [e, -e]
+        else:
+            if upper[i] == lower[i]:
+                fixed.append(len(X))
+            rules.append(("shift", len(X), lower[i]))
+            X.append(e)
+    X = np.array(X).T
+    l = np.where(np.isneginf(lower), 0.0, lower)
+    B = [i for i in range(raw.n_cols)
+         if np.isfinite(upper[i]) and upper[i] != lower[i]]
+    A_E, A_G, A_L = (A.toarray() for A in (raw.A_eq, raw.A_ge, raw.A_le))
+    I_B = np.eye(raw.n_cols)[B]
+    (m_E, m_G, m_L, m_B), Z = map(len, (A_E, A_G, A_L, B)), np.zeros
+    A = np.block([
+        [A_E @ X, Z((m_E, m_G)), Z((m_E, m_L)), Z((m_E, m_B))],
+        [A_G @ X, -np.eye(m_G), Z((m_G, m_L)), Z((m_G, m_B))],
+        [A_L @ X, Z((m_L, m_G)), np.eye(m_L), Z((m_L, m_B))],
+        [I_B @ X, Z((m_B, m_G)), Z((m_B, m_L)), np.eye(m_B)]])
+    b = np.concatenate([raw.b_eq - A_E @ l, raw.b_ge - A_G @ l,
+                        raw.b_le - A_L @ l, upper[B] - l[B]])
+    c = np.concatenate([raw.c @ X, Z(m_G + m_L + m_B)])
+    # Every stored raw entry, zero or not, is kept once per standard
+    # column of its variable; slacks and bound rows add their own.
+    widths = np.abs(X).sum(axis=1)
+    nnz = (sum(widths[A.tocoo().col].sum()
+               for A in (raw.A_eq, raw.A_ge, raw.A_le))
+           + m_G + m_L + widths[B].sum() + m_B)
+    return dict(A=A, b=b, c=c, X=X, l=l, nnz=nnz, rules=tuple(rules),
+                fixed_cols=tuple(fixed),
+                objective_shift=raw.c @ l + raw.objective_constant)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_lps(), seed=st.integers(0, 2**32 - 1))
+def test_matches_dense_block_formula(raw, seed):
+    ref = dense_standard_form(raw)
+    if ref["A"].shape[0] == 0:
+        with pytest.raises(ValueError, match="no constraints"):
+            to_standard_form(raw)
+        return
+    std = to_standard_form(raw)
+    assert std.shape == ref["A"].shape
+    assert_array_equal(std.A.toarray(), ref["A"])
+    assert std.A.nnz == ref["nnz"]
+    assert_array_equal(std.b, ref["b"])
+    assert_array_equal(std.c, ref["c"])
+    assert_array_equal(std.var_map.c, ref["c"])
+    assert std.objective_shift == ref["objective_shift"]
+    assert std.var_map.objective_shift == ref["objective_shift"]
+    assert std.var_map.n_std == std.n
+    assert std.fixed_cols == ref["fixed_cols"]
+    assert std.var_map.rules == ref["rules"]
+
+    x_std = np.random.default_rng(seed).integers(0, 5, std.n).astype(float)
+    x_raw, objective = recover_solution(x_std, std.var_map)
+    X = ref["X"]
+    assert_array_equal(x_raw, X @ x_std[:X.shape[1]] + ref["l"])
+    assert objective == raw.c @ x_raw + raw.objective_constant
