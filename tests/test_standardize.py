@@ -269,7 +269,8 @@ def dense_standard_form(raw):
          if np.isfinite(upper[i]) and upper[i] != lower[i]]
     A_E, A_G, A_L = (A.toarray() for A in (raw.A_eq, raw.A_ge, raw.A_le))
     I_B = np.eye(raw.n_cols)[B]
-    (m_E, m_G, m_L, m_B), Z = map(len, (A_E, A_G, A_L, B)), np.zeros
+    m_E, m_G, m_L, m_B = map(len, (A_E, A_G, A_L, B))
+    Z = np.zeros
     A = np.block([
         [A_E @ X, Z((m_E, m_G)), Z((m_E, m_L)), Z((m_E, m_B))],
         [A_G @ X, -np.eye(m_G), Z((m_G, m_L)), Z((m_G, m_B))],
