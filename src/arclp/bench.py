@@ -165,7 +165,8 @@ def run_benchmark(problem_dir, configs, time_limit=None):
     if not paths:
         raise ValueError("no .mps files under %s" % problem_dir)
     if time_limit is not None:
-        configs = [replace(c, time_limit=time_limit) for c in configs]
+        configs = [replace(c, time_limit=time_limit).validate()
+                   for c in configs]
     return [solve_mps_file(path, config)[0]
             for path in paths for config in configs]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -142,7 +143,11 @@ def cmd_solve(args):
                     "beta_formula", "status", "iterations",
                     "time_seconds", "mu", "rb_norm", "rc_norm",
                     "objective", "note")}
-        print(json.dumps(payload))
+        # JSON has no nan or inf: a figure that was never computed (the
+        # input decided the outcome) or overflowed is null.
+        print(json.dumps({k: None if isinstance(v, float)
+                          and not math.isfinite(v) else v
+                          for k, v in payload.items()}, allow_nan=False))
     else:
         print("%s: %s in %d iterations (%.3f s)"
               % (record.problem, record.status, record.iterations,

@@ -12,12 +12,20 @@ and ``ds`` reduces it to the m-by-m normal equations
 ``M = A @ diag(p / q) @ A.T``, factored once per scaling pair and reused
 for every right-hand side at that iterate; the factor carries the system.
 
-Problems with at most ``DENSE_LIMIT`` rows use a dense Cholesky
-factorization.  Larger ones use a sparse LU of the (symmetric positive
-definite) normal matrix in one fill-reducing row order per problem
-(:func:`order_rows`, cached as ``StandardLP.row_order``), pivoting on the
-diagonal, so every factorization of a problem has the same fill.  Both
-paths retry once with a small diagonal regularization before giving up.
+``M`` is assembled from a product map built once per problem
+(:func:`map_products`): every term ``A_ij * A_kj`` with the slot of
+``(i, k)`` in a fixed layout, so each assembly is a gather of ``d``, a
+repeat and one ``np.bincount`` of ``(A_ij * d_j) * A_kj``.  The terms of a slot are
+summed in ascending ``j``, as scipy's sparse product sums them, so ``M``
+is bit for bit the ``A.multiply(d) @ A.T`` of scipy.
+
+Problems with at most ``DENSE_LIMIT`` rows fill a dense ``M``
+(``StandardLP.product_map``) and factor it by Cholesky.  Larger ones
+fill the fixed CSC pattern of ``|A| @ |A|.T`` in one fill-reducing row
+order per problem (:func:`order_rows`, cached as ``StandardLP.row_order``
+with its own map) and factor it by sparse LU, pivoting on the diagonal,
+so every factorization of a problem has the same fill.  Both paths retry
+once with a small diagonal regularization before giving up.
 """
 
 from __future__ import annotations
@@ -30,8 +38,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = ["NumericalError", "NewtonFactor", "RowOrder", "order_rows",
-           "factor", "solve_block", "DENSE_LIMIT"]
+__all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
+           "RowOrder", "order_rows", "factor", "solve_block", "DENSE_LIMIT"]
 
 DENSE_LIMIT = 200
 
@@ -80,13 +88,100 @@ def _check_scaling(A, p, q):
     return p, q
 
 
+class ProductMap(NamedTuple):
+    """Where each term of ``A @ diag(d) @ A.T`` goes, for every ``d``.
+
+    The entries of ``A`` are taken column by column: entry ``e`` holds
+    ``A_ij = val[e]`` with ``j = col[e]`` and leads the next ``lead[e]``
+    terms, one per entry ``A_kj`` of its column.  Term ``t`` is
+    ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
+    into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
+    ascending ``j``.  A dense map's slots are the row-major entries of the
+    m-by-m matrix; a sparse map's are those of the CSC pattern
+    ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the diagonal.  ``diag``
+    holds the slot of each diagonal entry.
+    """
+
+    m: int
+    col: np.ndarray
+    val: np.ndarray
+    lead: np.ndarray
+    coef: np.ndarray
+    slot: np.ndarray
+    diag: np.ndarray
+    indptr: np.ndarray = None
+    indices: np.ndarray = None
+
+    def assemble(self, d):
+        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, CSC for
+        a sparse one) and its diagonal, with the roundings of scipy's
+        ``A.multiply(d) @ A.T``."""
+        ad = d.take(self.col)
+        ad *= self.val
+        terms = np.repeat(ad, self.lead)
+        terms *= self.coef
+        dense = self.indptr is None
+        values = np.bincount(self.slot, weights=terms,
+                             minlength=self.m ** 2 if dense
+                             else self.indices.size)
+        if dense:
+            M = values.reshape(self.m, self.m)
+        else:
+            M = sp.csc_array((values, self.indices, self.indptr),
+                             shape=(self.m, self.m))
+        return M, values[self.diag]
+
+
+def map_products(At, dense):
+    """Build the :class:`ProductMap` of ``A`` from ``At = A.T`` (CSR).
+
+    The terms run over the columns ``j`` of ``A`` in ascending order and,
+    within a column, over every pair of its entries, so the terms of each
+    slot come in ascending ``j``.  A sparse map keeps an explicit slot for
+    an entry whose terms cancel, where scipy's product drops it.
+    """
+    n, m = At.shape
+    count = np.diff(At.indptr)
+    col = np.repeat(np.arange(n, dtype=np.int32), count)
+    lead = np.repeat(count, count)
+    # Term t pairs the entry that leads it with entry `other` of the same
+    # column: first[e], first[e] + 1, ... for the terms of entry e.
+    start = np.cumsum(lead) - lead
+    first = np.repeat(At.indptr[:-1], count)
+    other = np.arange(int(lead.sum()), dtype=np.int32)
+    other -= np.repeat((start - first).astype(np.int32), lead)
+    del start, first
+    i = np.repeat(At.indices, lead)
+    k = At.indices[other]
+    coef = At.data[other]
+    del other
+    if dense:
+        return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
+                          slot=i * m + k,
+                          diag=np.arange(m) * (m + 1))
+    # CSC keys k * m + i sort column by column, rows ascending.
+    keys = np.concatenate([np.arange(m, dtype=np.int64) * (m + 1),
+                           k.astype(np.int64) * m + i])
+    del i, k
+    pattern, slot = np.unique(keys, return_inverse=True)
+    del keys
+    return ProductMap(
+        m=m, col=col, val=At.data, lead=lead, coef=coef,
+        slot=slot[m:].astype(np.int32), diag=slot[:m],
+        indptr=np.searchsorted(pattern, np.arange(m + 1) * m)
+        .astype(np.int32),
+        indices=(pattern % m).astype(np.int32))
+
+
 class RowOrder(NamedTuple):
     """Fill-reducing row order ``perm`` of a problem's normal matrices,
-    with the permuted ``A[perm]`` and its transpose ``At``, both CSR."""
+    with the permuted ``A[perm]`` and its transpose ``At``, both CSR, and
+    the sparse :class:`ProductMap` of ``A[perm]``."""
 
     perm: np.ndarray
     A: sp.csr_array
     At: sp.csr_array
+    product_map: ProductMap
 
 
 def order_rows(A):
@@ -108,7 +203,9 @@ def order_rows(A):
                    options={"SymmetricMode": True})
     perm = np.argsort(lu.perm_c)
     Ap = A[perm]
-    return RowOrder(perm=perm, A=Ap, At=Ap.T.tocsr())
+    Apt = Ap.T.tocsr()
+    return RowOrder(perm=perm, A=Ap, At=Apt,
+                    product_map=map_products(Apt, dense=False))
 
 
 def _splu_in_order(M):
@@ -122,10 +219,14 @@ def _splu_in_order(M):
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
-    Up to ``DENSE_LIMIT`` rows, ``M`` is factored by dense Cholesky.
-    Above it, ``M`` is assembled with its rows and columns in the order of
-    ``lp.row_order`` (computed on the first such call and kept with the
-    problem) and factored by SuperLU in that order with diagonal pivots.
+    ``M`` is assembled from the problem's :class:`ProductMap`, bit for bit
+    as scipy's ``A.multiply(p / q) @ A.T``.  Up to ``DENSE_LIMIT`` rows it
+    fills a dense array (map ``lp.product_map``) that is factored by
+    Cholesky.  Above it, ``M`` fills the fixed CSC pattern of
+    ``|A| @ |A|.T`` with its rows and columns in the order of
+    ``lp.row_order`` (map ``lp.row_order.product_map``; both computed on
+    the first such call and kept with the problem) and is factored by
+    SuperLU in that order with diagonal pivots.
 
     Parameters
     ----------
@@ -156,19 +257,18 @@ def factor(lp, p, q):
     # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
     # an overflow here is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        M = system.A.multiply(p / q) @ system.At
-        reg = 1e-12 * max(M.diagonal().max(), 1.0)
+        M, diagonal = system.product_map.assemble(p / q)
+        reg = 1e-12 * max(diagonal.max(), 1.0)
     if not np.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
     if not sparse:
-        Md = M.toarray()
         try:
-            cf = scipy.linalg.cho_factor(Md, lower=True)
+            cf = scipy.linalg.cho_factor(M, lower=True)
         except scipy.linalg.LinAlgError:
             try:
                 cf = scipy.linalg.cho_factor(
-                    Md + reg * np.eye(m), lower=True)
+                    M + reg * np.eye(m), lower=True)
             except scipy.linalg.LinAlgError:
                 raise NumericalError(
                     "normal matrix is not positive definite") from None
@@ -177,7 +277,6 @@ def factor(lp, p, q):
             cf, rhs, check_finite=False)
         return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
 
-    M = M.tocsc()
     try:
         lu = _splu_in_order(M)
     except RuntimeError:

@@ -75,6 +75,8 @@ class SolverConfig:
     contraction guarantees require.  ``theta`` is the neighborhood radius
     of the guarded method and must stay below ``1 / (2 + sqrt(2))``.
     ``gamma`` damps arc and line steps away from the positivity boundary.
+    ``time_limit`` bounds a solve's wall time in seconds: ``None`` for no
+    bound, else positive (``inf`` included).
     """
 
     algorithm: str = "alg2"
@@ -106,6 +108,8 @@ class SolverConfig:
         if self.stop_rule not in ("relative", "theoretical"):
             raise ValueError("stop_rule must be 'relative' or "
                              "'theoretical'")
+        if self.time_limit is not None and not self.time_limit > 0:
+            raise ValueError("time_limit must be None or positive")
         return self
 
 

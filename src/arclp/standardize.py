@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import order_rows
+from .linalg import map_products, order_rows
 
 __all__ = ["InfeasibleBoundsError", "VarMap", "StandardLP",
            "to_standard_form", "recover_solution"]
@@ -86,6 +86,12 @@ class StandardLP:
         """Fill-reducing :class:`~arclp.linalg.RowOrder` of the normal
         matrix, built on the first sparse factorization."""
         return order_rows(self.A)
+
+    @cached_property
+    def product_map(self):
+        """Dense :class:`~arclp.linalg.ProductMap` of the normal matrix,
+        built on the first dense factorization."""
+        return map_products(self.At, dense=True)
 
     @property
     def shape(self):

@@ -1,4 +1,5 @@
 """Shared fixtures: tiny MPS problems and random feasible LP generators."""
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,8 @@ import scipy.sparse as sp
 
 from arclp.standardize import StandardLP, VarMap
 
-NETLIB_DIR = Path(__file__).resolve().parents[1] / "data" / "netlib"
+ROOT = Path(__file__).resolve().parents[1]
+NETLIB_DIR = ROOT / "data" / "netlib"
 
 # Classic three-variable example exercising every row type and a
 # shifted lower bound.  Optimum: x = (1, -1, 6), objective -7.
@@ -121,3 +123,22 @@ def small_lp():
     """Fixed 3x5 feasible LP used across solver tests."""
     rng = np.random.default_rng(7)
     return random_feasible_lp(rng, 3, 5, name="small")
+
+
+def perfbench_module(name):
+    """Load ``perfbench/<name>.py`` read-only, without putting the
+    benchmark's directory on the import path."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_" + name, ROOT / "perfbench" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def staircase_raw():
+    """The benchmark generator's staircase production plan with five
+    periods, 20 products and 10 resources (m = 250, n = 450 after
+    presolve), the smallest LP of the tier-1 suite on the sparse path."""
+    import arclp
+    return perfbench_module("workloads").staircase_lp(
+        arclp, 5, 20, 10, np.random.default_rng(5), "st5x20x10")

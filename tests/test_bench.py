@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import arclp.bench
 from arclp.bench import (AverageTimeReport, BenchmarkRecord, ProfileCurve,
                          average_time_report, performance_profile,
                          profile_to_csv, records_from_csv, records_to_csv,
@@ -133,8 +134,16 @@ class TestRunBenchmark:
 
     def test_time_limit_passes_through(self, problem_dir):
         records = run_benchmark(problem_dir, [SolverConfig()],
-                                time_limit=0.0)
+                                time_limit=1e-9)
         assert all(r.status == Status.ITERATION_LIMIT for r in records)
+
+    @pytest.mark.parametrize("time_limit", [-1.0, 0.0, float("nan")])
+    def test_bad_time_limit_raises_before_solving(self, problem_dir,
+                                                  monkeypatch, time_limit):
+        monkeypatch.setattr(arclp.bench, "solve_mps_file", None)
+        with pytest.raises(ValueError, match="time_limit"):
+            run_benchmark(problem_dir, [SolverConfig()],
+                          time_limit=time_limit)
 
 
 class TestCsvRoundTrip:

@@ -41,6 +41,27 @@ class TestSolve:
         assert_allclose(payload["objective"], -7.0, rtol=1e-6)
         assert payload["iterations"] > 0
 
+    @pytest.mark.parametrize("text, status", [
+        (FIX_INFEASIBLE_MPS, "Infeasible"),
+        ("ROWS\n", "InputError"),
+    ], ids=["infeasible", "input_error"])
+    def test_json_without_a_solve_is_strict_json(self, tmp_path, capsys,
+                                                 text, status):
+        # When the input decides the outcome no figure is computed; the
+        # output must still parse without nan or inf constants.
+        path = tmp_path / "lp.mps"
+        path.write_text(text)
+        code = main(["solve", str(path), "--json"])
+        assert code == 4
+
+        def reject(constant):
+            raise ValueError("not JSON: %s" % constant)
+        payload = json.loads(capsys.readouterr().out,
+                             parse_constant=reject)
+        assert payload["status"] == status
+        for key in ("mu", "rb_norm", "rc_norm", "objective"):
+            assert payload[key] is None, key
+
     def test_algorithm_flag(self, fix1_path, capsys):
         code = main(["solve", str(fix1_path), "--algorithm", "line",
                      "--json"])
@@ -126,6 +147,13 @@ class TestBench:
     def test_no_algorithms(self, problem_dir, capsys):
         code = main(["bench", str(problem_dir), "--algorithms", ","])
         assert code == 1
+
+    @pytest.mark.parametrize("limit", ["-1", "0", "nan"])
+    def test_bad_time_limit(self, problem_dir, capsys, limit):
+        code = main(["bench", str(problem_dir), "--time-limit", limit])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "time_limit" in captured.err and captured.out == ""
 
 
 class TestProfile:

@@ -16,13 +16,32 @@ from arclp.presolve import presolve
 from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
-from conftest import FIX1_MPS, make_standard_lp
+from conftest import FIX1_MPS, NETLIB_DIR, make_standard_lp, staircase_raw
 
 
 def lp_of(A):
     """A problem that carries only the matrix ``A`` of a kernel test."""
     m, n = np.shape(A)
     return make_standard_lp(A, np.zeros(m), np.zeros(n))
+
+
+# The bundled netlib problems and the tier-1 staircase LP, by name.
+PROBLEMS = [path.stem for path in sorted(NETLIB_DIR.glob("*.mps"))] \
+    + ["st5x20x10"]
+
+
+@pytest.fixture(scope="module")
+def presolved():
+    """Load a problem of ``PROBLEMS`` through presolve, once per module."""
+    cache = {}
+
+    def load(name):
+        if name not in cache:
+            raw = (staircase_raw() if name == "st5x20x10" else
+                   parse_mps((NETLIB_DIR / (name + ".mps")).read_text()))
+            cache[name] = presolve(to_standard_form(raw))[0]
+        return cache[name]
+    return load
 
 
 @pytest.fixture(params=["dense", "sparse"])
@@ -76,27 +95,52 @@ def test_problem_prepares_its_matrix_once(build):
 
 
 def test_row_order_is_built_once_per_problem(monkeypatch):
-    built = []
+    # The row order and the product maps are built on a problem's first
+    # factorization and shared by the start point's factor and every
+    # iteration's: one dense map, or one row order with its sparse map.
+    real_order, real_map = arclp.linalg.order_rows, arclp.linalg.map_products
+    real_assemble = arclp.linalg.ProductMap.assemble
+    built, maps, used = [], [], []
 
     def order_rows(A):
         built.append(A)
-        return arclp.linalg.order_rows(A)
+        return real_order(A)
+
+    def map_products(At, dense):
+        maps.append((At, dense))
+        return real_map(At, dense)
+
+    def assemble(product_map, d):
+        used.append(product_map)
+        return real_assemble(product_map, d)
 
     monkeypatch.setattr(arclp.standardize, "order_rows", order_rows)
+    monkeypatch.setattr(arclp.standardize, "map_products", map_products)
+    monkeypatch.setattr(arclp.linalg, "map_products", map_products)
+    monkeypatch.setattr(arclp.linalg.ProductMap, "assemble", assemble)
     rng = np.random.default_rng(8)
+
+    def start_and_two_iterations(lp):
+        initial_point_mehrotra(lp)
+        for _ in range(2):
+            factor(lp, rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6))
+
     dense_lp = lp_of(rng.standard_normal((3, 6)))
-    factor(dense_lp, np.ones(6), np.ones(6))
-    initial_point_mehrotra(dense_lp)
+    start_and_two_iterations(dense_lp)
     assert built == [] and "row_order" not in vars(dense_lp)
+    assert len(maps) == 1 and maps[0][0] is dense_lp.At and maps[0][1]
+    assert len(used) == 3
+    assert all(m is dense_lp.product_map for m in used)
 
     monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     lp = lp_of(rng.standard_normal((3, 6)))
-    factor(lp, np.ones(6), np.ones(6))
+    used.clear()
+    start_and_two_iterations(lp)
     order = lp.row_order
-    factor(lp, rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6))
-    initial_point_mehrotra(lp)
-    assert lp.row_order is order
     assert len(built) == 1 and built[0] is lp.A
+    assert len(maps) == 2 and maps[1][0] is order.At and not maps[1][1]
+    assert "product_map" not in vars(lp)
+    assert len(used) == 3 and all(m is order.product_map for m in used)
     assert (order.A != lp.A[order.perm]).nnz == 0
     assert (order.At != order.A.T).nnz == 0
 
@@ -252,6 +296,42 @@ class TestOnBothFactorPaths:
             with pytest.raises(NumericalError):
                 solve_block(fac, np.zeros(1), np.array([1e10, 0.0]),
                             np.zeros(2))
+
+    @pytest.mark.parametrize("name", PROBLEMS)
+    def test_assembly_is_scipys_product_bit_for_bit(self, kernel_path,
+                                                    presolved, name):
+        # The iterates depend on M's last bits (kb2's alg2 ends
+        # NumericalError instead of Optimal when only they change), so the
+        # map must round as A.multiply(d) @ A.T does, at any scaling.
+        lp = presolved(name)
+        sparse = lp.m > arclp.linalg.DENSE_LIMIT
+        assert sparse == (kernel_path == "sparse" or lp.m > DENSE_LIMIT)
+        system = lp.row_order if sparse else lp
+        perm = system.perm if sparse else np.arange(lp.m)
+        rng = np.random.default_rng(12)
+        for k in (0, 1, 4, 8, 12):
+            d = 10.0 ** rng.uniform(-k, k, lp.n)
+            want = (lp.A.multiply(d) @ lp.At).toarray()[np.ix_(perm, perm)]
+            M, diagonal = system.product_map.assemble(d)
+            got = M.toarray() if sparse else M
+            assert got.tobytes() == want.tobytes(), k
+            assert diagonal.tobytes() == np.diag(want).tobytes(), k
+
+    def test_cancelling_terms_keep_their_slot(self, kernel_path):
+        # M_01 = M_10 = 1*2*1 + 1*2*(-1) is exactly zero: scipy's product
+        # drops them, the map keeps them, so the fill stays that of
+        # |A| |A|^T.
+        A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
+        d = np.array([2.0, 2.0, 1.0])
+        lp = lp_of(A)
+        assert (lp.A.multiply(d) @ lp.At).nnz == 2
+        fac = factor(lp, d, np.ones(3))
+        for rhs in np.eye(2):
+            assert_allclose(fac.solve(rhs),
+                            np.linalg.solve((A * d) @ A.T, rhs), rtol=1e-14)
+        if kernel_path == "sparse":
+            M, _ = lp.row_order.product_map.assemble(d)
+            assert M.nnz == 4 and M[0, 1] == 0.0 and M[1, 0] == 0.0
 
     def test_random_systems_match_brute_force(self, kernel_path):
         rng = np.random.default_rng(42)

@@ -7,21 +7,15 @@ if other callers still reach the binding, the layer figures go quietly
 wrong instead, which the per-algorithm counts below catch.
 """
 import collections
-import importlib.util
 import math
 import time
-from pathlib import Path
 
 import arclp
 from arclp.solvers import Status
 
-from conftest import NETLIB_DIR
+from conftest import NETLIB_DIR, perfbench_module
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_tracing",
-    Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(tracing)
+tracing = perfbench_module("tracing")
 
 ALGORITHMS = ("alg2", "arc", "line", "alg1")
 

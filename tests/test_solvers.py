@@ -49,6 +49,9 @@ class TestConfig:
         dict(gamma=0.0),
         dict(gamma=1.0),
         dict(stop_rule="always"),
+        dict(time_limit=-1.0),
+        dict(time_limit=0.0),
+        dict(time_limit=float("nan")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -56,6 +59,10 @@ class TestConfig:
 
     def test_theta_below_supremum_accepted(self):
         SolverConfig(algorithm="alg1", theta=0.29).validate()
+
+    @pytest.mark.parametrize("time_limit", [None, 1e-9, 30.0, float("inf")])
+    def test_time_limit_none_or_positive_accepted(self, time_limit):
+        SolverConfig(time_limit=time_limit).validate()
 
 
 class TestInitialPoints:
@@ -276,7 +283,7 @@ class TestPracticalSolvers:
 
     def test_time_limit_reports_note(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
-        res = solve(lp, SolverConfig(time_limit=0.0))
+        res = solve(lp, SolverConfig(time_limit=1e-9))
         assert res.status == Status.ITERATION_LIMIT
         assert res.iterations == 0
         assert "time" in res.note

@@ -5,32 +5,23 @@ production plan from the benchmark's generator (``perfbench/workloads.py``,
 loaded read-only) is solved through the whole pipeline by every algorithm
 and checked against scipy's HiGHS.
 """
-import importlib.util
-from pathlib import Path
-
-import numpy as np
 import pytest
 
 import arclp
 from arclp.linalg import DENSE_LIMIT
 from arclp.solvers import Status
 
-_SPEC = importlib.util.spec_from_file_location(
-    "perfbench_workloads",
-    Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+from conftest import perfbench_module, staircase_raw
 
 
 @pytest.fixture(scope="module")
 def staircase(tmp_path_factory):
     """Five periods, 20 products, 10 resources: m = 250 and n = 450 after
     presolve; the MPS file and HiGHS's optimal objective."""
-    raw = workloads.staircase_lp(arclp, 5, 20, 10, np.random.default_rng(5),
-                                 "st5x20x10")
+    raw = staircase_raw()
     path = tmp_path_factory.mktemp("staircase") / "st5x20x10.mps"
     path.write_text(arclp.write_mps(raw))
-    return path, workloads.highs_reference(raw)
+    return path, perfbench_module("workloads").highs_reference(raw)
 
 
 @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line", "alg1"])
