@@ -15,9 +15,9 @@ for every right-hand side at that iterate; the factor carries the system.
 ``M`` is assembled from a product map built once per problem
 (:func:`map_products`): every term ``A_ij * A_kj`` with the slot of
 ``(i, k)`` in a fixed layout, so each assembly is a gather of ``d``, a
-repeat and one ``np.bincount`` of ``(A_ij * d_j) * A_kj``.  The terms of a slot are
-summed in ascending ``j``, as scipy's sparse product sums them, so ``M``
-is bit for bit the ``A.multiply(d) @ A.T`` of scipy.
+repeat and one ``np.bincount`` of ``(A_ij * d_j) * A_kj``.  The terms of
+a slot are summed in ascending ``j``, as scipy's sparse product sums
+them, so ``M`` is bit for bit the ``A.multiply(d) @ A.T`` of scipy.
 
 Problems with at most ``DENSE_LIMIT`` rows fill a dense ``M``
 (``StandardLP.product_map``) and factor it by Cholesky.  Larger ones

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import arclp
 from arclp.standardize import StandardLP, VarMap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +140,5 @@ def staircase_raw():
     """The benchmark generator's staircase production plan with five
     periods, 20 products and 10 resources (m = 250, n = 450 after
     presolve), the smallest LP of the tier-1 suite on the sparse path."""
-    import arclp
     return perfbench_module("workloads").staircase_lp(
         arclp, 5, 20, 10, np.random.default_rng(5), "st5x20x10")

@@ -128,7 +128,7 @@ def test_row_order_is_built_once_per_problem(monkeypatch):
     dense_lp = lp_of(rng.standard_normal((3, 6)))
     start_and_two_iterations(dense_lp)
     assert built == [] and "row_order" not in vars(dense_lp)
-    assert len(maps) == 1 and maps[0][0] is dense_lp.At and maps[0][1]
+    assert len(maps) == 1 and maps[0][0] is dense_lp.At and maps[0][1] is True
     assert len(used) == 3
     assert all(m is dense_lp.product_map for m in used)
 
@@ -138,7 +138,7 @@ def test_row_order_is_built_once_per_problem(monkeypatch):
     start_and_two_iterations(lp)
     order = lp.row_order
     assert len(built) == 1 and built[0] is lp.A
-    assert len(maps) == 2 and maps[1][0] is order.At and not maps[1][1]
+    assert len(maps) == 2 and maps[1][0] is order.At and maps[1][1] is False
     assert "product_map" not in vars(lp)
     assert len(used) == 3 and all(m is order.product_map for m in used)
     assert (order.A != lp.A[order.perm]).nnz == 0
@@ -319,8 +319,8 @@ class TestOnBothFactorPaths:
 
     def test_cancelling_terms_keep_their_slot(self, kernel_path):
         # M_01 = M_10 = 1*2*1 + 1*2*(-1) is exactly zero: scipy's product
-        # drops them, the map keeps them, so the fill stays that of
-        # |A| |A|^T.
+        # drops them, the map keeps them, so the pattern stays that of
+        # |A| |A|^T at every scaling.
         A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
         d = np.array([2.0, 2.0, 1.0])
         lp = lp_of(A)
