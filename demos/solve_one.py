@@ -20,6 +20,10 @@ path = Path(sys.argv[1]) if len(sys.argv) > 1 else \
 raw = parse_mps(path.read_text())
 std = to_standard_form(raw)
 reduced, report = presolve(std)
+if reduced is None:
+    # Presolve decided the outcome (infeasible or unbounded): no solve.
+    print("problem %s: %s" % (raw.name, report))
+    sys.exit(1)
 print("problem %s: %d rows, %d cols after presolve (%s)"
       % (raw.name, reduced.m, reduced.n, report))
 

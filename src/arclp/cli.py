@@ -130,11 +130,12 @@ def cmd_solve(args):
         return 1
 
     record, result, _ = solve_mps_file(path, config)
-    if args.trace and result is not None:
+    if args.trace:
+        # An outcome the input decided has no iterations: header only.
         with open(args.trace, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_TRACE_FIELDS)
-            for entry in result.trace:
+            for entry in result.trace if result is not None else ():
                 writer.writerow([entry.get(k) for k in _TRACE_FIELDS])
 
     if args.json:

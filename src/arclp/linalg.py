@@ -12,20 +12,22 @@ and ``ds`` reduces it to the m-by-m normal equations
 ``M = A @ diag(p / q) @ A.T``, factored once per scaling pair and reused
 for every right-hand side at that iterate; the factor carries the system.
 
-``M`` is assembled from a product map built once per problem
-(:func:`map_products`): every term ``A_ij * A_kj`` with the slot of
-``(i, k)`` in a fixed layout, so each assembly is a gather of ``d``, a
-repeat and one ``np.bincount`` of ``(A_ij * d_j) * A_kj``.  The terms of
-a slot are summed in ascending ``j``, as scipy's sparse product sums
-them, so ``M`` is bit for bit the ``A.multiply(d) @ A.T`` of scipy.
+``M`` is assembled from one product map per problem
+(:func:`map_products`, cached as ``StandardLP.product_map``): every term
+``A_ij * A_kj`` with the slot of ``(i, k)`` in a fixed layout, so each
+assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
+``(A_ij * d_j) * A_kj``.  The terms of a slot are summed in ascending
+``j``, as scipy's sparse product sums them, so ``M`` is bit for bit the
+``A.multiply(d) @ A.T`` of scipy.
 
-Problems with at most ``DENSE_LIMIT`` rows fill a dense ``M``
-(``StandardLP.product_map``) and factor it by Cholesky.  Larger ones
-fill the fixed CSC pattern of ``|A| @ |A|.T`` in one fill-reducing row
-order per problem (:func:`order_rows`, cached as ``StandardLP.row_order``
-with its own map) and factor it by sparse LU, pivoting on the diagonal,
+The map also decides the factor path.  Problems with at most
+``DENSE_LIMIT`` rows get a dense map, fill a dense ``M`` and factor it by
+Cholesky.  Larger ones get a sparse map whose slots are the CSC pattern
+of ``|A| @ |A|.T`` in one fill-reducing row order ``perm`` per problem;
+``M`` is factored by sparse LU in that order, pivoting on the diagonal,
 so every factorization of a problem has the same fill.  Both paths retry
-once with a small diagonal regularization before giving up.
+once, on the same pattern, with a small diagonal regularization before
+giving up.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
-           "RowOrder", "order_rows", "factor", "solve_block", "DENSE_LIMIT"]
+           "factor", "solve_block", "DENSE_LIMIT"]
 
 DENSE_LIMIT = 200
 
@@ -96,10 +98,13 @@ class ProductMap(NamedTuple):
     terms, one per entry ``A_kj`` of its column.  Term ``t`` is
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
     into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
-    ascending ``j``.  A dense map's slots are the row-major entries of the
-    m-by-m matrix; a sparse map's are those of the CSC pattern
-    ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the diagonal.  ``diag``
-    holds the slot of each diagonal entry.
+    ascending ``j``.  A dense map (``perm`` is ``None``) has the row-major
+    entries of the m-by-m matrix as slots.  A sparse map's slots are those
+    of the CSC pattern ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the
+    diagonal, with rows and columns in a fill-reducing order ``perm``:
+    row ``r`` of the assembled matrix is row ``perm[r]`` of ``A``.
+    ``diag`` holds the slot of each diagonal entry, in the assembled
+    matrix's row order.
     """
 
     m: int
@@ -109,18 +114,19 @@ class ProductMap(NamedTuple):
     coef: np.ndarray
     slot: np.ndarray
     diag: np.ndarray
+    perm: np.ndarray = None
     indptr: np.ndarray = None
     indices: np.ndarray = None
 
     def assemble(self, d):
-        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, CSC for
-        a sparse one) and its diagonal, with the roundings of scipy's
-        ``A.multiply(d) @ A.T``."""
+        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, CSC in
+        the order ``perm`` for a sparse one) and its diagonal, with the
+        roundings of scipy's ``A.multiply(d) @ A.T``."""
         ad = d.take(self.col)
         ad *= self.val
         terms = np.repeat(ad, self.lead)
         terms *= self.coef
-        dense = self.indptr is None
+        dense = self.perm is None
         values = np.bincount(self.slot, weights=terms,
                              minlength=self.m ** 2 if dense
                              else self.indices.size)
@@ -132,13 +138,19 @@ class ProductMap(NamedTuple):
         return M, values[self.diag]
 
 
-def map_products(At, dense):
+def map_products(At):
     """Build the :class:`ProductMap` of ``A`` from ``At = A.T`` (CSR).
 
     The terms run over the columns ``j`` of ``A`` in ascending order and,
     within a column, over every pair of its entries, so the terms of each
-    slot come in ascending ``j``.  A sparse map keeps an explicit slot for
-    an entry whose terms cancel, where scipy's product drops it.
+    slot come in ascending ``j``.  Up to ``DENSE_LIMIT`` rows the map is
+    dense.  Above it the map is sparse: it keeps an explicit slot for an
+    entry whose terms cancel, where scipy's product drops it, so every
+    ``d > 0`` gives the same pattern.  One minimum-degree ordering of that
+    pattern (SuperLU's ``MMD_AT_PLUS_A``, on unit entries with ``m + 1``
+    on the diagonal, a strictly diagonally dominant matrix whose LU cannot
+    fail) then serves every factorization of the problem, and the slots
+    are laid out in that order.
     """
     n, m = At.shape
     count = np.diff(At.indptr)
@@ -155,9 +167,10 @@ def map_products(At, dense):
     k = At.indices[other]
     coef = At.data[other]
     del other
-    if dense:
+    # Slots are intp, which np.bincount takes without a copy.
+    if m <= DENSE_LIMIT:
         return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                          slot=i * m + k,
+                          slot=i.astype(np.intp) * m + k,
                           diag=np.arange(m) * (m + 1))
     # CSC keys k * m + i sort column by column, rows ascending.
     keys = np.concatenate([np.arange(m, dtype=np.int64) * (m + 1),
@@ -165,47 +178,25 @@ def map_products(At, dense):
     del i, k
     pattern, slot = np.unique(keys, return_inverse=True)
     del keys
+    rows, cols = pattern % m, pattern // m
+    perm_c = spla.splu(
+        sp.csc_array((np.where(rows == cols, m + 1.0, 1.0), rows,
+                      np.searchsorted(pattern, np.arange(m + 1) * m)),
+                     shape=(m, m)),
+        permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
+    # Relabel the slots into that order: entry (r, c) moves to
+    # (perm_c[r], perm_c[c]), and its new slot is the rank of its new key.
+    keys = perm_c[cols].astype(np.int64) * m + perm_c[rows]
+    order = np.argsort(keys)
+    keys = keys[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
     return ProductMap(
-        m=m, col=col, val=At.data, lead=lead, coef=coef,
-        slot=slot[m:].astype(np.int32), diag=slot[:m],
-        indptr=np.searchsorted(pattern, np.arange(m + 1) * m)
-        .astype(np.int32),
-        indices=(pattern % m).astype(np.int32))
-
-
-class RowOrder(NamedTuple):
-    """Fill-reducing row order ``perm`` of a problem's normal matrices,
-    with the permuted ``A[perm]`` and its transpose ``At``, both CSR, and
-    the sparse :class:`ProductMap` of ``A[perm]``."""
-
-    perm: np.ndarray
-    A: sp.csr_array
-    At: sp.csr_array
-    product_map: ProductMap
-
-
-def order_rows(A):
-    """Minimum-degree row order for every normal matrix of ``A``.
-
-    For positive ``d`` the pattern of ``A @ diag(d) @ A.T`` is that of
-    ``|A| @ |A|.T``, so one ordering of that pattern (SuperLU's
-    ``MMD_AT_PLUS_A``) serves every factorization of the problem.  With
-    unit entries and ``m`` added to the diagonal the matrix is strictly
-    diagonally dominant, so the LU that computes the order cannot fail.
-    """
-    m = A.shape[0]
-    pattern = sp.csr_array((np.ones(A.nnz), A.indices, A.indptr),
-                           shape=A.shape)
-    S = pattern @ pattern.T
-    S.data[:] = 1.0
-    lu = spla.splu((S + m * sp.identity(m)).tocsc(),
-                   permc_spec="MMD_AT_PLUS_A",
-                   options={"SymmetricMode": True})
-    perm = np.argsort(lu.perm_c)
-    Ap = A[perm]
-    Apt = Ap.T.tocsr()
-    return RowOrder(perm=perm, A=Ap, At=Apt,
-                    product_map=map_products(Apt, dense=False))
+        m=m, col=col, val=At.data, lead=lead, coef=coef, slot=rank[slot[m:]],
+        diag=np.searchsorted(keys, np.arange(m) * (m + 1)),
+        perm=np.argsort(perm_c),
+        indptr=np.searchsorted(keys, np.arange(m + 1) * m).astype(np.int32),
+        indices=(keys % m).astype(np.int32))
 
 
 def _splu_in_order(M):
@@ -219,14 +210,15 @@ def _splu_in_order(M):
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
-    ``M`` is assembled from the problem's :class:`ProductMap`, bit for bit
-    as scipy's ``A.multiply(p / q) @ A.T``.  Up to ``DENSE_LIMIT`` rows it
-    fills a dense array (map ``lp.product_map``) that is factored by
-    Cholesky.  Above it, ``M`` fills the fixed CSC pattern of
-    ``|A| @ |A|.T`` with its rows and columns in the order of
-    ``lp.row_order`` (map ``lp.row_order.product_map``; both computed on
-    the first such call and kept with the problem) and is factored by
-    SuperLU in that order with diagonal pivots.
+    ``M`` is assembled from the problem's :class:`ProductMap`
+    (``lp.product_map``, built on the first call and kept with the
+    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``.  A dense
+    map fills a dense array that is factored by Cholesky.  A sparse map
+    fills the fixed CSC pattern of ``|A| @ |A|.T`` with its rows and
+    columns in the map's order ``perm``, which SuperLU factors in that
+    order with diagonal pivots.  If the factorization fails, it is retried
+    once on the same pattern with a small regularization added to the
+    diagonal.
 
     Parameters
     ----------
@@ -251,46 +243,43 @@ def factor(lp, p, q):
     """
     A, At = lp.A, lp.At
     p, q = _check_scaling(A, p, q)
-    m = A.shape[0]
-    sparse = m > DENSE_LIMIT
-    system = lp.row_order if sparse else lp
+    pm = lp.product_map
     # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
     # an overflow here is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        M, diagonal = system.product_map.assemble(p / q)
+        M, diagonal = pm.assemble(p / q)
         reg = 1e-12 * max(diagonal.max(), 1.0)
     if not np.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
-    if not sparse:
-        try:
-            cf = scipy.linalg.cho_factor(M, lower=True)
-        except scipy.linalg.LinAlgError:
-            try:
-                cf = scipy.linalg.cho_factor(
-                    M + reg * np.eye(m), lower=True)
-            except scipy.linalg.LinAlgError:
-                raise NumericalError(
-                    "normal matrix is not positive definite") from None
-        # Nonfinite solutions are left to solve_block's residual guard.
-        solve = lambda rhs, cf=cf: scipy.linalg.cho_solve(
-            cf, rhs, check_finite=False)
-        return NewtonFactor(dense=True, A=A, At=At, p=p, q=q, _solve=solve)
-
+    # One regularized retry on either path, shifting M's diagonal slots in
+    # place so that the retry factors the same pattern.
+    dense = pm.perm is None
+    if dense:
+        decompose = lambda M: scipy.linalg.cho_factor(M, lower=True)
+        failure, values = scipy.linalg.LinAlgError, M.reshape(-1)
+    else:
+        decompose, failure, values = _splu_in_order, RuntimeError, M.data
     try:
-        lu = _splu_in_order(M)
-    except RuntimeError:
+        fac = decompose(M)
+    except failure:
+        values[pm.diag] += reg
         try:
-            lu = _splu_in_order(M + reg * sp.identity(m, format="csc"))
-        except RuntimeError:
+            fac = decompose(M)
+        except failure:
             raise NumericalError("normal matrix factorization failed") \
                 from None
 
-    def solve(rhs, lu=lu, perm=system.perm):
-        y = np.empty(m)
-        y[perm] = lu.solve(rhs[perm])
-        return y
-    return NewtonFactor(dense=False, A=A, At=At, p=p, q=q, _solve=solve)
+    # Nonfinite solutions are left to solve_block's residual guard.
+    if dense:
+        solve = lambda rhs: scipy.linalg.cho_solve(fac, rhs,
+                                                   check_finite=False)
+    else:
+        def solve(rhs, perm=pm.perm):
+            y = np.empty(pm.m)
+            y[perm] = fac.solve(rhs[perm])
+            return y
+    return NewtonFactor(dense=dense, A=A, At=At, p=p, q=q, _solve=solve)
 
 
 # Every value solve_block computes reaches its residual guard, which turns

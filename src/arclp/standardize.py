@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import map_products, order_rows
+from .linalg import map_products
 
 __all__ = ["InfeasibleBoundsError", "VarMap", "StandardLP",
            "to_standard_form", "recover_solution"]
@@ -82,16 +82,11 @@ class StandardLP:
         return self.A.T.tocsr()
 
     @cached_property
-    def row_order(self):
-        """Fill-reducing :class:`~arclp.linalg.RowOrder` of the normal
-        matrix, built on the first sparse factorization."""
-        return order_rows(self.A)
-
-    @cached_property
     def product_map(self):
-        """Dense :class:`~arclp.linalg.ProductMap` of the normal matrix,
-        built on the first dense factorization."""
-        return map_products(self.At, dense=True)
+        """:class:`~arclp.linalg.ProductMap` of the normal matrix, built
+        on the first factorization: dense up to ``DENSE_LIMIT`` rows,
+        else sparse, with its fill-reducing row order ``perm``."""
+        return map_products(self.At)
 
     @property
     def shape(self):

@@ -119,6 +119,17 @@ class TestSolve:
                            "step_dual", "rb_norm", "rc_norm"]
         assert len(rows) > 1
 
+    def test_trace_csv_when_the_input_decides(self, tmp_path, capsys):
+        # Presolve finds the problem infeasible: no iteration runs, and
+        # the trace holds the header alone.
+        path = tmp_path / "bad.mps"
+        path.write_text(FIX_INFEASIBLE_MPS)
+        trace = tmp_path / "trace.csv"
+        code = main(["solve", str(path), "--trace", str(trace)])
+        assert code == 4
+        assert trace.read_text().splitlines() == [
+            "iter,mu,mu_z,beta_k,step_primal,step_dual,rb_norm,rc_norm"]
+
 
 class TestBench:
     def test_bench_to_stdout(self, problem_dir, capsys):

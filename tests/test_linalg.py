@@ -94,27 +94,22 @@ def test_problem_prepares_its_matrix_once(build):
     assert fac.p is p and fac.q is q
 
 
-def test_row_order_is_built_once_per_problem(monkeypatch):
-    # The row order and the product maps are built on a problem's first
-    # factorization and shared by the start point's factor and every
-    # iteration's: one dense map, or one row order with its sparse map.
-    real_order, real_map = arclp.linalg.order_rows, arclp.linalg.map_products
+def test_product_map_is_built_once_per_problem(monkeypatch):
+    # The product map is built on a problem's first factorization and
+    # shared by the start point's factor and every iteration's, on either
+    # path: a dense map, or a sparse one that carries its row order.
+    real_map = arclp.linalg.map_products
     real_assemble = arclp.linalg.ProductMap.assemble
-    built, maps, used = [], [], []
+    maps, used = [], []
 
-    def order_rows(A):
-        built.append(A)
-        return real_order(A)
-
-    def map_products(At, dense):
-        maps.append((At, dense))
-        return real_map(At, dense)
+    def map_products(At):
+        maps.append(At)
+        return real_map(At)
 
     def assemble(product_map, d):
         used.append(product_map)
         return real_assemble(product_map, d)
 
-    monkeypatch.setattr(arclp.standardize, "order_rows", order_rows)
     monkeypatch.setattr(arclp.standardize, "map_products", map_products)
     monkeypatch.setattr(arclp.linalg, "map_products", map_products)
     monkeypatch.setattr(arclp.linalg.ProductMap, "assemble", assemble)
@@ -122,42 +117,68 @@ def test_row_order_is_built_once_per_problem(monkeypatch):
 
     def start_and_two_iterations(lp):
         initial_point_mehrotra(lp)
-        for _ in range(2):
-            factor(lp, rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 6))
+        facs = [factor(lp, rng.uniform(0.5, 2.0, 6),
+                       rng.uniform(0.5, 2.0, 6)) for _ in range(2)]
+        assert all(fac.A is lp.A and fac.At is lp.At for fac in facs)
+        return facs
 
     dense_lp = lp_of(rng.standard_normal((3, 6)))
-    start_and_two_iterations(dense_lp)
-    assert built == [] and "row_order" not in vars(dense_lp)
-    assert len(maps) == 1 and maps[0][0] is dense_lp.At and maps[0][1] is True
+    facs = start_and_two_iterations(dense_lp)
+    assert all(fac.dense for fac in facs)
+    assert len(maps) == 1 and maps[0] is dense_lp.At
+    assert dense_lp.product_map.perm is None
     assert len(used) == 3
     assert all(m is dense_lp.product_map for m in used)
 
     monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     lp = lp_of(rng.standard_normal((3, 6)))
     used.clear()
-    start_and_two_iterations(lp)
-    order = lp.row_order
-    assert len(built) == 1 and built[0] is lp.A
-    assert len(maps) == 2 and maps[1][0] is order.At and maps[1][1] is False
-    assert "product_map" not in vars(lp)
-    assert len(used) == 3 and all(m is order.product_map for m in used)
-    assert (order.A != lp.A[order.perm]).nnz == 0
-    assert (order.At != order.A.T).nnz == 0
+    facs = start_and_two_iterations(lp)
+    assert not any(fac.dense for fac in facs)
+    assert len(maps) == 2 and maps[1] is lp.At
+    assert lp.product_map.perm is not None
+    assert sorted(lp.product_map.perm) == [0, 1, 2]
+    assert not hasattr(lp, "row_order")
+    assert len(used) == 3 and all(m is lp.product_map for m in used)
 
 
-def test_row_order_keeps_the_minimum_degree_fill():
-    # Factoring in the cached order gives the fill of SuperLU's own
+def test_row_order_keeps_the_minimum_degree_fill(monkeypatch):
+    # Factoring in the map's order gives the fill of SuperLU's own
     # minimum-degree factorization (its inverse permutation gives more).
+    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     A = sp.random(100, 200, density=0.03, random_state=9, format="csr")
     A = (A + sp.eye(100, 200)).tocsr()
     d = np.random.default_rng(9).uniform(0.5, 2.0, 200)
     options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
     own = spla.splu((A.multiply(d) @ A.T).tocsc(),
                     permc_spec="MMD_AT_PLUS_A", **options)
-    order = arclp.linalg.order_rows(sp.csr_array(A))
-    ours = spla.splu((order.A.multiply(d) @ order.At).tocsc(),
+    perm = arclp.linalg.map_products(sp.csr_array(A.T)).perm
+    Ap = A[perm]
+    ours = spla.splu((Ap.multiply(d) @ Ap.T).tocsc(),
                      permc_spec="NATURAL", **options)
     assert ours.L.nnz + ours.U.nnz == own.L.nnz + own.U.nnz
+
+
+def test_sparse_retry_keeps_the_pattern(monkeypatch):
+    # Rows 1 and 2 are equal, so M is singular and the first LU fails;
+    # M_01 and M_02 cancel to zero.  The regularized retry must factor the
+    # map's pattern, with those slots kept, as the first attempt did.
+    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
+    real_splu = arclp.linalg._splu_in_order
+    seen = []
+
+    def splu_in_order(M):
+        seen.append((M.indptr.copy(), M.indices.copy()))
+        return real_splu(M)
+
+    monkeypatch.setattr(arclp.linalg, "_splu_in_order", splu_in_order)
+    lp = lp_of([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
+    factor(lp, np.array([2.0, 2.0, 1.0]), np.ones(3))
+    pm = lp.product_map
+    assert pm.indices.size == 9 and len(seen) == 2
+    for indptr, indices in seen:
+        assert np.array_equal(indptr, pm.indptr)
+        assert np.array_equal(indices, pm.indices)
 
 
 def test_scalar_normal_matrix():
@@ -306,13 +327,14 @@ class TestOnBothFactorPaths:
         lp = presolved(name)
         sparse = lp.m > arclp.linalg.DENSE_LIMIT
         assert sparse == (kernel_path == "sparse" or lp.m > DENSE_LIMIT)
-        system = lp.row_order if sparse else lp
-        perm = system.perm if sparse else np.arange(lp.m)
+        product_map = arclp.linalg.map_products(lp.At)
+        assert (product_map.perm is not None) == sparse
+        perm = product_map.perm if sparse else np.arange(lp.m)
         rng = np.random.default_rng(12)
         for k in (0, 1, 4, 8, 12):
             d = 10.0 ** rng.uniform(-k, k, lp.n)
             want = (lp.A.multiply(d) @ lp.At).toarray()[np.ix_(perm, perm)]
-            M, diagonal = system.product_map.assemble(d)
+            M, diagonal = product_map.assemble(d)
             got = M.toarray() if sparse else M
             assert got.tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
@@ -330,7 +352,7 @@ class TestOnBothFactorPaths:
             assert_allclose(fac.solve(rhs),
                             np.linalg.solve((A * d) @ A.T, rhs), rtol=1e-14)
         if kernel_path == "sparse":
-            M, _ = lp.row_order.product_map.assemble(d)
+            M, _ = lp.product_map.assemble(d)
             assert M.nnz == 4 and M[0, 1] == 0.0 and M[1, 0] == 0.0
 
     def test_random_systems_match_brute_force(self, kernel_path):
