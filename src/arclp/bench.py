@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +28,6 @@ __all__ = ["BenchmarkRecord", "ProfileCurve", "AverageTimeReport",
            "records_from_csv", "performance_profile", "profile_to_csv",
            "average_time_report"]
 
-_CSV_FIELDS = ["problem", "n", "m", "algorithm", "beta", "beta_formula",
-               "status", "iterations", "time_seconds", "mu", "rb_norm",
-               "rc_norm", "objective", "note"]
-
-
 @dataclass
 class BenchmarkRecord:
     """One (problem, solver configuration) outcome."""
@@ -42,7 +37,6 @@ class BenchmarkRecord:
     m: int
     algorithm: str
     beta: float
-    beta_formula: str
     status: str
     iterations: int
     time_seconds: float
@@ -57,8 +51,17 @@ class BenchmarkRecord:
         if self.algorithm == "alg1":
             return "alg1|beta=%g" % self.beta
         if self.algorithm == "alg2":
-            return "alg2|beta=%g|%s" % (self.beta, self.beta_formula)
+            return "alg2|beta=%g" % self.beta
         return self.algorithm
+
+
+# The CSV columns are the record's fields, in order.  The objective is
+# written in full, so that it round-trips; the other floats are rounded.
+_CSV_FIELDS = [f.name for f in fields(BenchmarkRecord)]
+_CSV_TYPES = [{"int": int, "float": float, "str": str}[f.type]
+              for f in fields(BenchmarkRecord)]
+_CSV_FORMATS = {"beta": "%g", "time_seconds": "%.6f", "mu": "%.6e",
+                "rb_norm": "%.6e", "rc_norm": "%.6e"}
 
 
 @dataclass
@@ -113,8 +116,7 @@ def solve_mps_file(path, config=None):
     """
     config = config or SolverConfig()
     path = Path(path)
-    stub = dict(algorithm=config.algorithm, beta=config.beta,
-                beta_formula=config.beta_formula, iterations=0,
+    stub = dict(algorithm=config.algorithm, beta=config.beta, iterations=0,
                 time_seconds=0.0, mu=float("nan"), rb_norm=float("nan"),
                 rc_norm=float("nan"), objective=float("nan"))
 
@@ -145,8 +147,7 @@ def solve_mps_file(path, config=None):
         x_raw, objective = recover_solution(x_std, std.var_map)
     record = BenchmarkRecord(
         problem=name, n=reduced.n, m=reduced.m,
-        algorithm=config.algorithm, beta=config.beta,
-        beta_formula=config.beta_formula, status=result.status,
+        algorithm=config.algorithm, beta=config.beta, status=result.status,
         iterations=result.iterations, time_seconds=result.wall_time,
         mu=result.mu, rb_norm=result.rb_norm, rc_norm=result.rc_norm,
         objective=objective, note=result.note)
@@ -177,11 +178,8 @@ def records_to_csv(records):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_FIELDS)
     for r in records:
-        writer.writerow([r.problem, r.n, r.m, r.algorithm,
-                         "%g" % r.beta, r.beta_formula, r.status,
-                         r.iterations, "%.6f" % r.time_seconds,
-                         "%.6e" % r.mu, "%.6e" % r.rb_norm,
-                         "%.6e" % r.rc_norm, repr(r.objective), r.note])
+        writer.writerow([_CSV_FORMATS.get(k, "%s") % getattr(r, k)
+                         for k in _CSV_FIELDS])
     return buf.getvalue()
 
 
@@ -194,13 +192,11 @@ def records_from_csv(text):
     for row in rows[1:]:
         if not row:
             continue
-        records.append(BenchmarkRecord(
-            problem=row[0], n=int(row[1]), m=int(row[2]),
-            algorithm=row[3], beta=float(row[4]), beta_formula=row[5],
-            status=row[6], iterations=int(row[7]),
-            time_seconds=float(row[8]), mu=float(row[9]),
-            rb_norm=float(row[10]), rc_norm=float(row[11]),
-            objective=float(row[12]), note=row[13]))
+        if len(row) != len(_CSV_FIELDS):
+            raise ValueError("benchmark CSV row has %d columns, not %d"
+                             % (len(row), len(_CSV_FIELDS)))
+        records.append(BenchmarkRecord(*(parse(v) for parse, v
+                                         in zip(_CSV_TYPES, row))))
     return records
 
 

@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bench import (average_time_report, performance_profile,
@@ -50,9 +51,6 @@ def _add_solver_flags(parser, with_algorithm=True):
                             help="solver driver (default alg2)")
     parser.add_argument("--beta", type=float, default=0.9,
                         help="momentum restart scale in (0, 1]")
-    parser.add_argument("--beta-formula", default="simple",
-                        choices=["full", "simple"],
-                        help="restart weight rule for alg2")
     parser.add_argument("--theta", type=float, default=0.25,
                         help="neighborhood radius for alg1")
     parser.add_argument("--epsilon", type=float, default=1e-7,
@@ -66,8 +64,8 @@ def _add_solver_flags(parser, with_algorithm=True):
 def _config_from(args, algorithm=None):
     return SolverConfig(
         algorithm=algorithm or args.algorithm, beta=args.beta,
-        beta_formula=args.beta_formula, theta=args.theta,
-        epsilon=args.epsilon, max_iter=args.max_iter, gamma=args.gamma,
+        theta=args.theta, epsilon=args.epsilon, max_iter=args.max_iter,
+        gamma=args.gamma,
         trace=getattr(args, "trace", None) is not None)
 
 
@@ -139,16 +137,12 @@ def cmd_solve(args):
                 writer.writerow([entry.get(k) for k in _TRACE_FIELDS])
 
     if args.json:
-        payload = {k: getattr(record, k) for k in
-                   ("problem", "n", "m", "algorithm", "beta",
-                    "beta_formula", "status", "iterations",
-                    "time_seconds", "mu", "rb_norm", "rc_norm",
-                    "objective", "note")}
         # JSON has no nan or inf: a figure that was never computed (the
         # input decided the outcome) or overflowed is null.
         print(json.dumps({k: None if isinstance(v, float)
                           and not math.isfinite(v) else v
-                          for k, v in payload.items()}, allow_nan=False))
+                          for k, v in asdict(record).items()},
+                         allow_nan=False))
     else:
         print("%s: %s in %d iterations (%.3f s)"
               % (record.problem, record.status, record.iterations,

@@ -73,23 +73,20 @@ def momentum_weight_full(x, x_prev, rb, rb_prev, beta):
     """Residual-aware restart weight.
 
     The weight is the smaller of two caps: ``beta / ||delta / x||_inf``
-    keeps the restarted point within a ``beta`` relative box around ``x``,
-    and ``min_j |rb_j / (rb_j - rb_prev_j)|`` (over components whose
-    residual actually moved) prevents any primal residual component from
-    being pushed through zero, which would flip its sign.  An empty index
+    (:func:`momentum_weight_simple`) keeps the restarted point within a
+    ``beta`` relative box around ``x``, and
+    ``min_j |rb_j / (rb_j - rb_prev_j)|`` (over components whose residual
+    actually moved) prevents any primal residual component from being
+    pushed through zero, which would flip its sign.  An empty index
     set leaves the second cap at ``+inf``.  Returns 0.0 when the
     displacement is numerically vacuous.
     """
-    delta = x - x_prev
-    scale = np.max(np.abs(delta / x))
-    if scale < _DEGENERATE_SHIFT:
-        return 0.0
-    cap = beta / scale
+    cap = momentum_weight_simple(x, x_prev, beta)
     moved = rb != rb_prev
     if np.any(moved):
         ratios = np.abs(rb[moved] / (rb[moved] - rb_prev[moved]))
         cap = min(cap, float(ratios.min()))
-    return float(cap)
+    return cap
 
 
 def momentum_weight_simple(x, x_prev, beta):

@@ -69,11 +69,9 @@ class Status:
 class SolverConfig:
     """Knobs shared by the four methods.
 
-    ``beta`` scales the momentum restart and ``beta_formula`` picks the
-    weight rule for ``alg2`` ("simple" box cap or "full" residual-aware
-    cap); the guarded method always uses the full rule, which its
-    contraction guarantees require.  ``theta`` is the neighborhood radius
-    of the guarded method and must stay below ``1 / (2 + sqrt(2))``.
+    ``beta`` scales the momentum restart, whose weight rule each method
+    fixes (see :func:`_restart`).  ``theta`` is the neighborhood radius of
+    the guarded method and must stay below ``1 / (2 + sqrt(2))``.
     ``gamma`` damps arc and line steps away from the positivity boundary.
     ``time_limit`` bounds a solve's wall time in seconds: ``None`` for no
     bound, else positive (``inf`` included).
@@ -81,7 +79,6 @@ class SolverConfig:
 
     algorithm: str = "alg2"
     beta: float = 0.9
-    beta_formula: str = "simple"
     theta: float = 0.25
     epsilon: float = 1e-7
     max_iter: int = 100
@@ -95,8 +92,6 @@ class SolverConfig:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        if self.beta_formula not in ("full", "simple"):
-            raise ValueError("beta_formula must be 'full' or 'simple'")
         if self.algorithm == "alg1" and not 0.0 < self.theta < _THETA_SUP:
             raise ValueError("theta must lie in (0, 1/(2+sqrt(2)))")
         if not 0.0 < self.epsilon < 1.0:
@@ -341,8 +336,8 @@ def solve(lp, config=None):
         mu_z = duality_measure(z, s)
         try:
             step = rule(lp, config, z, lam, s, mu_z, mu, rb, rc, stop)
-        except NumericalError:
-            step = _Step(status=Status.NUMERICAL_ERROR)
+        except NumericalError as exc:
+            step = _Step(status=Status.NUMERICAL_ERROR, note=str(exc))
         if step.point is None:
             return _finish(lp, step.status, k, t0, x, lam, s, trace,
                            violations, step.note)
@@ -375,20 +370,19 @@ def solve(lp, config=None):
 def _restart(config, x, prev_x, rb, prev_rb, s):
     """Momentum restart ``(beta_k, z)`` of the iterate ``x``.
 
-    ``alg1`` weighs the shift with the full formula and keeps it only
-    inside ``N(theta)``; ``alg2`` shifts unconditionally with the weight
-    of ``beta_formula``; ``arc`` and ``line`` never restart.
+    ``alg1`` weighs the shift with the residual-aware cap, which its
+    contraction guarantees require, and keeps it only inside
+    ``N(theta)``; ``alg2`` weighs it with the box cap alone and shifts
+    unconditionally; ``arc`` and ``line`` never restart.
     """
     if config.algorithm in ("arc", "line") or prev_x is None:
         return 0.0, x
     delta = x - prev_x
-    if config.algorithm == "alg1" or config.beta_formula == "full":
-        beta_k = momentum_weight_full(x, prev_x, rb, prev_rb, config.beta)
-    else:
-        beta_k = momentum_weight_simple(x, prev_x, config.beta)
     if config.algorithm == "alg1":
+        beta_k = momentum_weight_full(x, prev_x, rb, prev_rb, config.beta)
         z = restart_point(x, beta_k, delta, "guarded", s, config.theta)
     else:
+        beta_k = momentum_weight_simple(x, prev_x, config.beta)
         z = restart_point(x, beta_k, delta, "always")
     # A rejected guarded shift returns x itself.  An unconditional one
     # may zero out a component at beta = 1, which the kernel cannot scale

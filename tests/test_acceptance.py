@@ -265,7 +265,7 @@ def test_criterion_7_momentum_weight_sensitivity(netlib_suite_guard):
 def test_criterion_8_profile_correctness():
     def rec(problem, solver, iterations, status=Status.OPTIMAL):
         return BenchmarkRecord(problem=problem, n=1, m=1, algorithm=solver,
-                               beta=0.9, beta_formula="simple",
+                               beta=0.9,
                                status=status, iterations=iterations,
                                time_seconds=1.0, mu=0.0, rb_norm=0.0,
                                rc_norm=0.0, objective=0.0)
@@ -299,7 +299,7 @@ def test_criterion_9_out_of_scope_claims_documented():
     # the helper must select exactly the problems every solver found slow.
     def rec(problem, solver, seconds):
         return BenchmarkRecord(problem=problem, n=1, m=1, algorithm=solver,
-                               beta=0.9, beta_formula="simple",
+                               beta=0.9,
                                status=Status.OPTIMAL, iterations=1,
                                time_seconds=seconds, mu=0.0, rb_norm=0.0,
                                rc_norm=0.0, objective=0.0)

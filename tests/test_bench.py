@@ -1,6 +1,4 @@
 """Harness tests: pipeline records, CSV round trip, profiles, timing."""
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -18,10 +16,9 @@ from conftest import FIX1_MPS, FIX2_MPS, FIX_INFEASIBLE_MPS
 def record(problem, solver="alg2", status=Status.OPTIMAL, iterations=10,
            seconds=1.0, beta=0.9, note=""):
     return BenchmarkRecord(problem=problem, n=5, m=3, algorithm=solver,
-                           beta=beta, beta_formula="simple", status=status,
-                           iterations=iterations, time_seconds=seconds,
-                           mu=1e-9, rb_norm=1e-10, rc_norm=1e-10,
-                           objective=-1.0, note=note)
+                           beta=beta, status=status, iterations=iterations,
+                           time_seconds=seconds, mu=1e-9, rb_norm=1e-10,
+                           rc_norm=1e-10, objective=-1.0, note=note)
 
 
 @pytest.fixture
@@ -154,9 +151,9 @@ class TestCsvRoundTrip:
                                         note='time limit, "soft"')]
         text = records_to_csv(records)
         lines = text.strip().splitlines()
-        assert lines[0] == ("problem,n,m,algorithm,beta,beta_formula,"
-                            "status,iterations,time_seconds,mu,rb_norm,"
-                            "rc_norm,objective,note")
+        assert lines[0] == ("problem,n,m,algorithm,beta,status,iterations,"
+                            "time_seconds,mu,rb_norm,rc_norm,objective,"
+                            "note")
         back = records_from_csv(text)
         assert len(back) == 2
         assert back[0].problem == "p1"
@@ -167,25 +164,32 @@ class TestCsvRoundTrip:
         assert back[1].note == 'time limit, "soft"'
 
     def test_rejects_foreign_header(self):
-        with pytest.raises(ValueError):
-            records_from_csv("a,b,c\n1,2,3\n")
+        # The second header is the older format's, with a beta_formula
+        # column after beta.
+        for text in ("a,b,c\n1,2,3\n",
+                     "problem,n,m,algorithm,beta,beta_formula,status,"
+                     "iterations,time_seconds,mu,rb_norm,rc_norm,objective,"
+                     "note\np1,5,3,alg2,0.9,simple,Optimal,10,1.000000,"
+                     "1.000000e-09,1.000000e-10,1.000000e-10,-1.0,\n"):
+            with pytest.raises(ValueError):
+                records_from_csv(text)
+
+    def test_rejects_a_row_of_the_wrong_width(self):
+        header, row = records_to_csv([record("p1")]).splitlines()
+        for bad in (row.rsplit(",", 1)[0], row + ",extra"):
+            with pytest.raises(ValueError, match="columns"):
+                records_from_csv(header + "\n" + bad + "\n")
 
 
 class TestSolverKey:
     def test_key_holds_only_parameters_the_algorithm_reads(self):
-        # arc and line read neither beta nor beta_formula; alg1 reads
-        # beta only, alg2 both.
+        # arc and line do not read beta; alg1 and alg2 do.
         assert record("p", "arc", beta=0.5).solver_key() \
             == record("p", "arc", beta=0.9).solver_key() == "arc"
         assert record("p", "line", beta=0.5).solver_key() == "line"
         alg1 = record("p", "alg1", beta=0.5)
         assert alg1.solver_key() == "alg1|beta=0.5"
-        assert replace(alg1, beta_formula="full").solver_key() \
-            == "alg1|beta=0.5"
-        alg2 = record("p", "alg2", beta=0.5)
-        assert alg2.solver_key() == "alg2|beta=0.5|simple"
-        assert replace(alg2, beta_formula="full").solver_key() \
-            == "alg2|beta=0.5|full"
+        assert record("p", "alg2", beta=0.5).solver_key() == "alg2|beta=0.5"
 
 
 class TestPerformanceProfile:

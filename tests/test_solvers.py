@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.core import arc_point, duality_measure, in_neighborhood
+from arclp.linalg import NumericalError
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
 import arclp.solvers
@@ -31,7 +32,6 @@ class TestConfig:
         cfg = SolverConfig().validate()
         assert cfg.algorithm == "alg2"
         assert cfg.beta == 0.9
-        assert cfg.beta_formula == "simple"
         assert cfg.epsilon == 1e-7
         assert cfg.max_iter == 100
         assert cfg.gamma == 0.9
@@ -40,7 +40,6 @@ class TestConfig:
         dict(algorithm="simplex"),
         dict(beta=0.0),
         dict(beta=1.5),
-        dict(beta_formula="fancy"),
         dict(algorithm="alg1", theta=0.3),
         dict(algorithm="alg1", theta=0.0),
         dict(epsilon=0.0),
@@ -305,10 +304,6 @@ class TestPracticalSolvers:
         for ra, rb_ in zip(a.trace, b.trace):
             assert ra["mu"] == rb_["mu"]
 
-    def test_beta_formula_full_also_solves(self, small_lp):
-        res = solve(small_lp, SolverConfig(beta_formula="full"))
-        assert res.status == Status.OPTIMAL
-
     def test_momentum_off_equals_arc_baseline(self, monkeypatch):
         weights = []
 
@@ -345,6 +340,26 @@ class TestPracticalSolvers:
             warnings.simplefilter("error", RuntimeWarning)
             res = solve(lp, SolverConfig(algorithm=algorithm))
         assert res.status == status
+
+    def test_numerical_error_keeps_its_reason(self, small_lp, monkeypatch):
+        calls = []
+        real_factor = arclp.solvers.factor
+
+        def failing_factor(*args):
+            # The first call builds the starting point; the second is the
+            # first iteration's.
+            calls.append(None)
+            if len(calls) == 2:
+                raise NumericalError("block solve residual 2e-08 exceeds "
+                                     "tolerance 1e-08")
+            return real_factor(*args)
+
+        monkeypatch.setattr(arclp.solvers, "factor", failing_factor)
+        res = solve(small_lp, SolverConfig(algorithm="alg2"))
+        assert res.status == Status.NUMERICAL_ERROR
+        assert res.iterations == 0
+        assert res.note == ("block solve residual 2e-08 exceeds "
+                            "tolerance 1e-08")
 
     def test_dual_feasibility_at_optimum(self, small_lp):
         res = solve(small_lp)
