@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -154,20 +154,18 @@ def solve_mps_file(path, config=None):
     return record, result, x_raw
 
 
-def run_benchmark(problem_dir, configs, time_limit=None):
+def run_benchmark(problem_dir, configs):
     """Solve every ``*.mps`` file under ``problem_dir`` with every config.
 
     Files are taken in sorted order and configurations in the given
     order; the returned records follow that (file, config) order, so two
-    runs over the same inputs produce identical record sequences.
-    ``time_limit`` bounds the wall time of each individual solve.
+    runs over the same inputs produce identical record sequences.  Every
+    config is validated before the first solve.
     """
     paths = sorted(Path(problem_dir).glob("*.mps"))
     if not paths:
         raise ValueError("no .mps files under %s" % problem_dir)
-    if time_limit is not None:
-        configs = [replace(c, time_limit=time_limit).validate()
-                   for c in configs]
+    configs = [c.validate() for c in configs]
     return [solve_mps_file(path, config)[0]
             for path in paths for config in configs]
 

@@ -66,7 +66,8 @@ def _config_from(args, algorithm=None):
         algorithm=algorithm or args.algorithm, beta=args.beta,
         theta=args.theta, epsilon=args.epsilon, max_iter=args.max_iter,
         gamma=args.gamma,
-        trace=getattr(args, "trace", None) is not None)
+        trace=getattr(args, "trace", None) is not None,
+        time_limit=getattr(args, "time_limit", None))
 
 
 def build_parser():
@@ -161,12 +162,11 @@ def cmd_bench(args):
         sys.stderr.write("arclp: no such directory: %s\n" % directory)
         return 1
     try:
-        configs = [_config_from(args, algorithm=name.strip()).validate()
+        configs = [_config_from(args, algorithm=name.strip())
                    for name in args.algorithms.split(",") if name.strip()]
         if not configs:
             raise ValueError("no algorithms given")
-        records = run_benchmark(directory, configs,
-                                time_limit=args.time_limit)
+        records = run_benchmark(directory, configs)
     except ValueError as exc:
         sys.stderr.write("arclp: %s\n" % exc)
         return 1

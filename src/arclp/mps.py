@@ -7,6 +7,10 @@ Fortran-style ``D`` exponents.  Section keywords start in column one; data
 lines are indented and whitespace-delimited.  Integer markers (MARKER /
 INTORG) and OBJSENSE sections are rejected rather than silently ignored,
 as are ``nan`` in any numeric field and infinite values outside BOUNDS.
+
+The reader fills two tables, one of rows and one of matrix entries, and
+builds the E, G and L blocks as row picks of one matrix of all
+constraint rows.  The writer stacks the blocks back into one matrix.
 """
 
 from __future__ import annotations
@@ -116,30 +120,26 @@ def _parse_number(token, lineno, bound=False):
 
 
 class _Reader:
-    """Single-pass section reader accumulating rows, columns and bounds."""
+    """Single-pass section reader filling a row table and an entry table.
+
+    ``rows`` maps a constraint row's name to ``(index, kind)`` in ROWS
+    order and ``cols`` a column's name to its index.  A matrix entry is
+    stored at key ``j * m + i`` of ``entries``, where ``m`` is the number of
+    constraint rows (fixed once COLUMNS starts, as ROWS comes first).
+    ``rhs`` and ``ranges`` are keyed by row index; the objective row's
+    RHS sits at index -1.
+    """
 
     def __init__(self):
         self.name = ""
         self.objective_name = None
-        self.objective_constant = 0.0
-        self.row_type = {}          # row name -> 'E' | 'G' | 'L'
-        self.row_order = []
-        self.row_coeffs = {}        # row name -> {col index: value}
+        self.rows = {}
+        self.cols = {}
         self.obj_coeffs = {}        # col index -> value
-        self.col_names = []
-        self.col_index = {}
+        self.entries = {}
         self.rhs = {}
         self.ranges = {}
         self.bound_records = []     # (btype, col index, value or None, lineno)
-        self.rhs_seen = set()
-
-    def _col(self, name):
-        j = self.col_index.get(name)
-        if j is None:
-            j = len(self.col_names)
-            self.col_index[name] = j
-            self.col_names.append(name)
-        return j
 
     def rows_line(self, tokens, lineno):
         if len(tokens) != 2:
@@ -152,11 +152,9 @@ class _Reader:
             return
         if rtype not in ("E", "G", "L"):
             raise MpsParseError("unknown row type %r" % tokens[0], lineno)
-        if rname in self.row_type or rname == self.objective_name:
+        if rname in self.rows or rname == self.objective_name:
             raise MpsParseError("duplicate row name %r" % rname, lineno)
-        self.row_type[rname] = rtype
-        self.row_order.append(rname)
-        self.row_coeffs[rname] = {}
+        self.rows[rname] = (len(self.rows), rtype)
 
     def columns_line(self, tokens, lineno):
         if "'MARKER'" in tokens or "MARKER" in tokens:
@@ -164,7 +162,8 @@ class _Reader:
         if len(tokens) < 3 or len(tokens) % 2 == 0:
             raise MpsParseError("COLUMNS line needs (row, value) pairs",
                                 lineno)
-        j = self._col(tokens[0])
+        j = self.cols.setdefault(tokens[0], len(self.cols))
+        base = j * len(self.rows)
         for rname, vtok in zip(tokens[1::2], tokens[2::2]):
             value = _parse_number(vtok, lineno)
             if rname == self.objective_name:
@@ -174,20 +173,20 @@ class _Reader:
                         lineno)
                 self.obj_coeffs[j] = value
                 continue
-            coeffs = self.row_coeffs.get(rname)
-            if coeffs is None:
+            row = self.rows.get(rname)
+            if row is None:
                 raise MpsParseError("unknown row %r" % rname, lineno)
-            if j in coeffs:
+            key = base + row[0]
+            if key in self.entries:
                 raise MpsParseError(
                     "duplicate entry for row %r, column %r"
                     % (rname, tokens[0]), lineno)
-            coeffs[j] = value
+            self.entries[key] = value
 
     def _pairs(self, tokens, lineno, section):
         # The leading set name is optional in the wild; detect it by
         # checking whether the first token is itself a known row name.
-        known = (self.row_type.__contains__(tokens[0])
-                 or tokens[0] == self.objective_name)
+        known = tokens[0] in self.rows or tokens[0] == self.objective_name
         body = tokens if (known and len(tokens) % 2 == 0) else tokens[1:]
         if not body or len(body) % 2 != 0:
             raise MpsParseError("%s line needs (row, value) pairs" % section,
@@ -198,25 +197,25 @@ class _Reader:
         for rname, vtok in self._pairs(tokens, lineno, "RHS"):
             value = _parse_number(vtok, lineno)
             if rname == self.objective_name:
-                # RHS on the objective row is the negated constant term.
-                self.objective_constant = -value
-                continue
-            if rname not in self.row_type:
+                i = -1
+            elif rname in self.rows:
+                i = self.rows[rname][0]
+            else:
                 raise MpsParseError("RHS for unknown row %r" % rname, lineno)
-            if rname in self.rhs_seen:
+            if i in self.rhs:
                 raise MpsParseError("duplicate RHS for row %r" % rname, lineno)
-            self.rhs_seen.add(rname)
-            self.rhs[rname] = value
+            self.rhs[i] = value
 
     def ranges_line(self, tokens, lineno):
         for rname, vtok in self._pairs(tokens, lineno, "RANGES"):
-            if rname not in self.row_type:
+            if rname not in self.rows:
                 raise MpsParseError("RANGES for unknown row %r" % rname,
                                     lineno)
-            if rname in self.ranges:
+            i = self.rows[rname][0]
+            if i in self.ranges:
                 raise MpsParseError("duplicate RANGES for row %r" % rname,
                                     lineno)
-            self.ranges[rname] = _parse_number(vtok, lineno)
+            self.ranges[i] = _parse_number(vtok, lineno)
 
     def bounds_line(self, tokens, lineno):
         btype = tokens[0].upper()
@@ -230,12 +229,11 @@ class _Reader:
         if len(tokens) != want:
             raise MpsParseError("malformed BOUNDS line", lineno)
         cname = tokens[1]
-        if cname not in self.col_index:
+        if cname not in self.cols:
             raise MpsParseError("bound for unknown column %r" % cname, lineno)
         value = (_parse_number(tokens[2], lineno, bound=True)
                  if needs_value else None)
-        self.bound_records.append((btype, self.col_index[cname], value,
-                                   lineno))
+        self.bound_records.append((btype, self.cols[cname], value, lineno))
 
 
 def parse_mps(text):
@@ -306,44 +304,22 @@ def parse_mps(text):
         raise MpsParseError("missing ENDATA")
     if reader.objective_name is None:
         raise MpsParseError("no objective (N) row")
-    if not reader.col_names:
+    if not reader.cols:
         raise MpsParseError("no columns")
 
     return _assemble(reader)
 
 
-def _expand_ranges(reader):
-    """Resolve RANGES into a final (kind, name, rhs, coeffs) row list.
-
-    A range ``r`` turns a single row into a two-sided constraint
-    ``low <= a@x <= high`` per the classical convention, emitted here as a
-    G row (the lower side) plus an L row (the upper side).  The generated
-    partner row reuses the coefficients and is named ``<row>__RNG``.
-    """
-    rows = []
-    for rname in reader.row_order:
-        kind = reader.row_type[rname]
-        b = reader.rhs.get(rname, 0.0)
-        coeffs = reader.row_coeffs[rname]
-        r = reader.ranges.get(rname)
-        if r is None or (kind == "E" and r == 0.0):
-            rows.append((kind, rname, b, coeffs))
-            continue
-        if kind == "G":
-            low, high = b, b + abs(r)
-        elif kind == "L":
-            low, high = b - abs(r), b
-        else:
-            low, high = (b, b + r) if r > 0 else (b + r, b)
-        g_name = rname + "__RNG" if kind == "L" else rname
-        l_name = rname if kind == "L" else rname + "__RNG"
-        rows.append(("G", g_name, low, coeffs))
-        rows.append(("L", l_name, high, coeffs))
-    return rows
-
-
 def _assemble(reader):
-    n = len(reader.col_names)
+    """Build the :class:`RawLP` from the reader's row and entry tables.
+
+    All constraint rows form one CSR matrix, and each block is a row pick
+    of it.  A range ``r`` turns a single row into a two-sided constraint
+    ``low <= a@x <= high`` per the classical convention, picked as a G row
+    (the lower side) and an L row (the upper side).  The generated partner
+    row is named ``<row>__RNG``.
+    """
+    n, m = len(reader.cols), len(reader.rows)
     c = np.zeros(n)
     for j, v in reader.obj_coeffs.items():
         c[j] = v
@@ -364,39 +340,44 @@ def _assemble(reader):
         elif btype == "PL":
             upper[j] = np.inf
 
-    blocks = {"E": ([], [], []), "G": ([], [], []), "L": ([], [], [])}
-    counts = {"E": 0, "G": 0, "L": 0}
-    names = {"E": [], "G": [], "L": []}
-    rhs = {"E": [], "G": [], "L": []}
-    for kind, rname, b, coeffs in _expand_ranges(reader):
-        i = counts[kind]
-        counts[kind] += 1
-        names[kind].append(rname)
-        rhs[kind].append(b)
-        rows_, cols_, vals_ = blocks[kind]
-        for j, v in coeffs.items():
-            rows_.append(i)
-            cols_.append(j)
-            vals_.append(v)
+    # kind -> (row indices, row names, right-hand sides) of its block
+    picks = {"E": ([], [], []), "G": ([], [], []), "L": ([], [], [])}
+    for rname, (i, kind) in reader.rows.items():
+        b = reader.rhs.get(i, 0.0)
+        r = reader.ranges.get(i)
+        if r is None or (kind == "E" and r == 0.0):
+            sides = ((kind, rname, b),)
+        else:
+            if kind == "G":
+                low, high = b, b + abs(r)
+            elif kind == "L":
+                low, high = b - abs(r), b
+            else:
+                low, high = (b, b + r) if r > 0 else (b + r, b)
+            g_name = rname + "__RNG" if kind == "L" else rname
+            l_name = rname if kind == "L" else rname + "__RNG"
+            sides = (("G", g_name, low), ("L", l_name, high))
+        for kind, name, value in sides:
+            picks[kind][0].append(i)
+            picks[kind][1].append(name)
+            picks[kind][2].append(value)
 
-    def as_csr(kind):
-        rows_, cols_, vals_ = blocks[kind]
-        return sp.csr_array((vals_, (rows_, cols_)),
-                            shape=(counts[kind], n))
-
+    nnz = len(reader.entries)
+    cols, rows = np.divmod(np.fromiter(reader.entries, np.int64, nnz), m)
+    A = sp.csr_array((np.fromiter(reader.entries.values(), float, nnz),
+                      (rows, cols)), shape=(m, n))
+    (A_eq, b_eq, r_eq), (A_ge, b_ge, r_ge), (A_le, b_le, r_le) = (
+        (A[np.asarray(idx, dtype=np.intp)], np.asarray(b, dtype=float),
+         names) for idx, names, b in picks.values())
     return RawLP(
-        name=reader.name,
-        col_names=reader.col_names,
-        c=c,
-        A_eq=as_csr("E"), b_eq=np.asarray(rhs["E"], dtype=float),
-        row_names_eq=names["E"],
-        A_ge=as_csr("G"), b_ge=np.asarray(rhs["G"], dtype=float),
-        row_names_ge=names["G"],
-        A_le=as_csr("L"), b_le=np.asarray(rhs["L"], dtype=float),
-        row_names_le=names["L"],
+        name=reader.name, col_names=list(reader.cols), c=c,
+        A_eq=A_eq, b_eq=b_eq, row_names_eq=r_eq,
+        A_ge=A_ge, b_ge=b_ge, row_names_ge=r_ge,
+        A_le=A_le, b_le=b_le, row_names_le=r_le,
         lower=lower, upper=upper,
         objective_name=reader.objective_name,
-        objective_constant=reader.objective_constant,
+        # RHS on the objective row is the negated constant term.
+        objective_constant=-reader.rhs[-1] if -1 in reader.rhs else 0.0,
     )
 
 
@@ -408,36 +389,37 @@ def _fmt(v):
 def write_mps(lp):
     """Serialize a :class:`RawLP` back to MPS text.
 
-    Ranges were already expanded at parse time, so the output never has a
-    RANGES section; re-parsing the result reproduces the input object.
+    The three blocks are stacked into one CSC matrix in E, G, L order, so
+    each column's entries come out block by block in ascending row order.
+    A column with no entry gets its cost line even when the cost is zero,
+    so that it is not lost.  Ranges were already expanded at parse time,
+    so the output never has a RANGES section; re-parsing the result
+    reproduces the input object.
     """
+    rows = [(kind, rname, v) for kind, _, b, names in lp.blocks()
+            for rname, v in zip(names, b)]
     out = ["NAME          %s" % lp.name, "ROWS",
            " N  %s" % lp.objective_name]
-    for kind, _, _, row_names in lp.blocks():
-        for rname in row_names:
-            out.append(" %s  %s" % (kind, rname))
+    out.extend(" %s  %s" % (kind, rname) for kind, rname, _ in rows)
 
     out.append("COLUMNS")
-    csc = {kind: A.tocsc() for kind, A, _, _ in lp.blocks()}
-    kinds = [(kind, names) for kind, _, _, names in lp.blocks()]
+    A = sp.vstack([A for _, A, _, _ in lp.blocks()], format="csc")
     for j, cname in enumerate(lp.col_names):
-        if lp.c[j] != 0.0:
+        start, stop = A.indptr[j], A.indptr[j + 1]
+        if lp.c[j] != 0.0 or start == stop:
             out.append("    %-10s%-10s%s"
                        % (cname, lp.objective_name, _fmt(lp.c[j])))
-        for kind, names in kinds:
-            A = csc[kind]
-            for k in range(A.indptr[j], A.indptr[j + 1]):
-                out.append("    %-10s%-10s%s"
-                           % (cname, names[A.indices[k]], _fmt(A.data[k])))
+        for k in range(start, stop):
+            out.append("    %-10s%-10s%s"
+                       % (cname, rows[A.indices[k]][1], _fmt(A.data[k])))
 
     out.append("RHS")
     if lp.objective_constant != 0.0:
         out.append("    %-10s%-10s%s" % ("RHS", lp.objective_name,
                                          _fmt(-lp.objective_constant)))
-    for _, _, b, names in lp.blocks():
-        for i, rname in enumerate(names):
-            if b[i] != 0.0:
-                out.append("    %-10s%-10s%s" % ("RHS", rname, _fmt(b[i])))
+    for _, rname, b in rows:
+        if b != 0.0:
+            out.append("    %-10s%-10s%s" % ("RHS", rname, _fmt(b)))
 
     bound_lines = []
     for j, cname in enumerate(lp.col_names):

@@ -1,12 +1,16 @@
-"""Shared fixtures: tiny MPS problems and random feasible LP generators."""
+"""Shared fixtures: tiny MPS problems, random feasible LP generators and
+hypothesis strategies for raw LPs."""
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import arclp
+from arclp.mps import RawLP
 from arclp.standardize import StandardLP, VarMap
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,3 +146,46 @@ def staircase_raw():
     presolve), the smallest LP of the tier-1 suite on the sparse path."""
     return perfbench_module("workloads").staircase_lp(
         arclp, 5, 20, 10, np.random.default_rng(5), "st5x20x10")
+
+
+# Small integers keep every product and sum exact, so the dense reference
+# and the sparse assembly must agree to the last bit.
+SMALL = st.integers(-4, 4).map(float)
+
+
+@st.composite
+def bounds(draw):
+    """``(lower, upper)`` of one of the MPS bound types, never crossed."""
+    kind = draw(st.sampled_from(["PL", "FR", "MI", "FX", "LO", "UP",
+                                 "LO+UP"]))
+    lo, up = sorted([draw(SMALL), draw(SMALL)])
+    return {"PL": (0.0, np.inf), "FR": (-np.inf, np.inf),
+            "MI": (-np.inf, up), "FX": (lo, lo), "LO": (lo, np.inf),
+            "UP": (0.0, abs(up)), "LO+UP": (lo, up)}[kind]
+
+
+@st.composite
+def raw_lps(draw):
+    """RawLP with 0-3 rows per E/G/L block and stored zero entries."""
+    n = draw(st.integers(1, 5))
+    blocks = {}
+    for kind in "EGL":
+        m = draw(st.integers(0, 3))
+        vals = draw(hnp.arrays(float, (m, n), elements=SMALL))
+        stored = draw(hnp.arrays(bool, (m, n)))
+        rows, cols = np.nonzero(stored)
+        blocks[kind] = (
+            sp.csr_array((vals[rows, cols], (rows, cols)), shape=(m, n)),
+            draw(hnp.arrays(float, m, elements=SMALL)),
+            ["%s%d" % (kind, i) for i in range(m)])
+    lower, upper = np.array(draw(st.lists(bounds(), min_size=n,
+                                          max_size=n))).T
+    (A_eq, b_eq, r_eq), (A_ge, b_ge, r_ge), (A_le, b_le, r_le) = \
+        blocks.values()
+    return RawLP(name="P", col_names=["X%d" % j for j in range(n)],
+                 c=draw(hnp.arrays(float, n, elements=SMALL)),
+                 A_eq=A_eq, b_eq=b_eq, row_names_eq=r_eq,
+                 A_ge=A_ge, b_ge=b_ge, row_names_ge=r_ge,
+                 A_le=A_le, b_le=b_le, row_names_le=r_le,
+                 lower=lower, upper=upper,
+                 objective_constant=draw(SMALL))

@@ -130,8 +130,8 @@ class TestRunBenchmark:
             run_benchmark(tmp_path, [SolverConfig()])
 
     def test_time_limit_passes_through(self, problem_dir):
-        records = run_benchmark(problem_dir, [SolverConfig()],
-                                time_limit=1e-9)
+        records = run_benchmark(problem_dir,
+                                [SolverConfig(time_limit=1e-9)])
         assert all(r.status == Status.ITERATION_LIMIT for r in records)
 
     @pytest.mark.parametrize("time_limit", [-1.0, 0.0, float("nan")])
@@ -139,8 +139,8 @@ class TestRunBenchmark:
                                                   monkeypatch, time_limit):
         monkeypatch.setattr(arclp.bench, "solve_mps_file", None)
         with pytest.raises(ValueError, match="time_limit"):
-            run_benchmark(problem_dir, [SolverConfig()],
-                          time_limit=time_limit)
+            run_benchmark(problem_dir,
+                          [SolverConfig(time_limit=time_limit)])
 
 
 class TestCsvRoundTrip:

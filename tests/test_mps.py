@@ -1,11 +1,12 @@
 """Parser tests: fixture files, dialect corners, errors, round-trips."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.mps import MpsParseError, parse_mps, write_mps
 
-from conftest import FIX1_MPS, FIX2_MPS
+from conftest import FIX1_MPS, FIX2_MPS, raw_lps
 
 
 def test_fixture_dimensions(fix1_text):
@@ -203,6 +204,16 @@ class TestErrors:
                                 "    RHS       R1        3.0\n")
         self.assert_raises_with_line(text, "duplicate RHS")
 
+    def test_duplicate_objective_rhs(self):
+        # Like a constraint row's, the objective row takes one RHS.
+        text = FIX2_MPS.replace("    RHS       R1        2.0\n",
+                                "    RHS       R1        2.0\n"
+                                "    RHS       OBJ       10.0\n"
+                                "    RHS       OBJ       7.0\n")
+        with pytest.raises(MpsParseError,
+                           match="line 14: duplicate RHS for row 'OBJ'"):
+            parse_mps(text)
+
     def test_integer_marker_rejected(self):
         text = FIX2_MPS.replace(
             "COLUMNS\n",
@@ -250,6 +261,13 @@ class TestRoundTrip:
     def test_netlib_round_trip(self, netlib_dir):
         lp = parse_mps((netlib_dir / "afiro.mps").read_text())
         assert parse_mps(write_mps(lp)) == lp
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw=raw_lps())
+    def test_random_round_trip(self, raw):
+        # Draws include columns with zero cost and no entry, which must
+        # keep a line of their own.
+        assert parse_mps(write_mps(raw)) == raw
 
 
 def test_netlib_files_parse(netlib_dir):
