@@ -48,10 +48,8 @@ class BenchmarkRecord:
 
     def solver_key(self):
         """Label of the solver: the algorithm and the parameters it reads."""
-        if self.algorithm == "alg1":
-            return "alg1|beta=%g" % self.beta
-        if self.algorithm == "alg2":
-            return "alg2|beta=%g" % self.beta
+        if self.algorithm in ("alg1", "alg2"):
+            return "%s|beta=%g" % (self.algorithm, self.beta)
         return self.algorithm
 
 

@@ -116,15 +116,15 @@ def restart_point(x, weight, delta, mode, s=None, theta=None):
     return x
 
 
-def first_derivatives(lp, fac, z, lam, s):
+def first_derivatives(fac, z, s, rb, rc):
     """Arc derivatives ``(dz, dlam, ds)`` at the (possibly shifted) point.
 
-    Solves the Newton block system with right-hand sides
-    ``(A @ z - b, A.T @ lam + s - c, z * s)`` so that a full step
-    (``alpha = pi/2``) would remove the current residuals entirely.
+    Solves the Newton block system with right-hand sides ``(rb, rc,
+    z * s)``, where ``rb = A @ z - b`` and ``rc = A.T @ lam + s - c`` are
+    the point's residuals, so that a full step (``alpha = pi/2``) would
+    remove them entirely.
     """
-    rbz, rc = residuals(lp, z, lam, s)
-    return solve_block(fac, rbz, rc, z * s)
+    return solve_block(fac, rb, rc, z * s)
 
 
 def second_derivatives(lp, fac, z, s, dz, ds, sigma=0.0, mu=0.0):

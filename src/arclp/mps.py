@@ -145,16 +145,16 @@ class _Reader:
         if len(tokens) != 2:
             raise MpsParseError("ROWS line needs a type and a name", lineno)
         rtype, rname = tokens[0].upper(), tokens[1]
-        if rtype == "N":
-            if self.objective_name is not None:
-                raise MpsParseError("multiple objective (N) rows", lineno)
-            self.objective_name = rname
-            return
-        if rtype not in ("E", "G", "L"):
+        if rtype == "N" and self.objective_name is not None:
+            raise MpsParseError("multiple objective (N) rows", lineno)
+        if rtype not in ("N", "E", "G", "L"):
             raise MpsParseError("unknown row type %r" % tokens[0], lineno)
         if rname in self.rows or rname == self.objective_name:
             raise MpsParseError("duplicate row name %r" % rname, lineno)
-        self.rows[rname] = (len(self.rows), rtype)
+        if rtype == "N":
+            self.objective_name = rname
+        else:
+            self.rows[rname] = (len(self.rows), rtype)
 
     def columns_line(self, tokens, lineno):
         if "'MARKER'" in tokens or "MARKER" in tokens:
@@ -259,7 +259,6 @@ def parse_mps(text):
     reader = _Reader()
     section = None
     seen = []
-    ended = False
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("*"):
@@ -269,7 +268,7 @@ def parse_mps(text):
             keyword = tokens[0].upper()
             if keyword not in _SECTIONS:
                 raise MpsParseError("unknown section %r" % tokens[0], lineno)
-            if ended:
+            if section == "ENDATA":
                 raise MpsParseError("content after ENDATA", lineno)
             if seen and _SECTIONS.index(keyword) <= _SECTIONS.index(seen[-1]):
                 raise MpsParseError("section %s out of order" % keyword,
@@ -282,8 +281,6 @@ def parse_mps(text):
             section = keyword
             if keyword == "NAME":
                 reader.name = tokens[1] if len(tokens) > 1 else ""
-            elif keyword == "ENDATA":
-                ended = True
             continue
 
         tokens = line.split()
@@ -297,10 +294,12 @@ def parse_mps(text):
             reader.ranges_line(tokens, lineno)
         elif section == "BOUNDS":
             reader.bounds_line(tokens, lineno)
+        elif section == "ENDATA":
+            raise MpsParseError("content after ENDATA", lineno)
         elif section in ("NAME", None):
             raise MpsParseError("data line outside any section", lineno)
 
-    if not ended:
+    if section != "ENDATA":
         raise MpsParseError("missing ENDATA")
     if reader.objective_name is None:
         raise MpsParseError("no objective (N) row")

@@ -3,8 +3,10 @@
 :func:`solve` runs one iteration loop for four methods that share the
 Newton kernel and the arc/momentum primitives.  The loop owns the
 starting point, the momentum restart, the stopping test, the limits and
-the trace; the methods differ in their step rule, and ``alg2`` and
-``arc`` share one:
+the trace.  It computes each point's residuals once and hands them to
+the stopping test and the step rule; a restart that moves the point
+needs only ``A @ z - b`` anew.  The methods differ in their step rule,
+and ``alg2`` and ``arc`` share one:
 
 ``alg1``
     Neighborhood-confined arc search.  The momentum restart is guarded by
@@ -51,6 +53,8 @@ _STEP_FLOOR = 1e-7
 # Clip of the adaptive centering weight sigma = (mu_affine / mu)**3.
 _SIGMA_MIN = 1e-6
 _SIGMA_MAX = 0.5
+# Every component of the wide interior start.
+_WIDE_START = 100.0
 
 
 class Status:
@@ -133,13 +137,12 @@ class SolveResult:
     note: str = ""
 
 
-def check_convergence(lp, x, lam, s, epsilon, norms=None):
-    """Relative optimality test.
+def check_convergence(lp, x, lam, s, rb, rc, epsilon, norms=None):
+    """Relative optimality test of a point with residuals ``(rb, rc)``.
 
     True when ``max(||rb|| / max(1, ||b||), ||rc|| / max(1, ||c||),
     mu / max(1, |c @ x|, |b @ lam|)) < epsilon``.
     """
-    rb, rc = residuals(lp, x, lam, s)
     mu = duality_measure(x, s)
     bn, cn = norms if norms is not None else (np.linalg.norm(lp.b),
                                               np.linalg.norm(lp.c))
@@ -161,15 +164,14 @@ def check_theoretical_stop(mu, rb_norm, rc_norm, mu0, rb0_norm, rc0_norm,
             and rc_norm <= rc0_norm / mu0 * epsilon)
 
 
-def initial_point_alg1(lp, scale=100.0):
-    """Wide interior start ``x = s = scale * ones``, ``lam = 0``.
+def initial_point_alg1(lp):
+    """Wide interior start ``x = s = 100 * ones``, ``lam = 0``.
 
     The componentwise-constant products put the point at the exact center
     of ``N(theta)`` for every admissible ``theta``.
     """
-    n = lp.n
-    return (np.full(n, float(scale)), np.zeros(lp.m),
-            np.full(n, float(scale)))
+    return (np.full(lp.n, _WIDE_START), np.zeros(lp.m),
+            np.full(lp.n, _WIDE_START))
 
 
 def initial_point_mehrotra(lp):
@@ -201,9 +203,9 @@ def initial_point_mehrotra(lp):
     x0 = x_hat + (0.5 * cross / e_s if abs(e_s) > 1e-300 else 0.0)
     s0 = s_hat + (0.5 * cross / e_x if abs(e_x) > 1e-300 else 0.0)
     if x0.min() <= 1e-10:
-        x0 = np.full(lp.n, 100.0)
+        x0 = np.full(lp.n, _WIDE_START)
     if s0.min() <= 1e-10:
-        s0 = np.full(lp.n, 100.0)
+        s0 = np.full(lp.n, _WIDE_START)
     return x0, lam, s0
 
 
@@ -249,8 +251,8 @@ def _linear_ratio_step(w, dw, cap=1.0):
     return float(min(cap, np.min(w[pos] / dw[pos])))
 
 
-def _finish(lp, status, k, t0, x, lam, s, trace, violations, note=""):
-    rb, rc = residuals(lp, x, lam, s)
+def _finish(lp, status, k, t0, x, lam, s, rb, rc, trace, violations,
+            note=""):
     return SolveResult(
         status=status, iterations=k, wall_time=time.perf_counter() - t0,
         mu=duality_measure(x, s), rb_norm=float(np.linalg.norm(rb)),
@@ -260,14 +262,13 @@ def _finish(lp, status, k, t0, x, lam, s, trace, violations, note=""):
         note=note)
 
 
-def _stop(lp, x, lam, s, config, norms, init=None):
+def _stop(lp, x, lam, s, rb, rc, config, norms, init=None):
     if config.stop_rule == "theoretical":
-        rb, rc = residuals(lp, x, lam, s)
         mu0, rb0, rc0 = init
         return check_theoretical_stop(
             duality_measure(x, s), np.linalg.norm(rb), np.linalg.norm(rc),
             mu0, rb0, rc0, config.epsilon)
-    return check_convergence(lp, x, lam, s, config.epsilon, norms)
+    return check_convergence(lp, x, lam, s, rb, rc, config.epsilon, norms)
 
 
 def _deadline_hit(config, t0):
@@ -316,30 +317,31 @@ def solve(lp, config=None):
     init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
     rb0 = rb
 
-    def stop(x, lam, s):
-        return _stop(lp, x, lam, s, config, norms, init)
+    def stop(x, lam, s, rb, rc):
+        return _stop(lp, x, lam, s, rb, rc, config, norms, init)
 
     rule = _STEP_RULES[config.algorithm]
     prev_x = prev_rb = None
     trace, violations = [], []
     k = 0
     while True:
-        if stop(x, lam, s):
-            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, trace,
-                           violations)
+        if stop(x, lam, s, rb, rc):
+            return _finish(lp, Status.OPTIMAL, k, t0, x, lam, s, rb, rc,
+                           trace, violations)
         if k >= config.max_iter or _deadline_hit(config, t0):
             note = "time limit" if k < config.max_iter else ""
-            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s,
-                           trace, violations, note)
+            return _finish(lp, Status.ITERATION_LIMIT, k, t0, x, lam, s, rb,
+                           rc, trace, violations, note)
 
         beta_k, z = _restart(config, x, prev_x, rb, prev_rb, s)
+        rb_z = rb if z is x else lp.A @ z - lp.b
         mu_z = duality_measure(z, s)
         try:
-            step = rule(lp, config, z, lam, s, mu_z, mu, rb, rc, stop)
+            step = rule(lp, config, z, lam, s, mu_z, mu, rb_z, rc, stop)
         except NumericalError as exc:
             step = _Step(status=Status.NUMERICAL_ERROR, note=str(exc))
         if step.point is None:
-            return _finish(lp, step.status, k, t0, x, lam, s, trace,
+            return _finish(lp, step.status, k, t0, x, lam, s, rb, rc, trace,
                            violations, step.note)
 
         if config.trace:
@@ -350,12 +352,12 @@ def solve(lp, config=None):
                 row.update(rb=rb.copy(), x=x.copy(), s=s.copy(),
                            z=z.copy())
             trace.append(row)
-        if step.status is not None:
-            return _finish(lp, step.status, k + 1, t0, *step.point, trace,
-                           violations, step.note)
 
         x_new, lam_new, s_new = step.point
         rb_new, rc_new = residuals(lp, x_new, lam_new, s_new)
+        if step.status is not None:
+            return _finish(lp, step.status, k + 1, t0, x_new, lam_new, s_new,
+                           rb_new, rc_new, trace, violations, step.note)
         mu_new = duality_measure(x_new, s_new)
         if config.algorithm == "alg1":
             _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc,
@@ -400,8 +402,9 @@ def _arc_fields(alpha_z, alpha_s):
 
 # ----------------------------------------------------------------------
 # Step rules.  Each takes ``(lp, config, z, lam, s, mu_z, mu, rb, rc,
-# stop)``: the restarted point ``(z, lam, s)`` with its duality measure,
-# the measure and residuals of the iterate itself, and the stopping test.
+# stop)``: the restarted point ``(z, lam, s)`` with its duality measure
+# and its residuals ``(rb, rc)``, the measure of the iterate itself, and
+# the stopping test ``stop(x, lam, s, rb, rc)``.
 # ----------------------------------------------------------------------
 
 def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
@@ -434,7 +437,7 @@ def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     iterate stays in ``N(theta)``.
     """
     fac = factor(lp, z, s)
-    dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+    dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
 
     admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z,
@@ -506,7 +509,7 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     there.
     """
     fac = factor(lp, z, s)
-    dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+    dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
     alpha_az = _linear_ratio_step(z, dz)
     alpha_as = _linear_ratio_step(s, ds)
     mu_a = duality_measure(z - alpha_az * dz, s - alpha_as * ds)
@@ -519,7 +522,8 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     lam_cand = arc_point(lam, dlam, ddlam, alpha_max_s)
     s_cand = arc_point(s, ds, dds, alpha_max_s)
     if x_cand.min() >= 0.0 and s_cand.min() >= 0.0 and \
-            stop(x_cand, lam_cand, s_cand):
+            stop(x_cand, lam_cand, s_cand,
+                 *residuals(lp, x_cand, lam_cand, s_cand)):
         return _Step((x_cand, lam_cand, s_cand),
                      _arc_fields(alpha_max_z, alpha_max_s), Status.OPTIMAL)
 
@@ -539,8 +543,8 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
 def _line_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     """Predictor-corrector line step (``line``); ``z`` is the iterate."""
     fac = factor(lp, z, s)
-    # Predictor: the affine direction is the negated solution.
-    px, plam, ps = solve_block(fac, rb, rc, z * s)
+    # Predictor: the affine direction is the negated first derivative.
+    px, plam, ps = first_derivatives(fac, z, s, rb, rc)
     alpha_p = _linear_ratio_step(z, px)
     alpha_d = _linear_ratio_step(s, ps)
     mu_aff = duality_measure(z - alpha_p * px, s - alpha_d * ps)

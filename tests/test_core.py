@@ -221,8 +221,8 @@ class TestDerivatives:
     def test_first_derivatives_defining_equations(self):
         lp, z, lam, s = self._setup()
         fac = factor(lp, z, s)
-        dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
         rb, rc = residuals(lp, z, lam, s)
+        dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
         assert_allclose(lp.A @ dz, rb, atol=1e-9)
         assert_allclose(lp.A.T @ dlam + ds, rc, atol=1e-9)
         assert_allclose(s * dz + z * ds, z * s, atol=1e-9)
@@ -230,7 +230,8 @@ class TestDerivatives:
     def test_second_derivatives_sigma_zero(self):
         lp, z, lam, s = self._setup(seed=14)
         fac = factor(lp, z, s)
-        dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+        dz, dlam, ds = first_derivatives(fac, z, s,
+                                         *residuals(lp, z, lam, s))
         ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
         assert_allclose(lp.A @ ddz, 0.0, atol=1e-9)
         assert_allclose(lp.A.T @ ddlam + dds, 0.0, atol=1e-9)
@@ -239,7 +240,8 @@ class TestDerivatives:
     def test_second_derivatives_with_centering(self):
         lp, z, lam, s = self._setup(seed=15)
         fac = factor(lp, z, s)
-        dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+        dz, dlam, ds = first_derivatives(fac, z, s,
+                                         *residuals(lp, z, lam, s))
         mu_z = duality_measure(z, s)
         sigma = 0.3
         ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds,
@@ -255,7 +257,8 @@ class TestDerivatives:
         # rb = 2*3 - 2 = 4, rc = 6 - 0 = 6, z*s = 18; eliminating as in
         # the scalar kernel oracle gives dz = 2, dlam = 1/3, ds = 16/3.
         fac = factor(lp, z, s)
-        dz, dlam, ds = first_derivatives(lp, fac, z, lam, s)
+        dz, dlam, ds = first_derivatives(fac, z, s,
+                                         *residuals(lp, z, lam, s))
         assert_allclose(dz, [2.0], rtol=1e-12)
         assert_allclose(6.0 * dz + 3.0 * ds, [18.0], rtol=1e-12)
         assert_allclose(2.0 * dlam + ds, [6.0], rtol=1e-12)

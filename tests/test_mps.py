@@ -214,6 +214,22 @@ class TestErrors:
                            match="line 14: duplicate RHS for row 'OBJ'"):
             parse_mps(text)
 
+    @pytest.mark.parametrize("rows", [" N  R1\n E  R1\n",
+                                      " E  R1\n N  R1\n"])
+    def test_objective_shares_a_row_name(self, rows):
+        # In either order; an N row second would empty the E row.
+        text = ("NAME X\nROWS\n" + rows
+                + "COLUMNS\n    X1        R1        1.0\nENDATA\n")
+        with pytest.raises(MpsParseError,
+                           match="line 4: duplicate row name 'R1'"):
+            parse_mps(text)
+
+    def test_data_line_after_endata(self):
+        text = FIX2_MPS + "    X1        R1        5.0\n"
+        with pytest.raises(MpsParseError,
+                           match="line 14: content after ENDATA"):
+            parse_mps(text)
+
     def test_integer_marker_rejected(self):
         text = FIX2_MPS.replace(
             "COLUMNS\n",

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from arclp.core import arc_point, duality_measure, in_neighborhood
+from arclp.core import (arc_point, duality_measure, in_neighborhood,
+                        residuals)
 from arclp.linalg import NumericalError
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
@@ -174,19 +175,24 @@ class TestMaxAlphaPositivity:
 
 
 class TestStoppingRules:
+    @staticmethod
+    def converged(lp, x, lam, s):
+        return check_convergence(lp, x, lam, s, *residuals(lp, x, lam, s),
+                                 1e-7)
+
     def test_exact_optimum_converges(self):
         lp = make_standard_lp([[1.0, 1.0]], [2.0], [1.0, 2.0])
         x = np.array([2.0, 0.0])
         lam = np.array([1.0])
         s = lp.c - lp.A.T @ lam
-        assert check_convergence(lp, x, lam, s, 1e-7)
+        assert self.converged(lp, x, lam, s)
 
     def test_near_optimum_converges(self):
         lp = make_standard_lp([[1.0, 1.0]], [2.0], [1.0, 2.0])
         x = np.array([2.0 - 1e-9, 1e-9])
         lam = np.array([1.0 - 1e-9])
         s = lp.c - lp.A.T @ lam + 1e-9
-        assert check_convergence(lp, x, lam, s, 1e-7)
+        assert self.converged(lp, x, lam, s)
 
     def test_scaled_primal_residual_blocks(self):
         lp = make_standard_lp([[1.0, 0.0]], [10.0], [0.0, 1.0])
@@ -194,7 +200,7 @@ class TestStoppingRules:
         x = np.array([9.0, 1e-12])
         lam = np.zeros(1)
         s = lp.c - lp.A.T @ lam
-        assert not check_convergence(lp, x, lam, s, 1e-7)
+        assert not self.converged(lp, x, lam, s)
 
     def test_theoretical_rule_scalar_cases(self):
         assert check_theoretical_stop(1e-8, 0.0, 0.0, 1e4, 0.0, 0.0, 1e-7)
