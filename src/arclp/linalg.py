@@ -334,14 +334,19 @@ def solve_block(fac, r1, r2, r3):
     worst = worst_residual(dx, dlam, ds)
     # Refine with the same factor while the residual is above tolerance
     # and still falling.  Back-substitution satisfies the second and third
-    # block rows exactly, so only the first-row defect needs correcting.
+    # block rows exactly, so each pass solves for the first-row defect
+    # alone and adds the correction to the current solution; recomputing
+    # ds and dx from scratch would scale the rounding in ds by p / q,
+    # which reaches 1e10.
     last = np.inf
     for _ in range(_MAX_REFINEMENTS):
         if worst <= tol or not worst < last:
             break
-        dlam = dlam + fac.solve(r1 - A @ dx)
-        ds = r2 - At @ dlam
-        dx = (r3 - p * ds) / q
+        dl = fac.solve(r1 - A @ dx)
+        At_dl = At @ dl
+        dlam = dlam + dl
+        ds = ds - At_dl
+        dx = dx + (p / q) * At_dl
         last, worst = worst, worst_residual(dx, dlam, ds)
     if not worst <= tol < np.inf:
         raise NumericalError(

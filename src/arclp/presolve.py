@@ -3,11 +3,13 @@
 The cascade applies, to a fixpoint: elimination of columns pinned at zero
 by the standardizer, removal of empty rows (infeasible when the right-hand
 side is nonzero), fixing of variables determined by singleton rows
-(infeasible when the implied value is negative), removal of empty columns
-(unbounded when the objective coefficient is negative), and removal of
-duplicate rows that are scalar multiples of an earlier row.  A final rank
-guard drops linearly dependent rows so the reduced matrix has full row
-rank, which the Newton kernel requires.
+(infeasible when the implied value is negative), and removal of empty
+columns (unbounded when the objective coefficient is negative).  A final
+rank guard drops linearly dependent rows so the reduced matrix has full
+row rank, which the Newton kernel requires.  It first peels off every row
+that holds the only entry of some column among the rows left, since such
+a row has no part in any dependency, and runs its pivoted QR only on the
+core that remains; a core over the QR's size cap skips the guard.
 
 Eliminations are recorded in a :class:`PresolveReport` whose
 :meth:`~PresolveReport.restore` lifts a reduced solution back to the
@@ -20,13 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .standardize import StandardLP
 
 __all__ = ["PresolveReport", "presolve"]
 
 _ZERO_TOL = 1e-10
+_QR_CAP = 4_000_000    # matrix entries the rank guard's QR may take
 
 
 @dataclass
@@ -82,59 +84,45 @@ def _drop(A, b, c, row_ids, col_ids, rows=None, cols=None):
     return A.tocsc(), b, c, row_ids, col_ids
 
 
-def _duplicate_rows(A, b):
-    """Return (rows to drop, infeasible reason or None).
+def _core_rows(A):
+    """Rows of the CSC matrix ``A`` that may take part in a dependency.
 
-    A row is dropped when it is a scalar multiple of an earlier row with a
-    consistent right-hand side; an inconsistent right-hand side proves
-    infeasibility.
+    A row that holds the only live entry of some column has coefficient
+    zero in every linear dependency among the live rows, so it is peeled
+    off, and the peel repeats on the rows left.  The rounds are capped at
+    ``_QR_CAP // nnz``, the QR's budget; rows still live when it runs out
+    stay in the core, so the core never misses a dependent row.
     """
-    A = A.tocsr()
-    A.sort_indices()
-    m = A.shape[0]
-    buckets = {}
-    for i in range(m):
-        lo, hi = A.indptr[i], A.indptr[i + 1]
-        key = (hi - lo, A.indices[lo:hi].tobytes())
-        buckets.setdefault(key, []).append(i)
-    drop = []
-    for key, rows in buckets.items():
-        if len(rows) < 2:
-            continue
-        for a_pos, i in enumerate(rows):
-            if i in drop:
-                continue
-            vi = A.data[A.indptr[i]:A.indptr[i + 1]]
-            scale_i = np.abs(vi).max()
-            for k in rows[a_pos + 1:]:
-                if k in drop:
-                    continue
-                vk = A.data[A.indptr[k]:A.indptr[k + 1]]
-                t = vk[0] / vi[0]
-                if np.max(np.abs(vk - t * vi)) > 1e-12 * scale_i * abs(t):
-                    continue
-                if abs(b[k] - t * b[i]) > _ZERO_TOL * (1 + abs(t * b[i])):
-                    return drop, ("rows %d and %d are parallel with "
-                                  "conflicting right-hand sides" % (i, k))
-                drop.append(k)
-    return drop, None
+    rows = A.indices
+    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    live = np.ones(A.shape[0], dtype=bool)
+    for _ in range(_QR_CAP // max(A.nnz, 1)):
+        on = live[rows]
+        count = np.bincount(cols[on], minlength=A.shape[1])
+        private = on & (count[cols] == 1)
+        if not private.any():
+            break
+        live[rows[private]] = False
+    return np.nonzero(live)[0]
 
 
 def _rank_guard(A, b, row_ids):
     """Drop linearly dependent rows (with a consistency check on b).
 
     Returns ``(rows_to_drop, reason_or_None)`` where a non-``None`` reason
-    means the dependent equations contradict the kept ones.  Uses a dense
-    pivoted QR, which is exact where a regularized Cholesky attempt could
-    mask semidefiniteness; only ``R`` and the pivots are computed, since
-    the rank and the kept rows follow from them and ``Q`` is never read.
-    Beyond the size cap the check is skipped and rank trouble surfaces
-    through the kernel's residual guard instead.
+    means the dependent equations contradict the kept ones.  Only the
+    core rows of :func:`_core_rows` can be dependent, so the guard runs a
+    dense pivoted QR of the core alone, which is exact where a regularized
+    Cholesky attempt could mask semidefiniteness; only ``R`` and the
+    pivots are computed, since the rank and the kept rows follow from them
+    and ``Q`` is never read.  When the core holds more than ``_QR_CAP``
+    entries the check is skipped and rank trouble surfaces through the
+    kernel's residual guard instead.
     """
-    m, n = A.shape
-    if m * n > 4_000_000:
+    core = _core_rows(A)
+    if not core.size or core.size * A.shape[1] > _QR_CAP:
         return [], None
-    At = A.toarray().T
+    At = A[core].toarray().T
     R, piv = scipy.linalg.qr(At, mode="r", pivoting=True)
     diag = np.abs(np.diag(R))
     tol = max(At.shape) * np.finfo(float).eps * (diag[0] if diag.size else 0)
@@ -143,14 +131,15 @@ def _rank_guard(A, b, row_ids):
     if not len(dropped):
         return [], None
     # Each dropped row must be the same combination of kept rows on b.
+    b = b[core]
     coef, *_ = np.linalg.lstsq(At[:, kept], At[:, dropped], rcond=None)
     implied = coef.T @ b[kept]
     bad = np.abs(implied - b[dropped]) > 1e-8 * (1 + np.abs(b[dropped]))
     if np.any(bad):
-        i = dropped[np.nonzero(bad)[0][0]]
+        i = core[dropped[np.nonzero(bad)[0][0]]]
         return [], ("row %d is linearly dependent with an inconsistent "
                     "right-hand side" % row_ids[i])
-    return list(dropped), None
+    return list(core[dropped]), None
 
 
 def presolve(lp):
@@ -189,9 +178,7 @@ def presolve(lp):
                                           cols=fixed)
         report.events.append("dropped %d fixed columns" % len(fixed))
 
-    changed = True
-    while changed:
-        changed = False
+    while True:
         A.eliminate_zeros()
         csr = A.tocsr()
         row_nnz = np.diff(csr.indptr)
@@ -208,7 +195,6 @@ def presolve(lp):
             A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
                                               rows=empty)
             report.events.append("dropped %d empty rows" % empty.size)
-            changed = True
             continue
 
         # Singleton rows fix their variable.
@@ -236,7 +222,6 @@ def presolve(lp):
                                               cols=fixed_cols)
             report.events.append("fixed %d variables from singleton rows"
                                  % len(fixed_cols))
-            changed = True
             continue
 
         # Empty columns: optimal at 0 when the cost is nonnegative.
@@ -256,17 +241,8 @@ def presolve(lp):
                                               cols=empty_cols)
             report.events.append("dropped %d empty columns"
                                  % empty_cols.size)
-            changed = True
             continue
-
-        dup, reason = _duplicate_rows(A, b)
-        if reason is not None:
-            return verdict("infeasible", reason)
-        if dup:
-            A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                              rows=dup)
-            report.events.append("dropped %d duplicate rows" % len(dup))
-            changed = True
+        break
 
     if A.shape[0]:
         dep, reason = _rank_guard(A, b, row_ids)

@@ -280,14 +280,17 @@ class _Step(NamedTuple):
     """What a step rule did.
 
     A step to ``point`` carries its trace ``fields``; with a ``status`` as
-    well, the solve ends at ``point``.  A rule that takes no step returns
-    only a ``status`` and ``note``, and the solve ends where it stood.
+    well, the solve ends at ``point``, and ``residuals`` may carry the
+    point's ``(rb, rc)`` when the rule already computed them.  A rule that
+    takes no step returns only a ``status`` and ``note``, and the solve
+    ends where it stood.
     """
 
     point: tuple = None
     fields: dict = None
     status: str = None
     note: str = ""
+    residuals: tuple = None
 
 
 def solve(lp, config=None):
@@ -354,7 +357,8 @@ def solve(lp, config=None):
             trace.append(row)
 
         x_new, lam_new, s_new = step.point
-        rb_new, rc_new = residuals(lp, x_new, lam_new, s_new)
+        rb_new, rc_new = (step.residuals
+                          or residuals(lp, x_new, lam_new, s_new))
         if step.status is not None:
             return _finish(lp, step.status, k + 1, t0, x_new, lam_new, s_new,
                            rb_new, rc_new, trace, violations, step.note)
@@ -521,11 +525,12 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     x_cand = arc_point(z, dz, ddz, alpha_max_z)
     lam_cand = arc_point(lam, dlam, ddlam, alpha_max_s)
     s_cand = arc_point(s, ds, dds, alpha_max_s)
-    if x_cand.min() >= 0.0 and s_cand.min() >= 0.0 and \
-            stop(x_cand, lam_cand, s_cand,
-                 *residuals(lp, x_cand, lam_cand, s_cand)):
-        return _Step((x_cand, lam_cand, s_cand),
-                     _arc_fields(alpha_max_z, alpha_max_s), Status.OPTIMAL)
+    if x_cand.min() >= 0.0 and s_cand.min() >= 0.0:
+        res = residuals(lp, x_cand, lam_cand, s_cand)
+        if stop(x_cand, lam_cand, s_cand, *res):
+            return _Step((x_cand, lam_cand, s_cand),
+                         _arc_fields(alpha_max_z, alpha_max_s),
+                         Status.OPTIMAL, residuals=res)
 
     alpha_z = config.gamma * alpha_max_z
     alpha_s = config.gamma * alpha_max_s

@@ -93,8 +93,10 @@ def netlib_dir():
 
 
 def make_standard_lp(A, b, c, name="fixture", shift=0.0):
-    """Wrap dense arrays as a StandardLP with an identity variable map."""
-    A = sp.csc_array(np.atleast_2d(np.asarray(A, dtype=float)))
+    """Wrap arrays (``A`` dense or sparse) as a StandardLP with an identity
+    variable map."""
+    A = sp.csc_array(A if sp.issparse(A)
+                     else np.atleast_2d(np.asarray(A, dtype=float)))
     b = np.asarray(b, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel()
     rules = tuple(("shift", j, 0.0) for j in range(A.shape[1]))

@@ -49,10 +49,5 @@ def test_make_profile(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "profile.csv").is_file()
 
 
-@pytest.mark.xfail(
-    raises=SystemExit, strict=True,
-    reason="kb2 ends NumericalError with alg2 at beta=0.7, its block "
-           "solve residual just over tolerance: the kb2 high-beta FOUND "
-           "in CHANGES.md")
 def test_beta_sweep(monkeypatch):
     run_demo(monkeypatch, "beta_sweep.py")

@@ -10,6 +10,7 @@ from arclp.core import (arc_point, duality_measure, in_neighborhood,
 from arclp.linalg import NumericalError
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
+import arclp.linalg
 import arclp.solvers
 from arclp.solvers import (SolverConfig, SolveResult, Status,
                            check_convergence, check_theoretical_stop,
@@ -279,6 +280,35 @@ class TestPracticalSolvers:
         res = solve(lp)
         assert res.status == Status.OPTIMAL
         assert_allclose(res.objective, -4.6475314286e2, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "beta", [0.001] + [round(0.05 * k, 2) for k in range(1, 21)])
+    def test_kb2_alg2_over_the_beta_grid(self, netlib_dir, beta):
+        # kb2's p / q reaches 1e10, which magnifies the rounding of a block
+        # solve refined from scratch; refined by increments, every beta on
+        # the grid ends optimal.
+        lp = load_netlib(netlib_dir, "kb2")
+        res = solve(lp, SolverConfig(algorithm="alg2", beta=beta))
+        assert res.status == Status.OPTIMAL, res.note
+        # The certified optimum, to the acceptance suite's 1e-5.
+        assert_allclose(res.objective, -1.7499001299e3, rtol=1e-5)
+
+    def test_kb2_alg2_with_last_bit_changes_in_m(self, netlib_dir,
+                                                 monkeypatch):
+        # Summing the terms as (A_ij * A_kj) * d_j changes the dense M only
+        # in its last bits; the block solves must absorb that.
+        def reassociated(pm, d):
+            terms = np.repeat(pm.val, pm.lead) * pm.coef
+            terms *= np.repeat(d.take(pm.col), pm.lead)
+            M = np.bincount(pm.slot, weights=terms, minlength=pm.m ** 2)
+            return M.reshape(pm.m, pm.m), M[pm.diag]
+
+        lp = load_netlib(netlib_dir, "kb2")
+        monkeypatch.setattr(arclp.linalg.ProductMap, "assemble",
+                            reassociated)
+        res = solve(lp, SolverConfig(algorithm="alg2"))
+        assert res.status == Status.OPTIMAL, res.note
+        assert_allclose(res.objective, -1.7499001299e3, rtol=1e-5)
 
     def test_iteration_limit_status(self, netlib_dir):
         lp = load_netlib(netlib_dir, "afiro")
