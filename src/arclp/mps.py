@@ -8,24 +8,42 @@ lines are indented and whitespace-delimited.  Integer markers (MARKER /
 INTORG) and OBJSENSE sections are rejected rather than silently ignored,
 as are ``nan`` in any numeric field and infinite values outside BOUNDS.
 
-The reader fills two tables, one of rows and one of matrix entries, and
-builds the E, G and L blocks as row picks of one matrix of all
-constraint rows.  The writer stacks the blocks back into one matrix.
+The reader splits the text at its section header lines, with the line
+breaks of ``str.splitlines``, and reads each section body in bulk: it
+tokenizes the body's data lines once, maps the names to their indices
+with one dict lookup each, converts all numeric fields with one array
+conversion and runs every check as a mask over the whole section.  An
+error is located only once a mask holds one: the first failing line, and
+on that line the first check in the order of a line-by-line reader, so
+the message and the line number are the ones such a reader gives.
+Headers are checked in file order, and each body is read before the next
+header is checked.  The E, G and L blocks pick their rows from one CSR
+matrix of all constraint rows.  The writer stacks the blocks back into
+one matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = ["MpsParseError", "RawLP", "parse_mps", "write_mps"]
 
-_BOUND_TYPES = frozenset(["LO", "UP", "FX", "FR", "MI", "PL"])
-_NO_VALUE_BOUNDS = frozenset(["FR", "MI", "PL"])
+_ROW_KINDS = frozenset(["N", "E", "G", "L"])
+# Bound types by code, and whether each sets the lower and the upper bound.
+# The first three set them to their value, the others to an infinity.
+_BOUND_TYPES = ("LO", "UP", "FX", "FR", "MI", "PL")
+_BOUND_CODES = {btype: code for code, btype in enumerate(_BOUND_TYPES)}
+_SETS_LOWER = np.array([True, False, True, True, True, False])
+_SETS_UPPER = np.array([False, True, True, True, False, True])
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
+_MARKERS = frozenset(["MARKER", "'MARKER'"])
+# Row indices of the objective row and of a name that is no row.
+_OBJECTIVE, _UNKNOWN = -1, -2
 
 
 class MpsParseError(ValueError):
@@ -103,137 +121,280 @@ class RawLP:
         return True
 
 
-def _parse_number(token, lineno, bound=False):
-    """Read one numeric field: finite, or also infinite when ``bound``.
-
-    ``nan`` is never a value, and only a bound may be infinite; either
-    would otherwise reach the standard form silently.
-    """
-    # Netlib files use Fortran 'D' exponents in a few places.
+def _number_error(token):
+    """The message for a numeric field that the reader rejects."""
     try:
-        value = float(token.replace("D", "E").replace("d", "e"))
+        float(token.replace("D", "E").replace("d", "e"))
     except ValueError:
-        raise MpsParseError("bad numeric field %r" % token, lineno) from None
-    if not math.isfinite(value) and (math.isnan(value) or not bound):
-        raise MpsParseError("non-finite numeric field %r" % token, lineno)
-    return value
+        return "bad numeric field %r" % token
+    return "non-finite numeric field %r" % token
 
 
-class _Reader:
-    """Single-pass section reader filling a row table and an entry table.
+def _float_or_nan(token):
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
 
-    ``rows`` maps a constraint row's name to ``(index, kind)`` in ROWS
-    order and ``cols`` a column's name to its index.  A matrix entry is
-    stored at key ``j * m + i`` of ``entries``, where ``m`` is the number of
-    constraint rows (fixed once COLUMNS starts, as ROWS comes first).
-    ``rhs`` and ``ranges`` are keyed by row index; the objective row's
-    RHS sits at index -1.
+
+def _numbers(tokens, bound=False):
+    """Convert numeric fields in one go; return the values and a mask of
+    the fields that fail.
+
+    A field fails when it is no number or ``nan``, or when it is infinite
+    and not a bound; either would otherwise reach the standard form
+    silently.  Netlib files use Fortran ``D`` exponents in a few places;
+    they are rewritten only when the plain conversion fails.
     """
+    try:
+        values = np.array(tokens, dtype=float)
+    except ValueError:
+        # Tokens hold no line break, so one join rewrites them all.
+        tokens = ("\n".join(tokens).replace("D", "E").replace("d", "e")
+                  .split("\n"))
+        try:
+            values = np.array(tokens, dtype=float)
+        except ValueError:
+            values = np.array([_float_or_nan(t) for t in tokens])
+    return values, (np.isnan(values) if bound else ~np.isfinite(values))
 
-    def __init__(self):
-        self.name = ""
-        self.objective_name = None
-        self.rows = {}
-        self.cols = {}
-        self.obj_coeffs = {}        # col index -> value
-        self.entries = {}
-        self.rhs = {}
-        self.ranges = {}
-        self.bound_records = []     # (btype, col index, value or None, lineno)
 
-    def rows_line(self, tokens, lineno):
-        if len(tokens) != 2:
-            raise MpsParseError("ROWS line needs a type and a name", lineno)
-        rtype, rname = tokens[0].upper(), tokens[1]
-        if rtype == "N" and self.objective_name is not None:
-            raise MpsParseError("multiple objective (N) rows", lineno)
-        if rtype not in ("N", "E", "G", "L"):
-            raise MpsParseError("unknown row type %r" % tokens[0], lineno)
-        if rname in self.rows or rname == self.objective_name:
-            raise MpsParseError("duplicate row name %r" % rname, lineno)
-        if rtype == "N":
-            self.objective_name = rname
-        else:
-            self.rows[rname] = (len(self.rows), rtype)
+def _sort_repeats(keys, among):
+    """Order the items in ``among`` by key, and mark those whose key equals
+    an earlier item's.
 
-    def columns_line(self, tokens, lineno):
-        if "'MARKER'" in tokens or "MARKER" in tokens:
-            raise MpsParseError("integer markers are not supported", lineno)
-        if len(tokens) < 3 or len(tokens) % 2 == 0:
-            raise MpsParseError("COLUMNS line needs (row, value) pairs",
-                                lineno)
-        j = self.cols.setdefault(tokens[0], len(self.cols))
-        base = j * len(self.rows)
-        for rname, vtok in zip(tokens[1::2], tokens[2::2]):
-            value = _parse_number(vtok, lineno)
-            if rname == self.objective_name:
-                if j in self.obj_coeffs:
-                    raise MpsParseError(
-                        "duplicate objective entry for column %r" % tokens[0],
-                        lineno)
-                self.obj_coeffs[j] = value
-                continue
-            row = self.rows.get(rname)
-            if row is None:
-                raise MpsParseError("unknown row %r" % rname, lineno)
-            key = base + row[0]
-            if key in self.entries:
-                raise MpsParseError(
-                    "duplicate entry for row %r, column %r"
-                    % (rname, tokens[0]), lineno)
-            self.entries[key] = value
+    The sort is stable, so that of equal keys the first one stays first
+    and the later ones are the repeats.  Returns the order and the mask.
+    """
+    idx = among.nonzero()[0]
+    order = idx[np.argsort(keys[idx], kind="stable")]
+    ordered = keys[order]
+    repeats = np.zeros(len(keys), dtype=bool)
+    repeats[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return order, repeats
 
-    def _pairs(self, tokens, lineno, section):
-        # The leading set name is optional in the wild; detect it by
-        # checking whether the first token is itself a known row name.
-        known = tokens[0] in self.rows or tokens[0] == self.objective_name
-        body = tokens if (known and len(tokens) % 2 == 0) else tokens[1:]
-        if not body or len(body) % 2 != 0:
-            raise MpsParseError("%s line needs (row, value) pairs" % section,
-                                lineno)
-        return zip(body[0::2], body[1::2])
 
-    def rhs_line(self, tokens, lineno):
-        for rname, vtok in self._pairs(tokens, lineno, "RHS"):
-            value = _parse_number(vtok, lineno)
-            if rname == self.objective_name:
-                i = -1
-            elif rname in self.rows:
-                i = self.rows[rname][0]
-            else:
-                raise MpsParseError("RHS for unknown row %r" % rname, lineno)
-            if i in self.rhs:
-                raise MpsParseError("duplicate RHS for row %r" % rname, lineno)
-            self.rhs[i] = value
+def _first_failure(checks):
+    """``(k, message)`` of the first failing item, or None.
 
-    def ranges_line(self, tokens, lineno):
-        for rname, vtok in self._pairs(tokens, lineno, "RANGES"):
-            if rname not in self.rows:
-                raise MpsParseError("RANGES for unknown row %r" % rname,
-                                    lineno)
-            i = self.rows[rname][0]
-            if i in self.ranges:
-                raise MpsParseError("duplicate RANGES for row %r" % rname,
-                                    lineno)
-            self.ranges[i] = _parse_number(vtok, lineno)
+    ``checks`` holds ``(mask, message)`` pairs in the order in which one
+    item is checked, so the earliest item wins, and on one item the
+    earliest check.
+    """
+    first = None
+    for mask, message in checks:
+        if mask.any() and (first is None or mask.argmax() < first[0]):
+            first = (int(mask.argmax()), message)
+    return first
 
-    def bounds_line(self, tokens, lineno):
-        btype = tokens[0].upper()
-        if btype not in _BOUND_TYPES:
-            raise MpsParseError("unknown bound type %r" % tokens[0], lineno)
-        needs_value = btype not in _NO_VALUE_BOUNDS
-        want = 3 if needs_value else 2
-        # An optional bound-set name sits between the type and the column.
-        if len(tokens) == want + 1:
-            tokens = [tokens[0]] + tokens[2:]
-        if len(tokens) != want:
-            raise MpsParseError("malformed BOUNDS line", lineno)
-        cname = tokens[1]
-        if cname not in self.cols:
-            raise MpsParseError("bound for unknown column %r" % cname, lineno)
-        value = (_parse_number(tokens[2], lineno, bound=True)
-                 if needs_value else None)
-        self.bound_records.append((btype, self.cols[cname], value, lineno))
+
+def _lines_before_failure(checks, count):
+    first = _first_failure(checks)
+    return count if first is None else first[0]
+
+
+def _raise_first(checks, linenos, line_of=None):
+    """Raise the first failure of ``checks``, on the line of its item.
+
+    ``message(k)`` formats item ``k``'s error; ``line_of[k]`` is the item's
+    line in the section (the item is a line when ``line_of`` is None).
+    """
+    first = _first_failure(checks)
+    if first is not None:
+        k, message = first
+        line = k if line_of is None else line_of[k]
+        raise MpsParseError(message(k), int(linenos[line]))
+
+
+def _tokenize(lines, lineno, comments):
+    """Split a section body into the token lists of its data lines.
+
+    Returns the token lists and their 1-based line numbers (``lineno`` is
+    that of the body's first line).  Blank lines are dropped, and so are
+    comment lines when ``comments`` says the text may hold some.
+    """
+    tokens = [line.split() for line in lines]
+    linenos = np.arange(lineno, lineno + len(lines))
+    if comments or not all(tokens):
+        keep = np.array([bool(t) and t[0][0] != "*" for t in tokens],
+                        dtype=bool)
+        tokens = list(compress(tokens, keep))
+        linenos = linenos[keep]
+    return tokens, linenos
+
+
+def _fields(tokens):
+    """All tokens of a section in one list, the number of tokens on each
+    line, and the index of each line's first token in the list."""
+    lens = np.fromiter(map(len, tokens), np.intp, len(tokens))
+    return list(chain.from_iterable(tokens)), lens, np.cumsum(lens) - lens
+
+
+def _take(items, positions):
+    """The items at ``positions``, as a list."""
+    return list(map(items.__getitem__, positions.tolist()))
+
+
+def _pairs(flat, skip, count):
+    """Split the (row, value) pairs out of a section's tokens.
+
+    ``skip`` holds the positions of the tokens outside any pair, and
+    ``count`` each line's number of pairs.  Returns the row tokens, the
+    value tokens and each pair's line.
+    """
+    keep = np.ones(len(flat), dtype=bool)
+    keep[skip] = False
+    rest = list(compress(flat, keep))
+    return rest[0::2], rest[1::2], np.repeat(np.arange(len(count)), count)
+
+
+def _read_rows(tokens, linenos):
+    """Read ROWS: the objective row's name, and the names and kinds of the
+    constraint rows.  ``rows`` maps each row name to its index among the
+    constraint rows, or to ``_OBJECTIVE``."""
+    flat, lens, _ = _fields(tokens)
+    line_checks = [(lens != 2,
+                    lambda k: "ROWS line needs a type and a name")]
+    stop = _lines_before_failure(line_checks, len(tokens))
+    kinds = list(map(str.upper, flat[0:2 * stop:2]))
+    names = flat[1:2 * stop:2]
+    objective = np.fromiter(map("N".__eq__, kinds), bool, stop)
+    first_line = dict(zip(reversed(names), range(stop - 1, -1, -1)))
+    _raise_first([
+        (objective & (np.cumsum(objective) > 1),
+         lambda k: "multiple objective (N) rows"),
+        (~np.fromiter(map(_ROW_KINDS.__contains__, kinds), bool, stop),
+         lambda k: "unknown row type %r" % tokens[k][0]),
+        (np.fromiter(map(first_line.__getitem__, names), np.intp, stop)
+         != np.arange(stop),
+         lambda k: "duplicate row name %r" % names[k]),
+    ], linenos)
+    _raise_first(line_checks, linenos)
+    row_names = list(compress(names, ~objective))
+    rows = dict(zip(row_names, range(len(row_names))))
+    name = names[int(objective.argmax())] if objective.any() else None
+    if name is not None:
+        rows[name] = _OBJECTIVE
+    return name, row_names, np.array(kinds, dtype=str)[~objective], rows
+
+
+def _read_columns(tokens, linenos, rows, markers):
+    """Read COLUMNS: the columns in order of first appearance, the costs,
+    and the row, the column and the value of every matrix entry, row by
+    row in ascending columns.  ``markers`` says whether the text holds
+    the word MARKER."""
+    flat, lens, start = _fields(tokens)
+    line_checks = [
+        (np.fromiter((not _MARKERS.isdisjoint(t) for t in tokens), bool,
+                     len(tokens)) if markers else np.zeros(len(tokens), bool),
+         lambda k: "integer markers are not supported"),
+        ((lens < 3) | (lens % 2 == 0),
+         lambda k: "COLUMNS line needs (row, value) pairs")]
+    stop = _lines_before_failure(line_checks, len(tokens))
+    lens, start = lens[:stop], start[:stop]
+    flat = flat[:int(lens.sum())]
+    names = _take(flat, start)
+    row_tokens, value_tokens, line_of = _pairs(flat, start, (lens - 1) // 2)
+    cols = dict.fromkeys(names)
+    cols = dict(zip(cols, range(len(cols))))
+    j = np.fromiter(map(cols.__getitem__, names), np.intp, stop)[line_of]
+    i = np.fromiter(map(rows.get, row_tokens, repeat(_UNKNOWN)), np.intp,
+                    len(row_tokens))
+    values, bad = _numbers(value_tokens)
+    cost = i == _OBJECTIVE
+    # One sort of the entries' keys finds the repeats and orders the
+    # entries for the CSR matrix.
+    entries, repeat_entry = _sort_repeats(i * len(cols) + j, i >= 0)
+    _raise_first([
+        (bad, lambda p: _number_error(value_tokens[p])),
+        (_sort_repeats(j, cost)[1],
+         lambda p: "duplicate objective entry for column %r"
+         % names[line_of[p]]),
+        (i == _UNKNOWN, lambda p: "unknown row %r" % row_tokens[p]),
+        (repeat_entry, lambda p: "duplicate entry for row %r, column %r"
+         % (row_tokens[p], names[line_of[p]])),
+    ], linenos, line_of)
+    _raise_first(line_checks, linenos)
+    c = np.zeros(len(cols))
+    c[j[cost]] = values[cost]
+    return cols, c, (i[entries], j[entries], values[entries])
+
+
+def _read_pairs(section, tokens, linenos, rows):
+    """Read RHS or RANGES: the row index (``_OBJECTIVE`` for the objective
+    row) and the value of every (row, value) pair.
+
+    The leading set name is optional in the wild; it is taken as absent
+    when a line has an even number of tokens and starts with a row name.
+    """
+    flat, lens, start = _fields(tokens)
+    named = ~(np.fromiter(map(rows.__contains__, _take(flat, start)), bool,
+                          len(tokens)) & (lens % 2 == 0))
+    body = lens - named
+    line_checks = [((body == 0) | (body % 2 != 0),
+                    lambda k: "%s line needs (row, value) pairs" % section)]
+    stop = _lines_before_failure(line_checks, len(tokens))
+    flat = flat[:int(lens[:stop].sum())]
+    row_tokens, value_tokens, line_of = _pairs(
+        flat, start[:stop][named[:stop]], body[:stop] // 2)
+    i = np.fromiter(map(rows.get, row_tokens, repeat(_UNKNOWN)), np.intp,
+                    len(row_tokens))
+    values, bad = _numbers(value_tokens)
+    # The objective row takes an RHS (its constant) but no range.
+    unknown = i == _UNKNOWN if section == "RHS" else i < 0
+    number, known, once = (
+        (bad, lambda p: _number_error(value_tokens[p])),
+        (unknown, lambda p: "%s for unknown row %r"
+         % (section, row_tokens[p])),
+        (_sort_repeats(i, ~unknown)[1], lambda p: "duplicate %s for row %r"
+         % (section, row_tokens[p])))
+    checks = ([number, known, once] if section == "RHS"
+              else [known, once, number])
+    _raise_first(checks, linenos, line_of)
+    _raise_first(line_checks, linenos)
+    return i, values
+
+
+def _read_bounds(tokens, linenos, cols):
+    """Read BOUNDS: the type code, the column index and the value (nan
+    for FR, MI and PL) of every line.
+
+    An optional bound-set name sits between the type and the column.
+    """
+    flat, lens, start = _fields(tokens)
+    codes = np.fromiter(map(_BOUND_CODES.get,
+                            map(str.upper, _take(flat, start)), repeat(-1)),
+                        np.intp, len(tokens))
+    has_value = codes < 3
+    want = 2 + has_value
+    named = lens == want + 1
+    line_checks = [
+        (codes < 0, lambda k: "unknown bound type %r" % tokens[k][0]),
+        ((lens != want) & ~named, lambda k: "malformed BOUNDS line")]
+    stop = _lines_before_failure(line_checks, len(tokens))
+    start, named, has_value = start[:stop], named[:stop], has_value[:stop]
+    column = start + 1 + named
+    col_tokens = _take(flat, column)
+    value_tokens = _take(flat, (column + 1)[has_value])
+    j = np.fromiter(map(cols.get, col_tokens, repeat(-1)), np.intp, stop)
+    values = np.full(stop, np.nan)
+    bad = np.zeros(stop, dtype=bool)
+    values[has_value], bad[has_value] = _numbers(value_tokens, bound=True)
+    value_of = np.cumsum(has_value) - 1
+    _raise_first([
+        (j < 0, lambda k: "bound for unknown column %r" % col_tokens[k]),
+        (bad, lambda k: _number_error(value_tokens[value_of[k]])),
+    ], linenos)
+    _raise_first(line_checks, linenos)
+    return codes[:stop], j, values
+
+
+def _no_data(body, message):
+    """Raise ``message`` on the first data line of a section that takes
+    none."""
+    linenos = body[1]
+    if linenos.size:
+        raise MpsParseError(message, int(linenos[0]))
 
 
 def parse_mps(text):
@@ -256,127 +417,152 @@ def parse_mps(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
 
-    reader = _Reader()
-    section = None
+    lines = text.splitlines()
+    # A header is a line whose first character is neither blank nor a
+    # tab, unless the line is blank or a comment.
+    first = np.array(lines, dtype="U1")
+    heads = [int(h) for h in np.flatnonzero((first != " ") & (first != "\t"))
+             if lines[h][:1] not in " \t"
+             and (t := lines[h].split()) and not t[0].startswith("*")]
+    ends = heads[1:] + [len(lines)]
+    comments = "*" in text
+    markers = "MARKER" in text
+
+    # What an absent section leaves.
+    no_index, no_values = np.zeros(0, dtype=np.intp), np.zeros(0)
+    name = ""
+    objective, row_names, kinds, rows = None, [], np.zeros(0, str), {}
+    cols, c, entries = {}, no_values, (no_index, no_index, no_values)
+    rhs = ranges = (no_index, no_values)
+    bounds = (no_index, no_index, no_values)
+
+    _no_data(_tokenize(lines[:heads[0] if heads else len(lines)], 1,
+                       comments), "data line outside any section")
     seen = []
-
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("*"):
-            continue
-        if line[0] not in (" ", "\t"):
-            tokens = line.split()
-            keyword = tokens[0].upper()
-            if keyword not in _SECTIONS:
-                raise MpsParseError("unknown section %r" % tokens[0], lineno)
-            if section == "ENDATA":
-                raise MpsParseError("content after ENDATA", lineno)
-            if seen and _SECTIONS.index(keyword) <= _SECTIONS.index(seen[-1]):
-                raise MpsParseError("section %s out of order" % keyword,
-                                    lineno)
-            if keyword in ("COLUMNS", "RHS", "RANGES", "BOUNDS") and \
-                    "ROWS" not in seen:
-                raise MpsParseError("section %s before ROWS" % keyword,
-                                    lineno)
-            seen.append(keyword)
-            section = keyword
-            if keyword == "NAME":
-                reader.name = tokens[1] if len(tokens) > 1 else ""
-            continue
-
-        tokens = line.split()
-        if section == "ROWS":
-            reader.rows_line(tokens, lineno)
-        elif section == "COLUMNS":
-            reader.columns_line(tokens, lineno)
-        elif section == "RHS":
-            reader.rhs_line(tokens, lineno)
-        elif section == "RANGES":
-            reader.ranges_line(tokens, lineno)
-        elif section == "BOUNDS":
-            reader.bounds_line(tokens, lineno)
-        elif section == "ENDATA":
+    for head, end in zip(heads, ends):
+        lineno = head + 1
+        tokens = lines[head].split()
+        keyword = tokens[0].upper()
+        if keyword not in _SECTIONS:
+            raise MpsParseError("unknown section %r" % tokens[0], lineno)
+        if seen[-1:] == ["ENDATA"]:
             raise MpsParseError("content after ENDATA", lineno)
-        elif section in ("NAME", None):
-            raise MpsParseError("data line outside any section", lineno)
+        if seen and _SECTIONS.index(keyword) <= _SECTIONS.index(seen[-1]):
+            raise MpsParseError("section %s out of order" % keyword, lineno)
+        if keyword in ("COLUMNS", "RHS", "RANGES", "BOUNDS") and \
+                "ROWS" not in seen:
+            raise MpsParseError("section %s before ROWS" % keyword, lineno)
+        seen.append(keyword)
 
-    if section != "ENDATA":
+        body = _tokenize(lines[head + 1:end], lineno + 1, comments)
+        if keyword == "NAME":
+            name = tokens[1] if len(tokens) > 1 else ""
+            _no_data(body, "data line outside any section")
+        elif keyword == "ROWS":
+            objective, row_names, kinds, rows = _read_rows(*body)
+        elif keyword == "COLUMNS":
+            cols, c, entries = _read_columns(*body, rows, markers)
+        elif keyword == "RHS":
+            rhs = _read_pairs("RHS", *body, rows)
+        elif keyword == "RANGES":
+            ranges = _read_pairs("RANGES", *body, rows)
+        elif keyword == "BOUNDS":
+            bounds = _read_bounds(*body, cols)
+        else:
+            _no_data(body, "content after ENDATA")
+        del body    # free the section's tokens before the next is split
+
+    if seen[-1:] != ["ENDATA"]:
         raise MpsParseError("missing ENDATA")
-    if reader.objective_name is None:
+    if objective is None:
         raise MpsParseError("no objective (N) row")
-    if not reader.cols:
+    if not cols:
         raise MpsParseError("no columns")
 
-    return _assemble(reader)
+    return _assemble(name, objective, row_names, kinds, list(cols), c,
+                     entries, rhs, ranges, bounds)
 
 
-def _assemble(reader):
-    """Build the :class:`RawLP` from the reader's row and entry tables.
+def _set_last(target, idx, values):
+    """``target[idx] = values`` item by item: where an index repeats, its
+    last value wins."""
+    last = ~_sort_repeats(idx[::-1], np.ones(len(idx), dtype=bool))[1][::-1]
+    target[idx[last]] = values[last]
 
-    All constraint rows form one CSR matrix, and each block is a row pick
-    of it.  A range ``r`` turns a single row into a two-sided constraint
-    ``low <= a@x <= high`` per the classical convention, picked as a G row
-    (the lower side) and an L row (the upper side).  The generated partner
-    row is named ``<row>__RNG``.
+
+def _assemble(name, objective, row_names, kinds, col_names, c, entries, rhs,
+              ranges, bounds):
+    """Build the :class:`RawLP` from the sections' arrays.
+
+    The entries come row by row in ascending columns, as in one CSR
+    matrix of all constraint rows, and each block picks its rows from
+    them.  A range ``r`` turns a single row into a two-sided constraint
+    ``low <= a@x <= high`` per the classical convention, picked as a G
+    row (the lower side) and an L row (the upper side).  The generated
+    partner row is named ``<row>__RNG``.
     """
-    n, m = len(reader.cols), len(reader.rows)
-    c = np.zeros(n)
-    for j, v in reader.obj_coeffs.items():
-        c[j] = v
+    n, m = len(col_names), len(row_names)
+    i, j, values = entries
+    per_row = np.bincount(i, minlength=m)
 
+    rhs_rows, rhs_values = rhs
+    on_objective = rhs_rows == _OBJECTIVE
+    b = np.zeros(m)
+    b[rhs_rows[~on_objective]] = rhs_values[~on_objective]
+    # RHS on the objective row is the negated constant term.
+    constant = (-float(rhs_values[on_objective][0]) if on_objective.any()
+                else 0.0)
+    is_e, is_g, is_l = kinds == "E", kinds == "G", kinds == "L"
+    ranged = np.zeros(m, dtype=bool)
+    low = high = b
+    if ranges[0].size:
+        r = np.zeros(m)
+        r[ranges[0]] = ranges[1]
+        ranged[ranges[0]] = True
+        ranged &= ~is_e | (r != 0.0)
+        spread = np.abs(r)
+        low = np.where(is_g, b, np.where(is_l, b - spread,
+                                         np.where(r > 0, b, b + r)))
+        high = np.where(is_g, b + spread, np.where(is_l, b,
+                                                   np.where(r > 0, b + r, b)))
+    all_names = np.array(row_names, dtype=object)
+
+    def pick(in_block, rhs, tagged):
+        idx = in_block.nonzero()[0]
+        take = in_block[i]
+        indptr = np.zeros(len(idx) + 1, dtype=np.intp)
+        np.cumsum(per_row[idx], out=indptr[1:])
+        A = sp.csr_array((values[take], j[take], indptr),
+                         shape=(len(idx), n))
+        picked, tagged = all_names[idx], tagged[idx]
+        picked[tagged] = picked[tagged] + "__RNG"
+        return A, rhs[idx], picked.tolist()
+
+    # No E row left in its block is ranged, so none is tagged.
+    A_eq, b_eq, r_eq = pick(is_e & ~ranged, b, ranged)
+    A_ge, b_ge, r_ge = pick(is_g | ranged, np.where(ranged, low, b),
+                            ranged & is_l)
+    A_le, b_le, r_le = pick(is_l | ranged, np.where(ranged, high, b),
+                            ranged & ~is_l)
+
+    codes, cols, bound_values = bounds
     lower = np.zeros(n)
     upper = np.full(n, np.inf)
-    for btype, j, value, lineno in reader.bound_records:
-        if btype == "LO":
-            lower[j] = value
-        elif btype == "UP":
-            upper[j] = value
-        elif btype == "FX":
-            lower[j] = upper[j] = value
-        elif btype == "FR":
-            lower[j], upper[j] = -np.inf, np.inf
-        elif btype == "MI":
-            lower[j] = -np.inf
-        elif btype == "PL":
-            upper[j] = np.inf
-
-    # kind -> (row indices, row names, right-hand sides) of its block
-    picks = {"E": ([], [], []), "G": ([], [], []), "L": ([], [], [])}
-    for rname, (i, kind) in reader.rows.items():
-        b = reader.rhs.get(i, 0.0)
-        r = reader.ranges.get(i)
-        if r is None or (kind == "E" and r == 0.0):
-            sides = ((kind, rname, b),)
-        else:
-            if kind == "G":
-                low, high = b, b + abs(r)
-            elif kind == "L":
-                low, high = b - abs(r), b
-            else:
-                low, high = (b, b + r) if r > 0 else (b + r, b)
-            g_name = rname + "__RNG" if kind == "L" else rname
-            l_name = rname if kind == "L" else rname + "__RNG"
-            sides = (("G", g_name, low), ("L", l_name, high))
-        for kind, name, value in sides:
-            picks[kind][0].append(i)
-            picks[kind][1].append(name)
-            picks[kind][2].append(value)
-
-    nnz = len(reader.entries)
-    cols, rows = np.divmod(np.fromiter(reader.entries, np.int64, nnz), m)
-    A = sp.csr_array((np.fromiter(reader.entries.values(), float, nnz),
-                      (rows, cols)), shape=(m, n))
-    (A_eq, b_eq, r_eq), (A_ge, b_ge, r_ge), (A_le, b_le, r_le) = (
-        (A[np.asarray(idx, dtype=np.intp)], np.asarray(b, dtype=float),
-         names) for idx, names, b in picks.values())
+    if codes.size:
+        valued = codes < 3
+        sets = _SETS_LOWER[codes]
+        _set_last(lower, cols[sets],
+                  np.where(valued, bound_values, -np.inf)[sets])
+        sets = _SETS_UPPER[codes]
+        _set_last(upper, cols[sets],
+                  np.where(valued, bound_values, np.inf)[sets])
     return RawLP(
-        name=reader.name, col_names=list(reader.cols), c=c,
+        name=name, col_names=col_names, c=c,
         A_eq=A_eq, b_eq=b_eq, row_names_eq=r_eq,
         A_ge=A_ge, b_ge=b_ge, row_names_ge=r_ge,
         A_le=A_le, b_le=b_le, row_names_le=r_le,
         lower=lower, upper=upper,
-        objective_name=reader.objective_name,
-        # RHS on the objective row is the negated constant term.
-        objective_constant=-reader.rhs[-1] if -1 in reader.rhs else 0.0,
+        objective_name=objective, objective_constant=constant,
     )
 
 

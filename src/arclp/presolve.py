@@ -212,7 +212,8 @@ def presolve(lp):
                         "singleton row %d forces a negative value"
                         % row_ids[i])
                 v = max(v, 0.0)
-                b -= A[:, [j]].toarray().ravel() * v
+                lo, hi = A.indptr[j], A.indptr[j + 1]
+                b[A.indices[lo:hi]] -= A.data[lo:hi] * v
                 shift += c[j] * v
                 report.fixed_values[int(col_ids[j])] = v
                 fixed_cols.append(j)

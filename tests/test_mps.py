@@ -1,10 +1,12 @@
 """Parser tests: fixture files, dialect corners, errors, round-trips."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from arclp.mps import MpsParseError, parse_mps, write_mps
+from arclp.mps import MpsParseError, RawLP, parse_mps, write_mps
 
 from conftest import FIX1_MPS, FIX2_MPS, raw_lps
 
@@ -294,3 +296,164 @@ def test_netlib_files_parse(netlib_dir):
         sizes[path.stem] = (lp.n_rows, lp.n_cols)
     assert sizes["afiro"] == (27, 32)
     assert sizes["kb2"] == (43, 41)
+
+
+def _long_lp():
+    """700 columns, each with a cost and entries in two of 30 L rows, and
+    an upper bound on each: its MPS text runs to 2867 lines."""
+    n, m = 700, 30
+    j = np.arange(n)
+    # 6j + 3 is never a multiple of 30, so a column's two rows differ.
+    A_le = sp.csr_array((np.repeat([1.0, 2.0], n),
+                         (np.concatenate([j % m, (7 * j + 3) % m]),
+                          np.concatenate([j, j]))), shape=(m, n))
+    empty = sp.csr_array((0, n))
+    return RawLP(name="LONG", col_names=["X%d" % k for k in range(n)],
+                 c=np.ones(n), A_eq=empty, b_eq=np.zeros(0), row_names_eq=[],
+                 A_ge=empty, b_ge=np.zeros(0), row_names_ge=[],
+                 A_le=A_le, b_le=np.full(m, 5.0),
+                 row_names_le=["R%d" % i for i in range(m)],
+                 lower=np.zeros(n), upper=np.full(n, 9.0))
+
+
+LONG_LINES = write_mps(_long_lp()).splitlines()
+
+
+def _line_of(*tokens):
+    """1-based number of the first line of the long text that starts with
+    ``tokens``."""
+    return next(k for k, line in enumerate(LONG_LINES, start=1)
+                if line.split()[:len(tokens)] == list(tokens))
+
+
+def _long_text(edits):
+    """The long text with ``{lineno: replacement lines}`` applied; the
+    replacement holds the old line when lines are inserted before it."""
+    lines = list(LONG_LINES)
+    for lineno in sorted(edits, reverse=True):
+        lines[lineno - 1:lineno] = edits[lineno]
+    return "\n".join(lines) + "\n"
+
+
+COST = _line_of("X500", "COST")     # X500's cost line; its entries follow
+ENTRY = COST + 1
+RHS_R17 = _line_of("RHS", "R17")
+BOUNDS = _line_of("BOUNDS")
+BOUND_X300 = _line_of("UP", "BND", "X300")
+ENTRY_ROW = LONG_LINES[ENTRY - 1].split()[1]
+
+
+def _entry(*fields):
+    return "    " + "  ".join(fields)
+
+
+class TestErrorsPastLine1000:
+    """Each body error, placed past line 1000 of a 2867-line text, gives
+    its exact message and line."""
+
+    @pytest.mark.parametrize("edits, lineno, message", [
+        ({ENTRY: [_entry("X500", ENTRY_ROW, "1.2.3")]}, ENTRY,
+         "bad numeric field '1.2.3'"),
+        ({ENTRY: [_entry("X500", ENTRY_ROW, "nan")]}, ENTRY,
+         "non-finite numeric field 'nan'"),
+        ({ENTRY: [_entry("X500", ENTRY_ROW, "-inf")]}, ENTRY,
+         "non-finite numeric field '-inf'"),
+        ({ENTRY: [_entry("X500", "NOPE", "1.0")]}, ENTRY,
+         "unknown row 'NOPE'"),
+        ({ENTRY: [LONG_LINES[ENTRY - 1]] * 2}, ENTRY + 1,
+         "duplicate entry for row '%s', column 'X500'" % ENTRY_ROW),
+        ({COST: [LONG_LINES[COST - 1]] * 2}, COST + 1,
+         "duplicate objective entry for column 'X500'"),
+        ({ENTRY: [LONG_LINES[ENTRY - 1] + "  R1"]}, ENTRY,
+         "COLUMNS line needs (row, value) pairs"),
+        ({ENTRY: [_entry("MARKER", "'MARKER'", "'INTORG'"),
+                  LONG_LINES[ENTRY - 1]]}, ENTRY,
+         "integer markers are not supported"),
+        ({RHS_R17: [LONG_LINES[RHS_R17 - 1]] * 2}, RHS_R17 + 1,
+         "duplicate RHS for row 'R17'"),
+        ({BOUNDS: ["RANGES", _entry("RNG", "NOPE", "1.0"), "BOUNDS"]},
+         BOUNDS + 1, "RANGES for unknown row 'NOPE'"),
+        ({BOUND_X300: [" UP BND       X9999     9.0"]}, BOUND_X300,
+         "bound for unknown column 'X9999'"),
+        ({BOUND_X300: [" UP BND       X300      9.0       1.0"]},
+         BOUND_X300, "malformed BOUNDS line"),
+    ])
+    def test_message_and_line(self, edits, lineno, message):
+        assert len(LONG_LINES) > 2000 and lineno > 1000
+        with pytest.raises(MpsParseError) as info:
+            parse_mps(_long_text(edits))
+        assert str(info.value) == "line %d: %s" % (lineno, message)
+        assert info.value.lineno == lineno
+
+    def test_unedited_text_parses(self):
+        assert parse_mps(_long_text({})) == _long_lp()
+
+    @pytest.mark.parametrize("edits, lineno, message", [
+        # Errors in two sections: the earlier line wins.
+        ({ENTRY: [_entry("X500", ENTRY_ROW, "1.2.3")],
+          BOUND_X300: [" UP BND       X9999     9.0"]}, ENTRY,
+         "bad numeric field '1.2.3'"),
+        # Two errors on one line: a pair's number is read before its row,
+        ({ENTRY: [_entry("X500", "NOPE", "1.2.3")]}, ENTRY,
+         "bad numeric field '1.2.3'"),
+        # and an earlier pair before a later one.
+        ({ENTRY: [_entry("X500", "NOPE", "1.0", "R3", "1.2.3")]}, ENTRY,
+         "unknown row 'NOPE'"),
+        # A body error before a bad header, and a bad header before one.
+        ({ENTRY: [_entry("X500", ENTRY_ROW, "1.2.3")],
+          BOUNDS: ["BADSECTION", "BOUNDS"]}, ENTRY,
+         "bad numeric field '1.2.3'"),
+        ({1200: ["BADSECTION", LONG_LINES[1199]],
+          ENTRY: [_entry("X500", ENTRY_ROW, "1.2.3")]}, 1200,
+         "unknown section 'BADSECTION'"),
+    ])
+    def test_first_error_wins(self, edits, lineno, message):
+        with pytest.raises(MpsParseError) as info:
+            parse_mps(_long_text(edits))
+        assert str(info.value) == "line %d: %s" % (lineno, message)
+
+
+def _relayout(text, rnd):
+    """The same LP in another layout: COLUMNS and RHS lines of 3 or 5
+    tokens, tabs, comment and blank lines, CRLF line ends, RHS set names
+    present or dropped and Fortran ``D`` exponents."""
+    lines = text.splitlines()
+    out = []
+    section = None
+    k = 0
+    while k < len(lines):
+        tokens = lines[k].split()
+        k += 1
+        if not lines[k - 1].startswith(" "):
+            section = tokens[0]
+            out.append(lines[k - 1])
+            continue
+        values = []
+        if section in ("COLUMNS", "RHS"):
+            if (k < len(lines) and lines[k].startswith(" ")
+                    and lines[k].split()[0] == tokens[0] and rnd.random() < 0.5):
+                tokens += lines[k].split()[1:]
+                k += 1
+            values = range(2, len(tokens), 2)
+        elif len(tokens) == 4:
+            values = [3]
+        tokens = list(tokens)
+        for v in values:
+            if rnd.random() < 0.3:
+                tokens[v] = (tokens[v].replace("e", rnd.choice("Dd"))
+                             if "e" in tokens[v]
+                             else tokens[v] + rnd.choice(["D0", "d+00"]))
+        if section == "RHS" and rnd.random() < 0.5:
+            tokens = tokens[1:]
+        out.append(rnd.choice([" ", "\t", "    "])
+                   + rnd.choice([" ", "   ", "\t", " \t "]).join(tokens))
+        if rnd.random() < 0.1:
+            out.append(rnd.choice(["", "* comment", "   * comment", "\t"]))
+    end = rnd.choice(["\n", "\r\n"])
+    return end.join(out) + end
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_lps(), rnd=st.randoms(use_true_random=False))
+def test_layout_does_not_change_the_lp(raw, rnd):
+    assert parse_mps(_relayout(write_mps(raw), rnd)) == raw
