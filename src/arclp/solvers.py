@@ -10,8 +10,10 @@ and ``alg2`` and ``arc`` share one:
 
 ``alg1``
     Neighborhood-confined arc search.  The momentum restart is guarded by
-    membership in ``N(theta)``, every step keeps the iterate inside the
-    (doubled) neighborhood, and a corrector recenters after each arc step.
+    membership in ``N(theta)``.  Each arc step takes the largest angle
+    whose whole arc stays inside the doubled neighborhood, in closed form
+    as the first root of a degree-8 polynomial in ``tan(alpha / 2)``, and
+    a corrector recenters after it.
     Its contraction invariants hold to rounding; breaches are recorded in
     ``SolveResult.invariant_violations``.
 ``alg2``
@@ -31,6 +33,7 @@ report the same immature-stop taxonomy.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -429,28 +432,155 @@ def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
     return check
 
 
+def _anti_diagonal_sums(size):
+    """Matrix mapping the flattened outer product of two coefficient
+    vectors of length ``size`` to the coefficients of their product."""
+    degree = np.add.outer(np.arange(size), np.arange(size)).ravel()
+    return (degree == np.arange(2 * size - 1)[:, None]).astype(float)
+
+
+# With u = tan(alpha / 2), (1 + u**2) arc_point(w, d1, d2, alpha) is the
+# quadratic w - 2 d1 u + (w + 2 d2) u**2, and (1 + u**2)**2 (1 - sin alpha)
+# is the quartic _T(u).  Coefficients run lowest first.
+_ARC_QUADRATIC = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0],
+                           [1.0, 0.0, 2.0]])
+# Maps the 9 products of (w, d1, d2) and (v, e1, e2) to the quartic
+# coefficients of the product of the two arcs' quadratics.
+_ARC_PRODUCT = _anti_diagonal_sums(3) @ np.kron(_ARC_QUADRATIC,
+                                                _ARC_QUADRATIC)
+_SQUARE_SUM = _anti_diagonal_sums(5)
+_T = np.array([1.0, -2.0, 2.0, -2.0, 1.0])
+_T_SQUARED = np.convolve(_T, _T)
+
+
+def _cell_maps(cells, degree=8):
+    """Maps from the power coefficients of ``p`` on ``[0, 1]``, cut into
+    the cells ``[k, k + 1] / cells``.  ``power[k]`` gives the power
+    coefficients of ``t -> p((k + t) / cells)``; ``(p @ bernstein)
+    .reshape(degree + 1, cells)`` holds those polynomials' Bernstein
+    coefficients on ``[0, 1]``, one cell per column."""
+    i = np.arange(degree + 1)
+    binom = np.array([[math.comb(r, j) for j in i] for r in i], dtype=float)
+    start = np.arange(cells)[:, None, None] / cells
+    # power[k, j, r] = C(r, j) start_k**(r - j) / cells**j for r >= j.
+    power = (binom.T * start ** np.maximum(i - i[:, None], 0)
+             / float(cells) ** i[:, None])
+    bernstein = (binom / binom[degree]) @ power
+    return power, bernstein.transpose(2, 1, 0).reshape(degree + 1, -1)
+
+
+_CELLS = 64
+_CELL_POWER, _CELL_BERNSTEIN = _cell_maps(_CELLS)
+# Nested cells past this depth are 64**-6 wide; the search stops there.
+_MAX_DEPTH = 5
+
+
+def _first_root(p, depth=0):
+    """Least ``t`` in ``[0, 1]`` with ``p(t) >= 0``, or None when ``p < 0``
+    on all of ``[0, 1]``; ``p`` holds the 9 power coefficients of a
+    polynomial of degree 8, lowest first, with ``p(0) < 0``.
+
+    A cell whose Bernstein coefficients are all negative holds no root
+    (convex hull property).  In the first other cell, a single sign change
+    of those coefficients means a single root, which safeguarded Newton
+    finds; more sign changes mean up to as many roots, and the cell is
+    searched the same way.  Two roots inside one cell are thus never
+    stepped over.
+    """
+    bern = (p @ _CELL_BERNSTEIN).reshape(-1, _CELLS)
+    for k in np.flatnonzero(bern.max(axis=0) >= 0.0):
+        up = [b >= 0.0 for b in bern[:, k].tolist()]
+        cell = _CELL_POWER[k] @ p
+        if up[0] or depth == _MAX_DEPTH:
+            t = 0.0
+        elif up[-1] and up == sorted(up):        # a single sign change
+            t = _bracketed_root(cell.tolist())
+        else:
+            t = _first_root(cell, depth + 1)
+            if t is None:
+                continue
+        return (k + t) / _CELLS
+    return None
+
+
+def _bracketed_root(p):
+    """The only root in ``(0, 1]`` of ``p`` (power coefficients, lowest
+    first), given ``p(0) < 0 <= p(1)``, to 1e-13: Newton's method, with a
+    bisection step whenever Newton leaves the bracket."""
+    lo, hi = 0.0, 1.0
+    t = p[0] / (p[0] - sum(p))
+    for _ in range(60):
+        v = dv = 0.0
+        for c in reversed(p):
+            dv = dv * t + v
+            v = v * t + c
+        step = v / dv if dv != 0.0 else math.inf
+        if abs(step) <= 1e-13:
+            break
+        if v < 0.0:
+            lo = t
+        else:
+            hi = t
+        t -= step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+    return t
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _guarded_angle(z, s, dz, ds, ddz, dds, mu_z, theta):
+    """Largest angle ``alpha`` in ``[0, pi/2)`` such that every angle in
+    ``[0, alpha]`` is admissible (:func:`_alg1_admissible`), in closed form.
+
+    With ``u = tan(alpha / 2)``, ``(1 + u**2) x(alpha)`` is the quadratic
+    ``z - 2 dz u + (z + 2 ddz) u**2``, and likewise for ``s``.  Each
+    component gives a quartic ``Q_i = X_i S_i / mu_z - T``, and the
+    doubled proximity test reads ``g(u) = sum_i Q_i**2 - 4 theta**2 T**2
+    <= 0``; the coefficients of ``g`` are anti-diagonal sums of the
+    quartics' 5x5 Gram matrix.  ``g(0) < 0`` for ``z`` in ``N(theta)``
+    and ``g(1) >= 0``, so the angle is ``2 atan(u*)`` for the first root
+    ``u*`` of ``g`` in ``(0, 1]`` (Y. Yang, *Arc-Search Techniques for
+    Interior-Point Methods*, CRC Press, 2020).  Up to that angle,
+    ``x_i s_i >= (1 - 2 theta)(1 - sin alpha) mu_z > 0``, so no component
+    changes sign and positivity needs no test of its own.
+
+    The root is taken 1e-10 short; if rounding still leaves the angle
+    inadmissible, it shrinks by a relative 1e-12, sixteen times more per
+    retry, until it is not.  Nonfinite coefficients give the angle 0.
+    """
+    products = (np.array((z, dz, ddz))[:, None]
+                * np.array((s, ds, dds))).reshape(9, -1)
+    quartics = (_ARC_PRODUCT / mu_z) @ products - _T[:, None]
+    g = (_SQUARE_SUM @ (quartics @ quartics.T).ravel()
+         - 4.0 * theta ** 2 * _T_SQUARED)
+    if not np.isfinite(g).all():
+        return 0.0
+    u = _first_root(g)
+    alpha = 2.0 * np.arctan((1.0 if u is None else u) * (1.0 - 1e-10))
+    admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z, theta)
+    shrink = 1e-12
+    while alpha >= _STEP_FLOOR and not admissible(alpha):
+        alpha *= 1.0 - shrink
+        shrink = min(1.0, 16.0 * shrink)
+    return alpha
+
+
 def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     """Guarded arc step (``alg1``) followed by a corrector.
 
-    The angle backtracks by 0.8 from pi/2 until it, its half and its
-    quarter are admissible.  The corrector then recenters toward
-    ``(1 - sin(alpha)) * mu``, which preserves the contraction
-    invariants that :func:`_alg1_invariants` records: the measure and
-    dual residual shrink by exactly ``1 - sin(alpha)``, primal residual
-    components shrink at least that fast without changing sign, and the
-    iterate stays in ``N(theta)``.
+    The angle is the largest one whose whole arc ``[0, alpha]`` stays in
+    the doubled neighborhood, in closed form (:func:`_guarded_angle`).
+    The corrector then recenters toward ``(1 - sin(alpha)) * mu``, which
+    preserves the contraction invariants that :func:`_alg1_invariants`
+    records: the measure and dual residual shrink by exactly
+    ``1 - sin(alpha)``, primal residual components shrink at least that
+    fast without changing sign, and the iterate stays in ``N(theta)``.
     """
     fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
 
-    admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z,
-                                  config.theta)
-    alpha = np.pi / 2.0
-    while alpha >= _STEP_FLOOR and not (
-            admissible(alpha) and admissible(alpha / 2.0)
-            and admissible(alpha / 4.0)):
-        alpha *= 0.8
+    alpha = _guarded_angle(z, s, dz, ds, ddz, dds, mu_z, config.theta)
     if alpha < _STEP_FLOOR:
         return _Step(status=Status.STEP_TOO_SMALL)
 

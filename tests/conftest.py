@@ -1,6 +1,16 @@
 """Shared fixtures: tiny MPS problems, random feasible LP generators and
 hypothesis strategies for raw LPs."""
-import importlib.util
+import os
+import sys
+
+# Iterates differ in their last bits with the BLAS thread count, so the
+# suite pins one thread, as the benchmark's worker does.  The pin works
+# only if it is set before numpy is first imported.
+assert "numpy" not in sys.modules, "numpy was imported before the BLAS pin"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import importlib.util  # noqa: E402
 from pathlib import Path
 
 import numpy as np

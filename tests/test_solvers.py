@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.core import (arc_point, duality_measure, in_neighborhood,
@@ -19,6 +21,7 @@ from arclp.solvers import (SolverConfig, SolveResult, Status,
 from arclp.standardize import to_standard_form
 
 from conftest import make_standard_lp, random_feasible_lp
+from test_acceptance import REFERENCE_OBJECTIVES
 
 
 def load_netlib(netlib_dir, name):
@@ -217,6 +220,68 @@ class TestStoppingRules:
             assert ok == (mu <= 1e-7)
 
 
+class TestGuardedAngle:
+    """``alg1``'s angle is the largest ``alpha`` such that every angle in
+    ``[0, alpha]`` is admissible."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), theta=st.sampled_from([0.1, 0.25, 0.29]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_angle_is_the_largest_admissible_one(self, n, theta, seed):
+        rng = np.random.default_rng(seed)
+        # z * s = mu (1 + dev) with a centered dev of norm below theta
+        # puts (z, s) in N(theta).
+        z = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        dev = rng.standard_normal(n)
+        dev -= dev.mean()
+        dev *= rng.uniform(0.0, theta) / max(np.linalg.norm(dev), 1e-300)
+        s = 10.0 ** rng.uniform(-4.0, 4.0) * (1.0 + dev) / z
+        assert in_neighborhood(z, s, theta)
+        scale = 10.0 ** rng.uniform(-2.0, 1.0, 4)
+        dz, ddz = z * scale[:2, None] * rng.standard_normal((2, n))
+        ds, dds = s * scale[2:, None] * rng.standard_normal((2, n))
+        mu_z = duality_measure(z, s)
+        derivatives = (dz, ds, ddz, dds)
+        alpha = arclp.solvers._guarded_angle(z, s, *derivatives, mu_z,
+                                             theta)
+        admissible = arclp.solvers._alg1_admissible(z, s, *derivatives,
+                                                    mu_z, theta)
+        assert 0.0 <= alpha < np.pi / 2.0
+        assert all(admissible(a) for a in np.linspace(0.0, alpha, 1001)[1:])
+        beyond = alpha * (1.0 + 1e-6)
+        if alpha >= arclp.solvers._STEP_FLOOR and beyond < np.pi / 2.0:
+            assert not all(admissible(a) for a in
+                           np.linspace(alpha, beyond, 51)[1:])
+
+    def test_stops_before_a_short_inadmissible_gap(self):
+        # With s fixed, x(alpha) / (1 - sin alpha) leaves the band
+        # [1 - 2 theta, 1 + 2 theta] exactly where the quadratic
+        # kappa (u - r1) (u - r2) in u = tan(alpha / 2) is positive: on a
+        # gap of width 1e-4, after which the arc is admissible again.
+        theta, r1, r2 = 0.25, 0.41, 0.4101
+        kappa = -theta / (r1 * r2)
+        z, s = np.ones(1), np.ones(1)
+        dz = np.array([1.0 + 2.0 * theta + kappa * (r1 + r2)])
+        ddz = np.array([theta + kappa])
+        derivatives = (dz, np.zeros(1), ddz, np.zeros(1))
+        admissible = arclp.solvers._alg1_admissible(z, s, *derivatives,
+                                                    1.0, theta)
+        assert not admissible(2.0 * np.arctan(0.5 * (r1 + r2)))
+        assert admissible(2.0 * np.arctan(0.5))
+        alpha = arclp.solvers._guarded_angle(z, s, *derivatives, 1.0, theta)
+        assert_allclose(alpha, 2.0 * np.arctan(r1), rtol=1e-9)
+        assert alpha <= 2.0 * np.arctan(r1)
+
+    def test_nonfinite_derivatives_give_angle_zero(self):
+        z = s = np.ones(2)
+        dz = np.array([np.inf, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            alpha = arclp.solvers._guarded_angle(z, s, dz, dz, dz, dz, 1.0,
+                                                 0.25)
+        assert alpha == 0.0
+
+
 class TestGuardedSolver:
     def test_stays_in_neighborhood(self, small_lp):
         cfg = SolverConfig(algorithm="alg1", trace=True)
@@ -258,6 +323,25 @@ class TestGuardedSolver:
         assert res.status == Status.OPTIMAL
         assert res.invariant_violations == []
         assert_allclose(res.objective, -4.6475314286e2, rtol=1e-5)
+
+    def test_netlib_set_in_fewer_iterations(self, netlib_dir):
+        # The exact guarded angle takes 171 iterations over the set; a
+        # 0.8x backtracking search checked at alpha, alpha/2 and alpha/4
+        # took 197.
+        total = 0
+        for name, certified in REFERENCE_OBJECTIVES.items():
+            lp = load_netlib(netlib_dir, name)
+            res = solve(lp, SolverConfig(algorithm="alg1"))
+            assert res.status == Status.OPTIMAL, name
+            assert res.invariant_violations == [], name
+            assert_allclose(res.objective, certified, rtol=1e-5)
+            total += res.iterations
+            if name in ("afiro", "kb2"):
+                res = solve(lp, SolverConfig(algorithm="alg1",
+                                             stop_rule="theoretical"))
+                assert res.status == Status.OPTIMAL, name
+                assert res.invariant_violations == [], name
+        assert total <= 180
 
 
 class TestPracticalSolvers:
