@@ -17,17 +17,18 @@ for every right-hand side at that iterate; the factor carries the system.
 ``A_ij * A_kj`` with the slot of ``(i, k)`` in a fixed layout, so each
 assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
 ``(A_ij * d_j) * A_kj``.  The terms of a slot are summed in ascending
-``j``, as scipy's sparse product sums them, so ``M`` is bit for bit the
-``A.multiply(d) @ A.T`` of scipy.
+``j``, as scipy's sparse product sums them, so every entry the map
+assembles is bit for bit that of scipy's ``A.multiply(d) @ A.T``.
 
 The map also decides the factor path.  Problems with at most
-``DENSE_LIMIT`` rows get a dense map, fill a dense ``M`` and factor it by
-Cholesky.  Larger ones get a sparse map whose slots are the CSC pattern
-of ``|A| @ |A|.T`` in one fill-reducing row order ``perm`` per problem;
-``M`` is factored by sparse LU in that order, pivoting on the diagonal,
-so every factorization of a problem has the same fill.  Both paths retry
-once, on the same pattern, with a small diagonal regularization before
-giving up.
+``DENSE_LIMIT`` rows get a dense map of the lower triangle alone, the
+only part Cholesky reads; it fills a dense ``M`` that LAPACK's ``potrf``
+factors and ``potrs`` solves with, called directly.  Larger ones get a
+sparse map whose slots are the CSC pattern of ``|A| @ |A|.T`` in one
+fill-reducing row order ``perm`` per problem; ``M`` is factored by sparse
+LU in that order, pivoting on the diagonal, so every factorization of a
+problem has the same fill.  Both paths retry once, on the same pattern,
+with a small diagonal regularization before giving up.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
+                                               dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
            "factor", "solve_block", "DENSE_LIMIT"]
@@ -99,7 +103,9 @@ class ProductMap(NamedTuple):
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
     into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
     ascending ``j``.  A dense map (``perm`` is ``None``) has the row-major
-    entries of the m-by-m matrix as slots.  A sparse map's slots are those
+    entries of the m-by-m matrix as slots and maps only the terms with
+    ``k <= i``: it assembles the lower triangle, diagonal included, and
+    leaves the upper one zero.  A sparse map's slots are those
     of the CSC pattern ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the
     diagonal, with rows and columns in a fill-reducing order ``perm``:
     row ``r`` of the assembled matrix is row ``perm[r]`` of ``A``.
@@ -142,9 +148,12 @@ def map_products(At):
     """Build the :class:`ProductMap` of ``A`` from ``At = A.T`` (CSR).
 
     The terms run over the columns ``j`` of ``A`` in ascending order and,
-    within a column, over every pair of its entries, so the terms of each
-    slot come in ascending ``j``.  Up to ``DENSE_LIMIT`` rows the map is
-    dense.  Above it the map is sparse: it keeps an explicit slot for an
+    within a column, over pairs of its entries, so the terms of each slot
+    come in ascending ``j``.  Up to ``DENSE_LIMIT`` rows the map is dense
+    and pairs each entry ``A_ij`` with the entries of its column up to
+    and including its own row, for which the duplicate entries of ``At``
+    are summed and its rows sorted first.  Above it the map is sparse and
+    pairs every two entries of a column: it keeps an explicit slot for an
     entry whose terms cancel, where scipy's product drops it, so every
     ``d > 0`` gives the same pattern.  One minimum-degree ordering of that
     pattern (SuperLU's ``MMD_AT_PLUS_A``, on unit entries with ``m + 1``
@@ -153,13 +162,19 @@ def map_products(At):
     are laid out in that order.
     """
     n, m = At.shape
+    dense = m <= DENSE_LIMIT
+    if dense and not At.has_canonical_format:
+        At = At.copy()
+        At.sum_duplicates()
     count = np.diff(At.indptr)
     col = np.repeat(np.arange(n, dtype=np.int32), count)
-    lead = np.repeat(count, count)
-    # Term t pairs the entry that leads it with entry `other` of the same
-    # column: first[e], first[e] + 1, ... for the terms of entry e.
-    start = np.cumsum(lead) - lead
     first = np.repeat(At.indptr[:-1], count)
+    # Term t pairs the entry that leads it with entry `other` of the same
+    # column: first[e], first[e] + 1, ... for the terms of entry e.  On
+    # the dense path entry e leads the terms up to its own position.
+    lead = (np.arange(At.nnz) - first + 1 if dense
+            else np.repeat(count, count))
+    start = np.cumsum(lead) - lead
     other = np.arange(int(lead.sum()), dtype=np.int32)
     other -= np.repeat((start - first).astype(np.int32), lead)
     del start, first
@@ -168,7 +183,7 @@ def map_products(At):
     coef = At.data[other]
     del other
     # Slots are intp, which np.bincount takes without a copy.
-    if m <= DENSE_LIMIT:
+    if dense:
         return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
                           slot=i.astype(np.intp) * m + k,
                           diag=np.arange(m) * (m + 1))
@@ -207,18 +222,32 @@ def _splu_in_order(M):
                      options={"SymmetricMode": True})
 
 
+def _cholesky(M):
+    # potrf copies M, which the regularized retry needs intact, and reads
+    # only its lower triangle.  Its info is nonzero only if M is not
+    # positive definite, as M's shape and dtype are fixed.
+    c, info = _potrf(M, lower=1, clean=0)
+    if info != 0:
+        raise scipy.linalg.LinAlgError("not positive definite")
+    return c
+
+
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
     ``M`` is assembled from the problem's :class:`ProductMap`
     (``lp.product_map``, built on the first call and kept with the
     problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``.  A dense
-    map fills a dense array that is factored by Cholesky.  A sparse map
-    fills the fixed CSC pattern of ``|A| @ |A|.T`` with its rows and
-    columns in the map's order ``perm``, which SuperLU factors in that
-    order with diagonal pivots.  If the factorization fails, it is retried
-    once on the same pattern with a small regularization added to the
-    diagonal.
+    map fills the lower triangle of a dense array, which LAPACK's
+    ``potrf`` factors by Cholesky and ``potrs`` solves with, called
+    directly; the upper triangle is neither assembled nor read.  Their
+    input is not checked for finiteness: ``|M_ik| <= (M_ii + M_kk) / 2``,
+    so the guard on the diagonal, which raises ``NumericalError``, covers
+    every entry.  A sparse map fills the fixed CSC pattern of
+    ``|A| @ |A|.T`` with its rows and columns in the map's order ``perm``,
+    which SuperLU factors in that order with diagonal pivots.  If the
+    factorization fails, it is retried once on the same pattern with a
+    small regularization added to the diagonal.
 
     Parameters
     ----------
@@ -256,8 +285,8 @@ def factor(lp, p, q):
     # place so that the retry factors the same pattern.
     dense = pm.perm is None
     if dense:
-        decompose = lambda M: scipy.linalg.cho_factor(M, lower=True)
-        failure, values = scipy.linalg.LinAlgError, M.reshape(-1)
+        decompose, failure = _cholesky, scipy.linalg.LinAlgError
+        values = M.reshape(-1)
     else:
         decompose, failure, values = _splu_in_order, RuntimeError, M.data
     try:
@@ -272,8 +301,7 @@ def factor(lp, p, q):
 
     # Nonfinite solutions are left to solve_block's residual guard.
     if dense:
-        solve = lambda rhs: scipy.linalg.cho_solve(fac, rhs,
-                                                   check_finite=False)
+        solve = lambda rhs: _potrs(fac, rhs, lower=1)[0]
     else:
         def solve(rhs, perm=pm.perm):
             y = np.empty(pm.m)
@@ -319,19 +347,20 @@ def solve_block(fac, r1, r2, r3):
 
     w = r1 - A @ ((r3 - p * r2) / q)
     dlam = fac.solve(w)
-    ds = r2 - At @ dlam
+    At_dlam = At @ dlam
+    ds = r2 - At_dlam
     dx = (r3 - p * ds) / q
 
     rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
     tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
-    def worst_residual(dx_, dlam_, ds_):
+    def worst_residual(dx_, At_dlam_, ds_):
         # np.max, unlike max, is nan when any of the three is.
         return np.max([np.linalg.norm(A @ dx_ - r1),
-                       np.linalg.norm(At @ dlam_ + ds_ - r2),
+                       np.linalg.norm(At_dlam_ + ds_ - r2),
                        np.linalg.norm(q * dx_ + p * ds_ - r3)])
 
-    worst = worst_residual(dx, dlam, ds)
+    worst = worst_residual(dx, At_dlam, ds)
     # Refine with the same factor while the residual is above tolerance
     # and still falling.  Back-substitution satisfies the second and third
     # block rows exactly, so each pass solves for the first-row defect
@@ -347,7 +376,7 @@ def solve_block(fac, r1, r2, r3):
         dlam = dlam + dl
         ds = ds - At_dl
         dx = dx + (p / q) * At_dl
-        last, worst = worst, worst_residual(dx, dlam, ds)
+        last, worst = worst, worst_residual(dx, At @ dlam, ds)
     if not worst <= tol < np.inf:
         raise NumericalError(
             "block solve residual %.3e exceeds tolerance %.3e"

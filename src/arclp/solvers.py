@@ -140,6 +140,10 @@ class SolveResult:
     note: str = ""
 
 
+def _mu_term(lp, x, lam, mu):
+    return mu / max(1.0, abs(float(lp.c @ x)), abs(float(lp.b @ lam)))
+
+
 def check_convergence(lp, x, lam, s, rb, rc, epsilon, norms=None):
     """Relative optimality test of a point with residuals ``(rb, rc)``.
 
@@ -151,8 +155,22 @@ def check_convergence(lp, x, lam, s, rb, rc, epsilon, norms=None):
                                               np.linalg.norm(lp.c))
     crit = max(np.linalg.norm(rb) / max(1.0, bn),
                np.linalg.norm(rc) / max(1.0, cn),
-               mu / max(1.0, abs(float(lp.c @ x)), abs(float(lp.b @ lam))))
+               _mu_term(lp, x, lam, mu))
     return crit < epsilon
+
+
+def _mu_fails_stop(lp, x, lam, s, config):
+    """True when the duality measure of ``(x, lam, s)`` alone fails the
+    stopping test of ``config.stop_rule``, whatever the residuals.
+
+    The relative test takes ``max`` of three terms, which ignores a nan
+    that is not its first argument, so only a mu term of at least
+    ``epsilon`` decides; a nan mu term does not.
+    """
+    mu = duality_measure(x, s)
+    if config.stop_rule == "theoretical":
+        return not mu <= config.epsilon
+    return _mu_term(lp, x, lam, mu) >= config.epsilon
 
 
 def check_theoretical_stop(mu, rb_norm, rc_norm, mu0, rb0_norm, rc0_norm,
@@ -215,7 +233,7 @@ def initial_point_mehrotra(lp):
 def max_alpha_positivity(base, d1, d2):
     """Largest angle in ``[0, pi/2]`` keeping ``arc_point(base, d1, d2, .)``
     nonnegative, in closed form (Y. Yang, *Arc-Search Techniques for
-    Interior-Point Methods*, CRC Press, 2020).
+    Interior-Point Methods*, CRC Press, 2020), and the arc point there.
 
     Per component, with ``t = base + d2``, ``R = hypot(d1, d2)`` and
     ``phi = atan2(d1, d2)``, the arc is ``t - R cos(alpha - phi)``: it
@@ -226,6 +244,9 @@ def max_alpha_positivity(base, d1, d2):
     The answer is the least such angle, capped at pi/2.  If rounding leaves
     the arc negative there, the angle shrinks by a relative 1e-12, sixteen
     times more per retry, until it is not.
+
+    Returns ``(alpha, point)``, where ``point`` is
+    ``arc_point(base, d1, d2, alpha)``, the point found nonnegative.
     """
     base = np.asarray(base, dtype=float)
     if np.any(base <= 0):
@@ -240,10 +261,12 @@ def max_alpha_positivity(base, d1, d2):
     cot = np.max(np.where(q > 0.0, q / base[hit], ah / q), initial=1.0)
     alpha = 2.0 * np.arctan2(1.0, cot)
     shrink = 1e-12
-    while np.min(arc_point(base, d1, d2, alpha)) < 0.0:
+    point = arc_point(base, d1, d2, alpha)
+    while np.min(point) < 0.0:
         alpha *= 1.0 - shrink
         shrink = min(1.0, 16.0 * shrink)
-    return alpha
+        point = arc_point(base, d1, d2, alpha)
+    return alpha, point
 
 
 def _linear_ratio_step(w, dw, cap=1.0):
@@ -420,15 +443,19 @@ def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
     An angle is admissible when the arc stays strictly positive and
     within the doubled proximity band
     ``||x(a) * s(a) - (1 - sin a) mu_z|| <= 2 theta (1 - sin a) mu_z``.
+    ``check(alpha)`` returns the arc points ``(x(alpha), s(alpha))`` of an
+    admissible angle, else None.
     """
     def check(alpha):
         sin_a = np.sin(alpha)
         xa = arc_point(z, dz, ddz, alpha)
         sa = arc_point(s_vec, ds, dds, alpha)
         if xa.min() <= 0.0 or sa.min() <= 0.0:
-            return False
+            return None
         target = (1.0 - sin_a) * mu_z
-        return np.linalg.norm(xa * sa - target) <= 2.0 * theta * target
+        if np.linalg.norm(xa * sa - target) <= 2.0 * theta * target:
+            return xa, sa
+        return None
     return check
 
 
@@ -547,6 +574,10 @@ def _guarded_angle(z, s, dz, ds, ddz, dds, mu_z, theta):
     The root is taken 1e-10 short; if rounding still leaves the angle
     inadmissible, it shrinks by a relative 1e-12, sixteen times more per
     retry, until it is not.  Nonfinite coefficients give the angle 0.
+
+    Returns ``(alpha, points)``: ``points`` holds the arc points
+    ``(x(alpha), s(alpha))`` that the last admissibility check computed,
+    or is None when ``alpha`` fell below ``_STEP_FLOOR`` unchecked.
     """
     products = (np.array((z, dz, ddz))[:, None]
                 * np.array((s, ds, dds))).reshape(9, -1)
@@ -554,40 +585,45 @@ def _guarded_angle(z, s, dz, ds, ddz, dds, mu_z, theta):
     g = (_SQUARE_SUM @ (quartics @ quartics.T).ravel()
          - 4.0 * theta ** 2 * _T_SQUARED)
     if not np.isfinite(g).all():
-        return 0.0
+        return 0.0, None
     u = _first_root(g)
     alpha = 2.0 * np.arctan((1.0 if u is None else u) * (1.0 - 1e-10))
     admissible = _alg1_admissible(z, s, dz, ds, ddz, dds, mu_z, theta)
     shrink = 1e-12
-    while alpha >= _STEP_FLOOR and not admissible(alpha):
+    while alpha >= _STEP_FLOOR:
+        points = admissible(alpha)
+        if points is not None:
+            return alpha, points
         alpha *= 1.0 - shrink
         shrink = min(1.0, 16.0 * shrink)
-    return alpha
+    return alpha, None
 
 
 def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     """Guarded arc step (``alg1``) followed by a corrector.
 
     The angle is the largest one whose whole arc ``[0, alpha]`` stays in
-    the doubled neighborhood, in closed form (:func:`_guarded_angle`).
-    The corrector then recenters toward ``(1 - sin(alpha)) * mu``, which
-    preserves the contraction invariants that :func:`_alg1_invariants`
-    records: the measure and dual residual shrink by exactly
-    ``1 - sin(alpha)``, primal residual components shrink at least that
-    fast without changing sign, and the iterate stays in ``N(theta)``.
+    the doubled neighborhood, in closed form (:func:`_guarded_angle`),
+    which also returns the arc points there that its admissibility check
+    computed.  The corrector then recenters toward
+    ``(1 - sin(alpha)) * mu``, which preserves the contraction invariants
+    that :func:`_alg1_invariants` records: the measure and dual residual
+    shrink by exactly ``1 - sin(alpha)``, primal residual components
+    shrink at least that fast without changing sign, and the iterate
+    stays in ``N(theta)``.
     """
     fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
 
-    alpha = _guarded_angle(z, s, dz, ds, ddz, dds, mu_z, config.theta)
-    if alpha < _STEP_FLOOR:
+    alpha, points = _guarded_angle(z, s, dz, ds, ddz, dds, mu_z,
+                                   config.theta)
+    if points is None:
         return _Step(status=Status.STEP_TOO_SMALL)
 
     sin_a = np.sin(alpha)
-    xa = arc_point(z, dz, ddz, alpha)
+    xa, sa = points
     la = arc_point(lam, dlam, ddlam, alpha)
-    sa = arc_point(s, ds, dds, alpha)
     fac2 = factor(lp, xa, sa)
     ex, el, es = solve_block(fac2, np.zeros(lp.m), np.zeros(lp.n),
                              (1.0 - sin_a) * mu - xa * sa)
@@ -640,7 +676,8 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     probe along the first derivatives; primal and dual follow the arc to
     ``gamma`` times their own largest positive angle.  When the undamped
     boundary point already passes the stopping test, the solve ends
-    there.
+    there; its residuals are computed only if its duality measure alone
+    does not already fail the test.
     """
     fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
@@ -650,12 +687,11 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     sigma = float(np.clip((mu_a / mu_z) ** 3, _SIGMA_MIN, _SIGMA_MAX))
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds, sigma, mu_z)
 
-    alpha_max_z = max_alpha_positivity(z, dz, ddz)
-    alpha_max_s = max_alpha_positivity(s, ds, dds)
-    x_cand = arc_point(z, dz, ddz, alpha_max_z)
+    alpha_max_z, x_cand = max_alpha_positivity(z, dz, ddz)
+    alpha_max_s, s_cand = max_alpha_positivity(s, ds, dds)
     lam_cand = arc_point(lam, dlam, ddlam, alpha_max_s)
-    s_cand = arc_point(s, ds, dds, alpha_max_s)
-    if x_cand.min() >= 0.0 and s_cand.min() >= 0.0:
+    if (x_cand.min() >= 0.0 and s_cand.min() >= 0.0
+            and not _mu_fails_stop(lp, x_cand, lam_cand, s_cand, config)):
         res = residuals(lp, x_cand, lam_cand, s_cand)
         if stop(x_cand, lam_cand, s_cand, *res):
             return _Step((x_cand, lam_cand, s_cand),

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.testing import assert_allclose
@@ -26,8 +27,8 @@ def lp_of(A):
 
 
 # The bundled netlib problems and the tier-1 staircase LP, by name.
-PROBLEMS = [path.stem for path in sorted(NETLIB_DIR.glob("*.mps"))] \
-    + ["st5x20x10"]
+NETLIB = [path.stem for path in sorted(NETLIB_DIR.glob("*.mps"))]
+PROBLEMS = NETLIB + ["st5x20x10"]
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +182,47 @@ def test_sparse_retry_keeps_the_pattern(monkeypatch):
         assert np.array_equal(indices, pm.indices)
 
 
+@pytest.mark.parametrize("name", NETLIB)
+def test_dense_factor_is_scipys_cholesky_bit_for_bit(presolved, name):
+    # factor calls LAPACK's potrf and potrs directly on the lower triangle
+    # that the map assembles; its solves must be those of scipy's own
+    # Cholesky of the full product, at any scaling, and so must those of
+    # its regularized retry where that Cholesky fails.
+    lp = presolved(name)
+    assert lp.m <= DENSE_LIMIT
+    rng = np.random.default_rng(13)
+    for k in (0, 1, 4, 8, 12):
+        p = 10.0 ** rng.uniform(-k, k, lp.n)
+        q = 10.0 ** rng.uniform(-k, k, lp.n)
+        rhs = rng.standard_normal(lp.m)
+        M = (lp.A.multiply(p / q) @ lp.At).toarray()
+        try:
+            c = scipy.linalg.cho_factor(M, lower=True)
+        except scipy.linalg.LinAlgError:
+            M[np.diag_indices(lp.m)] += 1e-12 * max(np.diag(M).max(), 1.0)
+            c = scipy.linalg.cho_factor(M, lower=True)
+        fac = factor(lp, p, q)
+        assert fac.dense
+        want = scipy.linalg.cho_solve(c, rhs)
+        assert fac.solve(rhs).tobytes() == want.tobytes(), k
+
+
+def test_duplicate_entries_are_summed(kernel_path):
+    # A CSR matrix may hold one entry twice; the dense map pairs each entry
+    # with those up to its own row only once the duplicates are summed.
+    A = sp.csr_array((np.array([1.0, 2.0, 0.5, 3.0, 1.0]),
+                      np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
+                     shape=(2, 3))
+    lp = make_standard_lp(A, np.ones(2), np.ones(3))
+    assert not lp.At.has_canonical_format
+    d = np.array([2.0, 0.5, 3.0])
+    fac = factor(lp, d, np.ones(3))
+    rhs = np.array([1.0, -2.0])
+    dense_A = A.toarray()
+    assert_allclose(fac.solve(rhs), np.linalg.solve((dense_A * d) @ dense_A.T,
+                                                    rhs), rtol=1e-14)
+
+
 def test_scalar_normal_matrix():
     fac = factor(lp_of([[2.0]]), np.array([3.0]), np.array([6.0]))
     assert fac.dense
@@ -323,7 +365,9 @@ class TestOnBothFactorPaths:
                                                     presolved, name):
         # The iterates depend on M's last bits (kb2's alg2 ends
         # NumericalError instead of Optimal when only they change), so the
-        # map must round as A.multiply(d) @ A.T does, at any scaling.
+        # map must round as A.multiply(d) @ A.T does, at any scaling.  A
+        # dense map assembles only the lower triangle, which is all that
+        # Cholesky reads.
         lp = presolved(name)
         sparse = lp.m > arclp.linalg.DENSE_LIMIT
         assert sparse == (kernel_path == "sparse" or lp.m > DENSE_LIMIT)
@@ -335,7 +379,10 @@ class TestOnBothFactorPaths:
             d = 10.0 ** rng.uniform(-k, k, lp.n)
             want = (lp.A.multiply(d) @ lp.At).toarray()[np.ix_(perm, perm)]
             M, diagonal = product_map.assemble(d)
-            got = M.toarray() if sparse else M
+            got = M.toarray() if sparse else np.tril(M)
+            if not sparse:
+                assert not np.triu(M, 1).any(), k
+                want = np.tril(want)
             assert got.tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
 

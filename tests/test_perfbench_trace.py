@@ -42,15 +42,14 @@ def test_traced_pass_reaches_every_layer():
         # Each iteration factors, solves two or three block systems and
         # tests for convergence.  The residuals of the start and of each
         # point the loop moves to are computed once; an arc step adds
-        # those of the boundary point it tests, and the result those of
-        # a boundary point it ends at.
+        # those of a boundary point only when its duality measure does
+        # not already fail the test, which happens near the end alone.
         assert calls["linalg.factor", algorithm] >= its, algorithm
         assert calls["linalg.solve_block", algorithm] >= 2 * its, algorithm
         assert calls["solvers.check_convergence", algorithm] >= its + 1
         assert calls["core.residuals", algorithm] >= its + 1, algorithm
-        extra = its if algorithm in ("alg2", "arc") else 0
-        assert calls["core.residuals", algorithm] <= its + 2 + extra, \
-            algorithm
+        extra = 5 if algorithm in ("alg2", "arc") else 2
+        assert calls["core.residuals", algorithm] <= its + extra, algorithm
     for algorithm in ("alg2", "arc"):
         assert calls["solvers.max_alpha_positivity", algorithm] \
             >= 2 * iterations[algorithm]

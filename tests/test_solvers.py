@@ -96,33 +96,37 @@ class TestInitialPoints:
 
 
 class TestMaxAlphaPositivity:
+    @staticmethod
+    def angle(base, d1, d2):
+        """The angle, once the point returned with it is checked."""
+        alpha, point = max_alpha_positivity(base, d1, d2)
+        assert point.tobytes() == arc_point(base, d1, d2, alpha).tobytes()
+        assert np.all(point >= 0.0)
+        return alpha
+
     def test_constant_arc(self):
-        assert max_alpha_positivity(np.ones(3), np.zeros(3),
-                                    np.zeros(3)) == np.pi / 2
+        assert self.angle(np.ones(3), np.zeros(3), np.zeros(3)) == np.pi / 2
 
     def test_sine_crossing(self):
-        a = max_alpha_positivity(np.array([1.0]), np.array([2.0]),
-                                 np.array([0.0]))
+        a = self.angle(np.array([1.0]), np.array([2.0]), np.array([0.0]))
         assert_allclose(a, np.pi / 6, atol=1e-12)
 
     def test_cosine_crossing(self):
-        a = max_alpha_positivity(np.array([1.0]), np.array([0.0]),
-                                 np.array([-3.0]))
+        a = self.angle(np.array([1.0]), np.array([0.0]), np.array([-3.0]))
         assert_allclose(a, np.arccos(2.0 / 3.0), atol=1e-12)
 
     def test_min_over_components(self):
-        a = max_alpha_positivity(np.array([1.0, 1.0]),
-                                 np.array([2.0, 0.0]),
-                                 np.array([0.0, -3.0]))
+        a = self.angle(np.array([1.0, 1.0]), np.array([2.0, 0.0]),
+                       np.array([0.0, -3.0]))
         assert_allclose(a, np.pi / 6, atol=1e-12)
 
     def test_zero_directions_ignored(self):
         # d1 = d2 = 0 leaves a component constant; mixing such components
         # with a crossing one must not divide by zero.
         with np.errstate(all="raise"):
-            a = max_alpha_positivity(np.array([1.0, 1.0, 3.0]),
-                                     np.array([0.0, 2.0, 0.0]),
-                                     np.array([0.0, 0.0, 0.0]))
+            a = self.angle(np.array([1.0, 1.0, 3.0]),
+                           np.array([0.0, 2.0, 0.0]),
+                           np.array([0.0, 0.0, 0.0]))
         assert_allclose(a, np.pi / 6, atol=1e-12)
 
     def test_dip_between_grid_points(self):
@@ -132,21 +136,20 @@ class TestMaxAlphaPositivity:
         # which the safety shrink may step back from.
         base, d1, d2 = np.array([1e-4]), np.array([1.0]), np.array([400.0])
         assert arc_point(base, d1, d2, 0.0025)[0] < 0.0
-        a = max_alpha_positivity(base, d1, d2)
+        a = self.angle(base, d1, d2)
         assert_allclose(a, 1.0208423852660803e-4, rtol=1e-9)
         assert arc_point(base, d1, d2, a)[0] >= 0.0
 
     def test_tangent_arc(self):
         # t = w + d2 = 2.5 = hypot(d1, d2): the arc touches zero at
         # atan2(2, 1.5) but never goes below it.
-        a = max_alpha_positivity(np.array([1.0]), np.array([2.0]),
-                                 np.array([1.5]))
+        a = self.angle(np.array([1.0]), np.array([2.0]), np.array([1.5]))
         assert a == np.pi / 2
 
     def test_root_at_quarter_turn(self):
         # 1 - sin/2 - (1 - cos)/2 is positive on [0, pi/2) and zero at pi/2.
         base, d1, d2 = np.array([1.0]), np.array([0.5]), np.array([-0.5])
-        a = max_alpha_positivity(base, d1, d2)
+        a = self.angle(base, d1, d2)
         assert a == np.pi / 2
         assert arc_point(base, d1, d2, a)[0] >= 0.0
 
@@ -162,7 +165,7 @@ class TestMaxAlphaPositivity:
             base = rng.uniform(0.1, 2.0, n)
             d1 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1, n)
             d2 = rng.standard_normal(n) * 10.0 ** rng.uniform(-1, 1, n)
-            a = max_alpha_positivity(base, d1, d2)
+            a = self.angle(base, d1, d2)
             assert 0.0 < a <= np.pi / 2
             assert np.all(arc_point(base, d1, d2, a) >= 0.0)
             worst = arc_point(base[:, None], d1[:, None], d2[:, None],
@@ -206,6 +209,40 @@ class TestStoppingRules:
         s = lp.c - lp.A.T @ lam
         assert not self.converged(lp, x, lam, s)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           stop_rule=st.sampled_from(["relative", "theoretical"]),
+           nan_mu=st.booleans())
+    def test_mu_first_skip_only_where_the_test_fails(self, seed, stop_rule,
+                                                     nan_mu):
+        # An arc step skips its boundary point's residuals when the mu
+        # term alone fails the stopping test; the full test must then fail
+        # too.  A nan mu term must not be skipped: the relative test's max
+        # ignores a nan that is not its first argument.
+        rng = np.random.default_rng(seed)
+        lp = make_standard_lp(rng.standard_normal((2, 4)),
+                              rng.standard_normal(2), rng.standard_normal(4))
+        x = 10.0 ** rng.uniform(-8.0, 1.0, 4)
+        s = 10.0 ** rng.uniform(-8.0, 1.0, 4)
+        lam = rng.standard_normal(2)
+        if nan_mu:
+            x[rng.integers(4)] = np.nan
+        rb = 10.0 ** rng.uniform(-12.0, 0.0) * rng.standard_normal(2)
+        rc = 10.0 ** rng.uniform(-12.0, 0.0) * rng.standard_normal(4)
+        config = SolverConfig(stop_rule=stop_rule,
+                              epsilon=10.0 ** rng.uniform(-9.0, -1.0))
+        if stop_rule == "theoretical":
+            passes = check_theoretical_stop(
+                duality_measure(x, s), np.linalg.norm(rb),
+                np.linalg.norm(rc), 1.0, 1.0, 1.0, config.epsilon)
+        else:
+            passes = check_convergence(lp, x, lam, s, rb, rc,
+                                       config.epsilon)
+        skips = arclp.solvers._mu_fails_stop(lp, x, lam, s, config)
+        assert not (skips and passes)
+        if nan_mu and stop_rule == "relative":
+            assert not skips
+
     def test_theoretical_rule_scalar_cases(self):
         assert check_theoretical_stop(1e-8, 0.0, 0.0, 1e4, 0.0, 0.0, 1e-7)
         assert not check_theoretical_stop(2e-7, 0.0, 0.0, 1e4, 0.0, 0.0,
@@ -242,16 +279,23 @@ class TestGuardedAngle:
         ds, dds = s * scale[2:, None] * rng.standard_normal((2, n))
         mu_z = duality_measure(z, s)
         derivatives = (dz, ds, ddz, dds)
-        alpha = arclp.solvers._guarded_angle(z, s, *derivatives, mu_z,
-                                             theta)
+        alpha, points = arclp.solvers._guarded_angle(z, s, *derivatives,
+                                                     mu_z, theta)
         admissible = arclp.solvers._alg1_admissible(z, s, *derivatives,
                                                     mu_z, theta)
         assert 0.0 <= alpha < np.pi / 2.0
-        assert all(admissible(a) for a in np.linspace(0.0, alpha, 1001)[1:])
+        assert all(admissible(a) is not None
+                   for a in np.linspace(0.0, alpha, 1001)[1:])
+        if alpha < arclp.solvers._STEP_FLOOR:
+            assert points is None
+            return
+        # The points of the last admissibility check are the arc's.
+        assert points[0].tobytes() == arc_point(z, dz, ddz, alpha).tobytes()
+        assert points[1].tobytes() == arc_point(s, ds, dds, alpha).tobytes()
         beyond = alpha * (1.0 + 1e-6)
-        if alpha >= arclp.solvers._STEP_FLOOR and beyond < np.pi / 2.0:
-            assert not all(admissible(a) for a in
-                           np.linspace(alpha, beyond, 51)[1:])
+        if beyond < np.pi / 2.0:
+            assert any(admissible(a) is None for a in
+                       np.linspace(alpha, beyond, 51)[1:])
 
     def test_stops_before_a_short_inadmissible_gap(self):
         # With s fixed, x(alpha) / (1 - sin alpha) leaves the band
@@ -266,9 +310,10 @@ class TestGuardedAngle:
         derivatives = (dz, np.zeros(1), ddz, np.zeros(1))
         admissible = arclp.solvers._alg1_admissible(z, s, *derivatives,
                                                     1.0, theta)
-        assert not admissible(2.0 * np.arctan(0.5 * (r1 + r2)))
-        assert admissible(2.0 * np.arctan(0.5))
-        alpha = arclp.solvers._guarded_angle(z, s, *derivatives, 1.0, theta)
+        assert admissible(2.0 * np.arctan(0.5 * (r1 + r2))) is None
+        assert admissible(2.0 * np.arctan(0.5)) is not None
+        alpha, _ = arclp.solvers._guarded_angle(z, s, *derivatives, 1.0,
+                                                theta)
         assert_allclose(alpha, 2.0 * np.arctan(r1), rtol=1e-9)
         assert alpha <= 2.0 * np.arctan(r1)
 
@@ -277,9 +322,9 @@ class TestGuardedAngle:
         dz = np.array([np.inf, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            alpha = arclp.solvers._guarded_angle(z, s, dz, dz, dz, dz, 1.0,
-                                                 0.25)
-        assert alpha == 0.0
+            alpha, points = arclp.solvers._guarded_angle(z, s, dz, dz, dz,
+                                                         dz, 1.0, 0.25)
+        assert alpha == 0.0 and points is None
 
 
 class TestGuardedSolver:
