@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import solve_block
+from .linalg import norm, solve_block
 
 __all__ = ["residuals", "duality_measure", "in_neighborhood", "arc_point",
            "momentum_weight_full", "momentum_weight_simple",
@@ -52,10 +52,10 @@ def in_neighborhood(x, s, theta):
     """
     x = np.asarray(x)
     s = np.asarray(s)
-    if np.any(x <= 0) or np.any(s <= 0):
+    if (x <= 0).any() or (s <= 0).any():
         return False
     mu = duality_measure(x, s)
-    return bool(np.linalg.norm(x * s - mu) <= theta * mu)
+    return bool(norm(x * s - mu) <= theta * mu)
 
 
 def arc_point(base, d1, d2, alpha):
@@ -82,8 +82,9 @@ def momentum_weight_full(x, x_prev, rb, rb_prev, beta):
     displacement is numerically vacuous.
     """
     cap = momentum_weight_simple(x, x_prev, beta)
+    rb, rb_prev = np.asarray(rb), np.asarray(rb_prev)
     moved = rb != rb_prev
-    if np.any(moved):
+    if moved.any():
         ratios = np.abs(rb[moved] / (rb[moved] - rb_prev[moved]))
         cap = min(cap, float(ratios.min()))
     return cap
@@ -92,7 +93,7 @@ def momentum_weight_full(x, x_prev, rb, rb_prev, beta):
 def momentum_weight_simple(x, x_prev, beta):
     """Restart weight from the relative-box cap alone."""
     delta = x - x_prev
-    scale = np.max(np.abs(delta / x))
+    scale = np.abs(delta / x).max()
     if scale < _DEGENERATE_SHIFT:
         return 0.0
     return float(beta / scale)

@@ -33,6 +33,7 @@ with a small diagonal regularization before giving up.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -45,7 +46,7 @@ _potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
                                                dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
-           "factor", "solve_block", "DENSE_LIMIT"]
+           "factor", "solve_block", "norm", "DENSE_LIMIT"]
 
 DENSE_LIMIT = 200
 
@@ -59,6 +60,12 @@ _MAX_REFINEMENTS = 3
 
 class NumericalError(RuntimeError):
     """The Newton system could not be factored or solved accurately."""
+
+
+def norm(v):
+    """Euclidean norm of a real vector, ``sqrt(v @ v)``: what
+    ``np.linalg.norm`` computes for one, without its dispatch."""
+    return math.sqrt(v @ v)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ def _check_scaling(A, p, q):
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
     # A nonfinite entry passes: it makes M or the block residual nonfinite.
-    if np.any(p <= 0) or np.any(q <= 0):
+    if (p <= 0).any() or (q <= 0).any():
         raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
@@ -278,7 +285,7 @@ def factor(lp, p, q):
     with np.errstate(over="ignore", invalid="ignore"):
         M, diagonal = pm.assemble(p / q)
         reg = 1e-12 * max(diagonal.max(), 1.0)
-    if not np.isfinite(reg):
+    if not math.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
     # One regularized retry on either path, shifting M's diagonal slots in
@@ -351,14 +358,16 @@ def solve_block(fac, r1, r2, r3):
     ds = r2 - At_dlam
     dx = (r3 - p * ds) / q
 
-    rhs_norm = np.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
+    rhs_norm = math.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
     tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
     def worst_residual(dx_, At_dlam_, ds_):
-        # np.max, unlike max, is nan when any of the three is.
-        return np.max([np.linalg.norm(A @ dx_ - r1),
-                       np.linalg.norm(At_dlam_ + ds_ - r2),
-                       np.linalg.norm(q * dx_ + p * ds_ - r3)])
+        norms = (norm(A @ dx_ - r1), norm(At_dlam_ + ds_ - r2),
+                 norm(q * dx_ + p * ds_ - r3))
+        # nan when any of the three is (max alone keeps its first argument
+        # when a later one is nan); norms are not negative, so their sum
+        # is nan only then.
+        return math.nan if math.isnan(sum(norms)) else max(norms)
 
     worst = worst_residual(dx, At_dlam, ds)
     # Refine with the same factor while the residual is above tolerance

@@ -43,7 +43,7 @@ import numpy as np
 from .core import (arc_point, duality_measure, first_derivatives,
                    momentum_weight_full, momentum_weight_simple, residuals,
                    restart_point, second_derivatives)
-from .linalg import NumericalError, factor, solve_block
+from .linalg import NumericalError, factor, norm, solve_block
 
 __all__ = ["Status", "SolverConfig", "SolveResult", "solve",
            "initial_point_alg1", "initial_point_mehrotra",
@@ -147,25 +147,24 @@ def _mu_term(lp, x, lam, mu):
 def check_convergence(lp, x, lam, s, rb, rc, epsilon, norms=None):
     """Relative optimality test of a point with residuals ``(rb, rc)``.
 
-    True when ``max(||rb|| / max(1, ||b||), ||rc|| / max(1, ||c||),
-    mu / max(1, |c @ x|, |b @ lam|)) < epsilon``.
+    True when each of ``||rb|| / max(1, ||b||)``, ``||rc|| / max(1,
+    ||c||)`` and ``mu / max(1, |c @ x|, |b @ lam|)`` is below
+    ``epsilon``, so a nan term fails the test.
     """
     mu = duality_measure(x, s)
-    bn, cn = norms if norms is not None else (np.linalg.norm(lp.b),
-                                              np.linalg.norm(lp.c))
-    crit = max(np.linalg.norm(rb) / max(1.0, bn),
-               np.linalg.norm(rc) / max(1.0, cn),
-               _mu_term(lp, x, lam, mu))
-    return crit < epsilon
+    bn, cn = norms if norms is not None else (norm(lp.b), norm(lp.c))
+    return (norm(np.asarray(rb, dtype=float)) / max(1.0, bn) < epsilon
+            and norm(np.asarray(rc, dtype=float)) / max(1.0, cn) < epsilon
+            and _mu_term(lp, x, lam, mu) < epsilon)
 
 
 def _mu_fails_stop(lp, x, lam, s, config):
     """True when the duality measure of ``(x, lam, s)`` alone fails the
     stopping test of ``config.stop_rule``, whatever the residuals.
 
-    The relative test takes ``max`` of three terms, which ignores a nan
-    that is not its first argument, so only a mu term of at least
-    ``epsilon`` decides; a nan mu term does not.
+    Under the relative test only a mu term of at least ``epsilon`` is
+    decided here.  A nan mu term is left to the full test, which fails it
+    too, as :func:`check_convergence` needs every term below ``epsilon``.
     """
     mu = duality_measure(x, s)
     if config.stop_rule == "theoretical":
@@ -249,7 +248,7 @@ def max_alpha_positivity(base, d1, d2):
     ``arc_point(base, d1, d2, alpha)``, the point found nonnegative.
     """
     base = np.asarray(base, dtype=float)
-    if np.any(base <= 0):
+    if (base <= 0).any():
         raise ValueError("arc base point must be strictly positive")
     a = base + 2.0 * d2
     disc = d1 * d1 - base * a                    # R**2 - t**2
@@ -258,11 +257,12 @@ def max_alpha_positivity(base, d1, d2):
     q = dh + np.copysign(np.sqrt(disc[hit]), dh)
     # The smaller positive root has cot(alpha / 2) = q / base if q > 0,
     # else a / q (positive iff a < 0); cot = 1 is the cap alpha = pi/2.
-    cot = np.max(np.where(q > 0.0, q / base[hit], ah / q), initial=1.0)
+    cot = np.maximum.reduce(np.where(q > 0.0, q / base[hit], ah / q),
+                            initial=1.0)
     alpha = 2.0 * np.arctan2(1.0, cot)
     shrink = 1e-12
     point = arc_point(base, d1, d2, alpha)
-    while np.min(point) < 0.0:
+    while point.min() < 0.0:
         alpha *= 1.0 - shrink
         shrink = min(1.0, 16.0 * shrink)
         point = arc_point(base, d1, d2, alpha)
@@ -272,17 +272,21 @@ def max_alpha_positivity(base, d1, d2):
 def _linear_ratio_step(w, dw, cap=1.0):
     """Largest step in [0, cap] with ``w - alpha * dw >= 0``."""
     pos = dw > 0
-    if not np.any(pos):
+    if not pos.any():
         return cap
-    return float(min(cap, np.min(w[pos] / dw[pos])))
+    return float(min(cap, (w[pos] / dw[pos]).min()))
+
+
+def _clip_sigma(sigma):
+    """``sigma`` clipped to ``[_SIGMA_MIN, _SIGMA_MAX]``; nan stays nan."""
+    return min(max(sigma, _SIGMA_MIN), _SIGMA_MAX)
 
 
 def _finish(lp, status, k, t0, x, lam, s, rb, rc, trace, violations,
             note=""):
     return SolveResult(
         status=status, iterations=k, wall_time=time.perf_counter() - t0,
-        mu=duality_measure(x, s), rb_norm=float(np.linalg.norm(rb)),
-        rc_norm=float(np.linalg.norm(rc)),
+        mu=duality_measure(x, s), rb_norm=norm(rb), rc_norm=norm(rc),
         objective=float(lp.c @ x) + lp.objective_shift,
         x=x, lam=lam, s=s, trace=trace, invariant_violations=violations,
         note=note)
@@ -292,8 +296,8 @@ def _stop(lp, x, lam, s, rb, rc, config, norms, init=None):
     if config.stop_rule == "theoretical":
         mu0, rb0, rc0 = init
         return check_theoretical_stop(
-            duality_measure(x, s), np.linalg.norm(rb), np.linalg.norm(rc),
-            mu0, rb0, rc0, config.epsilon)
+            duality_measure(x, s), norm(rb), norm(rc), mu0, rb0, rc0,
+            config.epsilon)
     return check_convergence(lp, x, lam, s, rb, rc, config.epsilon, norms)
 
 
@@ -340,10 +344,10 @@ def solve(lp, config=None):
         x, lam, s = initial_point_alg1(lp)
     else:
         x, lam, s = initial_point_mehrotra(lp)
-    norms = (float(np.linalg.norm(lp.b)), float(np.linalg.norm(lp.c)))
+    norms = (norm(lp.b), norm(lp.c))
     rb, rc = residuals(lp, x, lam, s)
     mu = duality_measure(x, s)
-    init = (mu, np.linalg.norm(rb), np.linalg.norm(rc))
+    init = (mu, norm(rb), norm(rc))
     rb0 = rb
 
     def stop(x, lam, s, rb, rc):
@@ -375,8 +379,7 @@ def solve(lp, config=None):
 
         if config.trace:
             row = {"iter": k, "mu": mu, "mu_z": mu_z, "beta_k": beta_k,
-                   **step.fields, "rb_norm": float(np.linalg.norm(rb)),
-                   "rc_norm": float(np.linalg.norm(rc))}
+                   **step.fields, "rb_norm": norm(rb), "rc_norm": norm(rc)}
             if config.algorithm == "alg1":
                 row.update(rb=rb.copy(), x=x.copy(), s=s.copy(),
                            z=z.copy())
@@ -425,9 +428,9 @@ def _restart(config, x, prev_x, rb, prev_rb, s):
 
 
 def _arc_fields(alpha_z, alpha_s):
-    return {"alpha": float(alpha_z), "sin_alpha": float(np.sin(alpha_z)),
-            "step_primal": float(np.sin(alpha_z)),
-            "step_dual": float(np.sin(alpha_s))}
+    sin_z = float(np.sin(alpha_z))
+    return {"alpha": float(alpha_z), "sin_alpha": sin_z,
+            "step_primal": sin_z, "step_dual": float(np.sin(alpha_s))}
 
 
 # ----------------------------------------------------------------------
@@ -453,7 +456,7 @@ def _alg1_admissible(z, s_vec, dz, ds, ddz, dds, mu_z, theta):
         if xa.min() <= 0.0 or sa.min() <= 0.0:
             return None
         target = (1.0 - sin_a) * mu_z
-        if np.linalg.norm(xa * sa - target) <= 2.0 * theta * target:
+        if norm(xa * sa - target) <= 2.0 * theta * target:
             return xa, sa
         return None
     return check
@@ -647,9 +650,9 @@ def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
     if abs(mu_new - expected) > 1e-8 * max(expected, 1e-300):
         violations.append((k, "mu_contraction",
                            abs(mu_new - expected) / max(expected, 1e-300)))
-    rc_err = np.linalg.norm(rc_new - shrink * rc)
-    if rc_err > 1e-8 * (1.0 + np.linalg.norm(rc)):
-        violations.append((k, "rc_contraction", float(rc_err)))
+    rc_err = norm(rc_new - shrink * rc)
+    if rc_err > 1e-8 * (1.0 + norm(rc)):
+        violations.append((k, "rc_contraction", rc_err))
     live = np.abs(rb) > rb_floor
     bound = np.abs(rb[live]) * shrink * (1.0 + 1e-10) + rb_floor
     excess = np.abs(rb_new[live]) - bound
@@ -657,15 +660,15 @@ def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
         violations.append((k, "rb_contraction", float(excess.max())))
     flipped = (np.abs(rb_new) > rb_floor) & (np.abs(rb0) > rb_floor) \
         & (np.sign(rb_new) != np.sign(rb0))
-    if np.any(flipped):
-        violations.append((k, "rb_sign_flip", int(np.sum(flipped))))
-    dev = np.linalg.norm(x_new * s_new - mu_new)
+    if flipped.any():
+        violations.append((k, "rb_sign_flip", int(flipped.sum())))
+    dev = norm(x_new * s_new - mu_new)
     if dev > config.theta * mu_new * (1.0 + 1e-8):
         violations.append((k, "neighborhood", float(dev / mu_new)))
     if beta_k > 0.0:
         lo = (1.0 - config.beta) * x - 1e-12 * np.abs(x)
         hi = (1.0 + config.beta) * x + 1e-12 * np.abs(x)
-        if np.any(z < lo) or np.any(z > hi):
+        if (z < lo).any() or (z > hi).any():
             violations.append((k, "restart_box", float(beta_k)))
 
 
@@ -684,7 +687,7 @@ def _arc_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     alpha_az = _linear_ratio_step(z, dz)
     alpha_as = _linear_ratio_step(s, ds)
     mu_a = duality_measure(z - alpha_az * dz, s - alpha_as * ds)
-    sigma = float(np.clip((mu_a / mu_z) ** 3, _SIGMA_MIN, _SIGMA_MAX))
+    sigma = _clip_sigma((mu_a / mu_z) ** 3)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds, sigma, mu_z)
 
     alpha_max_z, x_cand = max_alpha_positivity(z, dz, ddz)
@@ -719,7 +722,7 @@ def _line_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     alpha_p = _linear_ratio_step(z, px)
     alpha_d = _linear_ratio_step(s, ps)
     mu_aff = duality_measure(z - alpha_p * px, s - alpha_d * ps)
-    sigma = float(np.clip((mu_aff / mu) ** 3, _SIGMA_MIN, _SIGMA_MAX))
+    sigma = _clip_sigma((mu_aff / mu) ** 3)
     # Corrector recenters and cancels the predictor's second-order
     # complementarity error.
     cx, clam, cs = solve_block(fac, np.zeros(lp.m), np.zeros(lp.n),

@@ -201,3 +201,23 @@ def raw_lps(draw):
                  A_le=A_le, b_le=b_le, row_names_le=r_le,
                  lower=lower, upper=upper,
                  objective_constant=draw(SMALL))
+
+
+# Every IEEE special value, drawn often, among finite floats of every
+# magnitude: for exactness checks of rewritten numerical expressions.
+EDGE_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, np.nan, np.inf,
+                                         -np.inf]), st.floats())
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, as the dtype and bytes of each value,
+    or the type of the exception it raises; numpy's floating-point
+    warnings are off."""
+    with np.errstate(all="ignore"):
+        try:
+            result = fn(*args)
+        except ValueError as exc:
+            return type(exc)
+    values = result if isinstance(result, tuple) else (result,)
+    return [(np.asarray(v).dtype.str, np.asarray(v).tobytes())
+            for v in values]

@@ -2,6 +2,9 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.core import (arc_point, duality_measure,
@@ -10,7 +13,8 @@ from arclp.core import (arc_point, duality_measure,
                         residuals, restart_point, second_derivatives)
 from arclp.linalg import factor
 
-from conftest import make_standard_lp, random_feasible_lp
+from conftest import (EDGE_FLOATS, make_standard_lp, outcome,
+                      random_feasible_lp)
 
 
 class TestResiduals:
@@ -158,6 +162,66 @@ class TestMomentumWeightSimple:
     def test_zero_delta_vacuous(self):
         x = np.array([3.0, 1.0])
         assert momentum_weight_simple(x, x.copy(), 0.9) == 0.0
+
+
+# The solver evaluates these per iteration through ndarray methods and a
+# dot-product norm, which cost a fraction of numpy's wrapper functions on
+# short vectors.  Each reference here is the wrapper form; the two must
+# agree to the last bit on every input, nan, infinities and signed zeros
+# included.
+
+def wrapper_in_neighborhood(x, s, theta):
+    x = np.asarray(x)
+    s = np.asarray(s)
+    if np.any(x <= 0) or np.any(s <= 0):
+        return False
+    mu = duality_measure(x, s)
+    return bool(np.linalg.norm(x * s - mu) <= theta * mu)
+
+
+def wrapper_momentum_weight_simple(x, x_prev, beta):
+    scale = np.max(np.abs((x - x_prev) / x))
+    if scale < 1e-14:
+        return 0.0
+    return float(beta / scale)
+
+
+def wrapper_momentum_weight_full(x, x_prev, rb, rb_prev, beta):
+    cap = wrapper_momentum_weight_simple(x, x_prev, beta)
+    moved = rb != rb_prev
+    if np.any(moved):
+        ratios = np.abs(rb[moved] / (rb[moved] - rb_prev[moved]))
+        cap = min(cap, float(ratios.min()))
+    return cap
+
+
+@st.composite
+def vectors(draw, count):
+    """``count`` float vectors of one length up to 6, specials included."""
+    n = draw(st.integers(0, 6))
+    return [draw(hnp.arrays(float, n, elements=EDGE_FLOATS))
+            for _ in range(count)]
+
+
+class TestExactRewrites:
+    @settings(max_examples=200, deadline=None)
+    @given(xs=vectors(2), theta=st.floats(0.0, 1.0))
+    def test_in_neighborhood(self, xs, theta):
+        assert (outcome(in_neighborhood, *xs, theta)
+                == outcome(wrapper_in_neighborhood, *xs, theta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=vectors(2), beta=st.floats(0.0, 1.0, exclude_min=True))
+    def test_momentum_weight_simple(self, xs, beta):
+        assert (outcome(momentum_weight_simple, *xs, beta)
+                == outcome(wrapper_momentum_weight_simple, *xs, beta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(xs=vectors(2), rbs=vectors(2),
+           beta=st.floats(0.0, 1.0, exclude_min=True))
+    def test_momentum_weight_full(self, xs, rbs, beta):
+        assert (outcome(momentum_weight_full, *xs, *rbs, beta)
+                == outcome(wrapper_momentum_weight_full, *xs, *rbs, beta))
 
 
 class TestRestartPoint:

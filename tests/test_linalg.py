@@ -7,17 +7,22 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import arclp.linalg
 import arclp.standardize
-from arclp.linalg import DENSE_LIMIT, NumericalError, factor, solve_block
+from arclp.linalg import (DENSE_LIMIT, NumericalError, factor, norm,
+                          solve_block)
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
 from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
-from conftest import FIX1_MPS, NETLIB_DIR, make_standard_lp, staircase_raw
+from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR, make_standard_lp,
+                      outcome, staircase_raw)
 
 
 def lp_of(A):
@@ -258,6 +263,13 @@ def test_homogeneous_rhs_gives_zero():
     assert_allclose(dx, 0.0, atol=1e-14)
     assert_allclose(dlam, 0.0, atol=1e-14)
     assert_allclose(ds, 0.0, atol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=hnp.arrays(float, st.integers(0, 300),
+                    elements=st.one_of(EDGE_FLOATS, st.floats(-1e3, 1e3))))
+def test_norm_is_numpys_bit_for_bit(v):
+    assert outcome(norm, v) == outcome(np.linalg.norm, v)
 
 
 def test_nonpositive_scaling_rejected():

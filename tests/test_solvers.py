@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from arclp.core import (arc_point, duality_measure, in_neighborhood,
@@ -20,7 +21,8 @@ from arclp.solvers import (SolverConfig, SolveResult, Status,
                            max_alpha_positivity, solve)
 from arclp.standardize import to_standard_form
 
-from conftest import make_standard_lp, random_feasible_lp
+from conftest import (EDGE_FLOATS, make_standard_lp, outcome,
+                      random_feasible_lp)
 from test_acceptance import REFERENCE_OBJECTIVES
 
 
@@ -201,6 +203,14 @@ class TestStoppingRules:
         s = lp.c - lp.A.T @ lam + 1e-9
         assert self.converged(lp, x, lam, s)
 
+    def test_nan_slack_is_not_converged(self):
+        # rb = 0 leaves the residual term at 0, and the rc and mu terms
+        # are nan.  A max over the three terms kept the 0 and passed.
+        lp = make_standard_lp([[1.0, 1.0]], [2.0], [1.0, 2.0])
+        x, lam, s = np.array([2.0, 0.0]), np.ones(1), np.array([0.0, np.nan])
+        assert not check_convergence(lp, x, lam, s, np.zeros(1),
+                                     np.array([0.0, np.nan]), 1e-7)
+
     def test_scaled_primal_residual_blocks(self):
         lp = make_standard_lp([[1.0, 0.0]], [10.0], [0.0, 1.0])
         # rb = -1 and |b| = 10: relative term 0.1 is far above epsilon.
@@ -217,8 +227,8 @@ class TestStoppingRules:
                                                      nan_mu):
         # An arc step skips its boundary point's residuals when the mu
         # term alone fails the stopping test; the full test must then fail
-        # too.  A nan mu term must not be skipped: the relative test's max
-        # ignores a nan that is not its first argument.
+        # too.  A nan mu term must not be skipped: the relative test
+        # rejects it with the residuals, not with the mu term alone.
         rng = np.random.default_rng(seed)
         lp = make_standard_lp(rng.standard_normal((2, 4)),
                               rng.standard_normal(2), rng.standard_normal(4))
@@ -255,6 +265,109 @@ class TestStoppingRules:
             ok = check_theoretical_stop(mu, rb0 * factor, rc0 * factor,
                                         mu0, rb0, rc0, 1e-7)
             assert ok == (mu <= 1e-7)
+
+
+# The solver evaluates the expressions below per iteration through ndarray
+# methods, dot-product norms and Python's min and max, which cost a
+# fraction of numpy's wrapper functions on short vectors.  Each reference
+# here is the wrapper form; the two must agree to the last bit on every
+# input, nan, infinities and signed zeros included.
+
+def wrapper_max_alpha_positivity(base, d1, d2):
+    base = np.asarray(base, dtype=float)
+    if np.any(base <= 0):
+        raise ValueError("arc base point must be strictly positive")
+    a = base + 2.0 * d2
+    disc = d1 * d1 - base * a
+    hit = disc > 0.0
+    dh, ah = d1[hit], a[hit]
+    q = dh + np.copysign(np.sqrt(disc[hit]), dh)
+    cot = np.max(np.where(q > 0.0, q / base[hit], ah / q), initial=1.0)
+    alpha = 2.0 * np.arctan2(1.0, cot)
+    shrink = 1e-12
+    point = arc_point(base, d1, d2, alpha)
+    while np.min(point) < 0.0:
+        alpha *= 1.0 - shrink
+        shrink = min(1.0, 16.0 * shrink)
+        point = arc_point(base, d1, d2, alpha)
+    return alpha, point
+
+
+def wrapper_linear_ratio_step(w, dw, cap=1.0):
+    pos = dw > 0
+    if not np.any(pos):
+        return cap
+    return float(min(cap, np.min(w[pos] / dw[pos])))
+
+
+def wrapper_check_convergence(lp, x, lam, s, rb, rc, epsilon):
+    mu = duality_measure(x, s)
+    crit = max(np.linalg.norm(rb) / max(1.0, np.linalg.norm(lp.b)),
+               np.linalg.norm(rc) / max(1.0, np.linalg.norm(lp.c)),
+               mu / max(1.0, abs(float(lp.c @ x)), abs(float(lp.b @ lam))))
+    return crit < epsilon
+
+
+POSITIVE = st.one_of(st.sampled_from([np.nan, np.inf]),
+                     st.floats(min_value=0.0, exclude_min=True))
+
+
+@st.composite
+def arcs(draw):
+    """``(base, d1, d2)`` of one length, up to 6, specials included."""
+    n = draw(st.integers(0, 6))
+    return (draw(hnp.arrays(float, n, elements=POSITIVE)),
+            draw(hnp.arrays(float, n, elements=EDGE_FLOATS)),
+            draw(hnp.arrays(float, n, elements=EDGE_FLOATS)))
+
+
+class TestExactRewrites:
+    @settings(max_examples=200, deadline=None)
+    @given(arc=arcs())
+    # No component can reach zero (an empty hit set), and a component
+    # whose a / q is -inf / -inf puts a nan among the cotangents.
+    @example(arc=(np.array([1.0, 2.0]), np.zeros(2), np.ones(2)))
+    @example(arc=(np.array([1.0, 2.0]), np.array([-1.0, 0.0]),
+                  np.array([-np.inf, 0.0])))
+    def test_max_alpha_positivity(self, arc):
+        assert (outcome(max_alpha_positivity, *arc)
+                == outcome(wrapper_max_alpha_positivity, *arc))
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=hnp.arrays(float, st.integers(0, 6), elements=EDGE_FLOATS),
+           dw=st.data(), cap=st.sampled_from([1.0, np.inf]))
+    def test_linear_ratio_step(self, w, dw, cap):
+        dw = dw.draw(hnp.arrays(float, w.size, elements=EDGE_FLOATS))
+        assert (outcome(arclp.solvers._linear_ratio_step, w, dw, cap)
+                == outcome(wrapper_linear_ratio_step, w, dw, cap))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sigma=EDGE_FLOATS)
+    def test_clip_sigma(self, sigma):
+        lo, hi = arclp.solvers._SIGMA_MIN, arclp.solvers._SIGMA_MAX
+        assert (outcome(arclp.solvers._clip_sigma, sigma)
+                == outcome(lambda v: float(np.clip(v, lo, hi)), sigma))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_check_convergence_on_finite_points(self, seed):
+        rng = np.random.default_rng(seed)
+        lp = make_standard_lp(rng.standard_normal((2, 4)),
+                              rng.standard_normal(2), rng.standard_normal(4))
+        # Each of the three terms lands within a decade of epsilon, so
+        # the test passes and fails about equally often.
+        scale = 10.0 ** rng.uniform(-10.0, -2.0)
+        epsilon = scale * 10.0 ** rng.uniform(-0.5, 0.5)
+        x = 10.0 ** rng.uniform(-4.0, 1.0, 4)
+        s = scale * 10.0 ** rng.uniform(-1.0, 0.5, 4) / x
+        lam = rng.standard_normal(2)
+        rb = scale * rng.standard_normal(2)
+        rc = scale * rng.standard_normal(4)
+        expected = wrapper_check_convergence(lp, x, lam, s, rb, rc, epsilon)
+        norms = (np.linalg.norm(lp.b), np.linalg.norm(lp.c))
+        for given_norms in (None, norms):
+            assert check_convergence(lp, x, lam, s, rb, rc, epsilon,
+                                     given_norms) == expected
 
 
 class TestGuardedAngle:
