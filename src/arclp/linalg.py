@@ -20,15 +20,21 @@ assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
 ``j``, as scipy's sparse product sums them, so every entry the map
 assembles is bit for bit that of scipy's ``A.multiply(d) @ A.T``.
 
-The map also decides the factor path.  Problems with at most
-``DENSE_LIMIT`` rows get a dense map of the lower triangle alone, the
-only part Cholesky reads; it fills a dense ``M`` that LAPACK's ``potrf``
-factors and ``potrs`` solves with, called directly.  Larger ones get a
-sparse map whose slots are the CSC pattern of ``|A| @ |A|.T`` in one
-fill-reducing row order ``perm`` per problem; ``M`` is factored by sparse
-LU in that order, pivoting on the diagonal, so every factorization of a
-problem has the same fill.  Both paths retry once, on the same pattern,
-with a small diagonal regularization before giving up.
+The map also decides the factor path, from the problem's structure.
+Problems with at most ``DENSE_LIMIT`` rows get a dense map of the lower
+triangle alone, the only part Cholesky reads; it fills a dense ``M`` that
+LAPACK's ``potrf`` factors and ``potrs`` solves with, called directly.
+Larger ones are put in reverse Cuthill-McKee order ``perm``, computed
+once per problem from the pattern of ``|A| @ |A|.T``.  If that order
+gives ``M`` a half-width ``kd < DENSE_LIMIT``, the map fills the lower
+band of ``M`` in LAPACK's band storage, which ``pbtrf`` factors in place
+and ``pbtrs`` solves with.  A wider band (a dense linking row makes it
+nearly ``m``) gets a sparse map whose slots are the CSC pattern of
+``|A| @ |A|.T`` in one minimum-degree row order instead; ``M`` is then
+factored by sparse LU in that order, pivoting on the diagonal, so every
+factorization of a problem has the same fill.  Every path retries once,
+on the same pattern, with a small diagonal regularization before giving
+up.
 """
 
 from __future__ import annotations
@@ -42,8 +48,8 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-_potrf, _potrs = scipy.linalg.get_lapack_funcs(("potrf", "potrs"),
-                                               dtype=np.float64)
+_potrf, _potrs, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(
+    ("potrf", "potrs", "pbtrf", "pbtrs"), dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
            "factor", "solve_block", "norm", "DENSE_LIMIT"]
@@ -109,15 +115,22 @@ class ProductMap(NamedTuple):
     terms, one per entry ``A_kj`` of its column.  Term ``t`` is
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
     into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
-    ascending ``j``.  A dense map (``perm`` is ``None``) has the row-major
-    entries of the m-by-m matrix as slots and maps only the terms with
-    ``k <= i``: it assembles the lower triangle, diagonal included, and
-    leaves the upper one zero.  A sparse map's slots are those
-    of the CSC pattern ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the
-    diagonal, with rows and columns in a fill-reducing order ``perm``:
-    row ``r`` of the assembled matrix is row ``perm[r]`` of ``A``.
-    ``diag`` holds the slot of each diagonal entry, in the assembled
-    matrix's row order.
+    ascending ``j``.  ``diag`` holds the slot of each diagonal entry, in
+    the assembled matrix's row order.  There are three layouts:
+
+    * dense (``perm`` is ``None``): the row-major entries of the m-by-m
+      matrix are the slots, and only the terms with ``k <= i`` are
+      mapped, so it assembles the lower triangle, diagonal included, and
+      leaves the upper one zero;
+    * band (``kd`` is set): rows and columns are in the order ``perm``
+      (row ``r`` of the assembled matrix is row ``perm[r]`` of ``A``),
+      and the lower triangle, all within ``kd`` of the diagonal, is laid
+      out in LAPACK's lower band storage, a ``(kd + 1, m)`` column-major
+      array whose entry ``(r - c, c)`` is ``M_rc``;
+    * sparse (``perm`` is set and ``kd`` is ``None``): the slots are
+      those of the CSC pattern ``indptr``/``indices`` of ``|A| @ |A|.T``
+      plus the diagonal, both triangles, with rows and columns in the
+      order ``perm``.
     """
 
     m: int
@@ -128,27 +141,78 @@ class ProductMap(NamedTuple):
     slot: np.ndarray
     diag: np.ndarray
     perm: np.ndarray = None
+    kd: int = None
     indptr: np.ndarray = None
     indices: np.ndarray = None
 
     def assemble(self, d):
-        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, CSC in
-        the order ``perm`` for a sparse one) and its diagonal, with the
-        roundings of scipy's ``A.multiply(d) @ A.T``."""
+        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, a fresh
+        band array for a band map, CSC for a sparse one, the last two in
+        the order ``perm``) and its diagonal, with the roundings of
+        scipy's ``A.multiply(d) @ A.T``."""
         ad = d.take(self.col)
         ad *= self.val
         terms = np.repeat(ad, self.lead)
         terms *= self.coef
-        dense = self.perm is None
-        values = np.bincount(self.slot, weights=terms,
-                             minlength=self.m ** 2 if dense
-                             else self.indices.size)
+        dense, band = self.perm is None, self.kd is not None
+        values = np.bincount(
+            self.slot, weights=terms,
+            minlength=(self.m ** 2 if dense else (self.kd + 1) * self.m
+                       if band else self.indices.size))
         if dense:
             M = values.reshape(self.m, self.m)
+        elif band:
+            M = values.reshape((self.kd + 1, self.m), order="F")
         else:
             M = sp.csc_array((values, self.indices, self.indptr),
                              shape=(self.m, self.m))
         return M, values[self.diag]
+
+
+def _terms(At, lower):
+    # Entry e of At leads the terms that pair it with entries first[e],
+    # first[e] + 1, ... of its row (a column of A): up to its own position
+    # when `lower`, else all of them.  Returns each entry's column j and
+    # lead, and each term's rows i and k and coefficient A_kj.
+    n = At.shape[0]
+    count = np.diff(At.indptr)
+    col = np.repeat(np.arange(n, dtype=np.int32), count)
+    first = np.repeat(At.indptr[:-1], count)
+    lead = (np.arange(At.nnz) - first + 1 if lower
+            else np.repeat(count, count))
+    start = np.cumsum(lead) - lead
+    other = np.arange(int(lead.sum()), dtype=np.int32)
+    other -= np.repeat((start - first).astype(np.int32), lead)
+    return (col, lead, np.repeat(At.indices, lead), At.indices[other],
+            At.data[other])
+
+
+def _rcm_order(At):
+    # Reverse Cuthill-McKee order of the pattern of |A| @ |A|.T and the
+    # half-width of M in that order.  The graph module is loaded here:
+    # only problems above the dense limit need it.
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
+                        shape=At.shape)
+    pattern = (unit.T @ unit).tocsr()
+    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+    new = np.argsort(perm)
+    rows = np.repeat(new, np.diff(pattern.indptr))
+    return perm, int(np.abs(rows - new[pattern.indices]).max(initial=0))
+
+
+def _band_map(At, perm, kd):
+    # With the rows of A renumbered in the order perm, each column's
+    # entries up to its own row give the lower triangle in that order.
+    # The arrays are copied, as summing the duplicates works in place.
+    m = perm.size
+    At = sp.csr_array((At.data, np.argsort(perm)[At.indices], At.indptr),
+                      shape=At.shape, copy=True)
+    At.sum_duplicates()
+    col, lead, i, k, coef = _terms(At, lower=True)
+    return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
+                      slot=k.astype(np.intp) * (kd + 1) + (i - k),
+                      diag=np.arange(m) * (kd + 1), perm=perm, kd=kd)
 
 
 def map_products(At):
@@ -159,41 +223,35 @@ def map_products(At):
     come in ascending ``j``.  Up to ``DENSE_LIMIT`` rows the map is dense
     and pairs each entry ``A_ij`` with the entries of its column up to
     and including its own row, for which the duplicate entries of ``At``
-    are summed and its rows sorted first.  Above it the map is sparse and
-    pairs every two entries of a column: it keeps an explicit slot for an
-    entry whose terms cancel, where scipy's product drops it, so every
-    ``d > 0`` gives the same pattern.  One minimum-degree ordering of that
-    pattern (SuperLU's ``MMD_AT_PLUS_A``, on unit entries with ``m + 1``
-    on the diagonal, a strictly diagonally dominant matrix whose LU cannot
-    fail) then serves every factorization of the problem, and the slots
-    are laid out in that order.
+    are summed and its rows sorted first.
+
+    Above it, the rows are put in reverse Cuthill-McKee order (E. Cuthill
+    and J. McKee, Proc. 24th ACM National Conference, 1969) of the
+    pattern of ``|A| @ |A|.T``, which gives ``M`` its half-width ``kd``.
+    If ``kd < DENSE_LIMIT`` the map is a band map, built as the dense one
+    is, with the rows of ``A`` renumbered in that order first.  Otherwise
+    it is sparse and pairs every two entries of a column: it keeps an
+    explicit slot for an entry whose terms cancel, where scipy's product
+    drops it, so every ``d > 0`` gives the same pattern.  One
+    minimum-degree ordering of that pattern (SuperLU's ``MMD_AT_PLUS_A``,
+    on unit entries with ``m + 1`` on the diagonal, a strictly diagonally
+    dominant matrix whose LU cannot fail) then serves every factorization
+    of the problem, and the slots are laid out in that order.
     """
     n, m = At.shape
-    dense = m <= DENSE_LIMIT
-    if dense and not At.has_canonical_format:
-        At = At.copy()
-        At.sum_duplicates()
-    count = np.diff(At.indptr)
-    col = np.repeat(np.arange(n, dtype=np.int32), count)
-    first = np.repeat(At.indptr[:-1], count)
-    # Term t pairs the entry that leads it with entry `other` of the same
-    # column: first[e], first[e] + 1, ... for the terms of entry e.  On
-    # the dense path entry e leads the terms up to its own position.
-    lead = (np.arange(At.nnz) - first + 1 if dense
-            else np.repeat(count, count))
-    start = np.cumsum(lead) - lead
-    other = np.arange(int(lead.sum()), dtype=np.int32)
-    other -= np.repeat((start - first).astype(np.int32), lead)
-    del start, first
-    i = np.repeat(At.indices, lead)
-    k = At.indices[other]
-    coef = At.data[other]
-    del other
-    # Slots are intp, which np.bincount takes without a copy.
-    if dense:
+    if m <= DENSE_LIMIT:
+        if not At.has_canonical_format:
+            At = At.copy()
+            At.sum_duplicates()
+        col, lead, i, k, coef = _terms(At, lower=True)
+        # Slots are intp, which np.bincount takes without a copy.
         return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
                           slot=i.astype(np.intp) * m + k,
                           diag=np.arange(m) * (m + 1))
+    perm, kd = _rcm_order(At)
+    if kd < DENSE_LIMIT:
+        return _band_map(At, perm, kd)
+    col, lead, i, k, coef = _terms(At, lower=False)
     # CSC keys k * m + i sort column by column, rows ascending.
     keys = np.concatenate([np.arange(m, dtype=np.int64) * (m + 1),
                            k.astype(np.int64) * m + i])
@@ -239,22 +297,39 @@ def _cholesky(M):
     return c
 
 
+def _band_cholesky(M):
+    # pbtrf factors the fresh band array in place: the regularized retry
+    # assembles it again.  As for potrf, a nonzero info means that M is
+    # not positive definite.
+    c, info = _pbtrf(M, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise scipy.linalg.LinAlgError("not positive definite")
+    return c
+
+
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
     ``M`` is assembled from the problem's :class:`ProductMap`
     (``lp.product_map``, built on the first call and kept with the
-    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``.  A dense
-    map fills the lower triangle of a dense array, which LAPACK's
-    ``potrf`` factors by Cholesky and ``potrs`` solves with, called
-    directly; the upper triangle is neither assembled nor read.  Their
-    input is not checked for finiteness: ``|M_ik| <= (M_ii + M_kk) / 2``,
-    so the guard on the diagonal, which raises ``NumericalError``, covers
-    every entry.  A sparse map fills the fixed CSC pattern of
-    ``|A| @ |A|.T`` with its rows and columns in the map's order ``perm``,
-    which SuperLU factors in that order with diagonal pivots.  If the
-    factorization fails, it is retried once on the same pattern with a
-    small regularization added to the diagonal.
+    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``.  The
+    map's layout chooses one of three paths (see :func:`map_products`):
+
+    * a dense map fills the lower triangle of a dense array, which
+      LAPACK's ``potrf`` factors by Cholesky and ``potrs`` solves with,
+      called directly; the upper triangle is neither assembled nor read;
+    * a band map fills the lower band of ``M``, with its rows and columns
+      in the map's order ``perm``, which ``pbtrf`` factors by Cholesky in
+      place and ``pbtrs`` solves with;
+    * a sparse map fills the fixed CSC pattern of ``|A| @ |A|.T`` in the
+      map's order ``perm``, which SuperLU factors in that order with
+      diagonal pivots.
+
+    The LAPACK input is not checked for finiteness: ``|M_ik| <= (M_ii +
+    M_kk) / 2``, so the guard on the diagonal, which raises
+    ``NumericalError``, covers every entry.  If the factorization fails,
+    it is retried once on the same pattern with a small regularization
+    added to the diagonal.
 
     Parameters
     ----------
@@ -266,7 +341,8 @@ def factor(lp, p, q):
     Returns
     -------
     NewtonFactor
-        Holds ``lp.A``, ``lp.At``, ``p`` and ``q`` by reference.
+        Holds ``lp.A``, ``lp.At``, ``p`` and ``q`` by reference; its
+        ``dense`` is True on the dense path alone.
 
     Raises
     ------
@@ -283,22 +359,27 @@ def factor(lp, p, q):
     # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
     # an overflow here is reported below, not warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        M, diagonal = pm.assemble(p / q)
+        d = p / q
+        M, diagonal = pm.assemble(d)
         reg = 1e-12 * max(diagonal.max(), 1.0)
     if not math.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
-    # One regularized retry on either path, shifting M's diagonal slots in
-    # place so that the retry factors the same pattern.
-    dense = pm.perm is None
+    dense, band = pm.perm is None, pm.kd is not None
     if dense:
         decompose, failure = _cholesky, scipy.linalg.LinAlgError
-        values = M.reshape(-1)
+    elif band:
+        decompose, failure = _band_cholesky, scipy.linalg.LinAlgError
     else:
-        decompose, failure, values = _splu_in_order, RuntimeError, M.data
+        decompose, failure = _splu_in_order, RuntimeError
     try:
         fac = decompose(M)
     except failure:
+        # One regularized retry on the same pattern: shift M's diagonal
+        # slots in place, on a band assembled again.
+        if band:
+            M = pm.assemble(d)[0]
+        values = M.data if sp.issparse(M) else M.reshape(-1, order="A")
         values[pm.diag] += reg
         try:
             fac = decompose(M)
@@ -310,9 +391,12 @@ def factor(lp, p, q):
     if dense:
         solve = lambda rhs: _potrs(fac, rhs, lower=1)[0]
     else:
+        inner = ((lambda b: _pbtrs(fac, b, lower=1, overwrite_b=1)[0])
+                 if band else fac.solve)
+
         def solve(rhs, perm=pm.perm):
             y = np.empty(pm.m)
-            y[perm] = fac.solve(rhs[perm])
+            y[perm] = inner(rhs[perm])
             return y
     return NewtonFactor(dense=dense, A=A, At=At, p=p, q=q, _solve=solve)
 

@@ -618,6 +618,8 @@ def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     fac = factor(lp, z, s)
     dz, dlam, ds = first_derivatives(fac, z, s, rb, rc)
     ddz, ddlam, dds = second_derivatives(lp, fac, z, s, dz, ds)
+    # Hold one factor at a time: the corrector's is built below.
+    del fac
 
     alpha, points = _guarded_angle(z, s, dz, ds, ddz, dds, mu_z,
                                    config.theta)

@@ -85,7 +85,7 @@ class StandardLP:
     def product_map(self):
         """:class:`~arclp.linalg.ProductMap` of the normal matrix, built
         on the first factorization: dense up to ``DENSE_LIMIT`` rows,
-        else sparse, with its fill-reducing row order ``perm``."""
+        else a band or a sparse map with its row order ``perm``."""
         return map_products(self.At)
 
     @property

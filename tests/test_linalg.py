@@ -50,13 +50,37 @@ def presolved():
     return load
 
 
-@pytest.fixture(params=["dense", "sparse"])
+def route_to_band(monkeypatch):
+    """Give every problem a band map in reverse Cuthill-McKee order,
+    whatever its size and half-width."""
+    def band_map(At):
+        return arclp.linalg._band_map(At, *arclp.linalg._rcm_order(At))
+    monkeypatch.setattr(arclp.linalg, "map_products", band_map)
+    monkeypatch.setattr(arclp.standardize, "map_products", band_map)
+
+
+@pytest.fixture(params=["dense", "band", "sparse"])
 def kernel_path(request, monkeypatch):
-    """Run a kernel test on the dense Cholesky path and, with every
-    problem above the dense limit, on the sparse LU path."""
-    if request.param == "sparse":
+    """Run a kernel test on the dense Cholesky path, on the banded
+    Cholesky path and, with every problem above the dense limit, on the
+    sparse LU path."""
+    if request.param == "band":
+        route_to_band(monkeypatch)
+    elif request.param == "sparse":
         monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     return request.param
+
+
+def lower_of_band(band):
+    """The lower triangle that LAPACK's lower band storage ``band`` holds;
+    the storage past the end of each column must hold zeros."""
+    rows, m = band.shape
+    lower = np.zeros((m, m))
+    for r in range(rows):
+        c = np.arange(m - r)
+        lower[c + r, c] = band[r, :m - r]
+        assert not band[r, m - r:].any()
+    return lower
 
 
 def brute_force(A, p, q, r1, r2, r3):
@@ -185,6 +209,34 @@ def test_sparse_retry_keeps_the_pattern(monkeypatch):
     for indptr, indices in seen:
         assert np.array_equal(indptr, pm.indptr)
         assert np.array_equal(indices, pm.indices)
+
+
+def test_band_retry_factors_the_band_again(monkeypatch):
+    # Rows 1 and 2 are equal, so M is singular and pbtrf fails, after it
+    # has overwritten the leading columns of the band in place.  The
+    # regularized retry must factor the band assembled again plus the
+    # diagonal shift, not what the failed attempt left behind.
+    route_to_band(monkeypatch)
+    real_band_cholesky = arclp.linalg._band_cholesky
+    seen = []
+
+    def band_cholesky(M):
+        seen.append(M.copy())
+        return real_band_cholesky(M)
+
+    monkeypatch.setattr(arclp.linalg, "_band_cholesky", band_cholesky)
+    A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
+    d = np.array([2.0, 2.0, 1.0])
+    lp = lp_of(A)
+    fac = factor(lp, d, np.ones(3))
+    assert not fac.dense
+    first, retry = seen
+    perm = lp.product_map.perm
+    M = ((A * d) @ A.T)[np.ix_(perm, perm)]
+    assert lower_of_band(first).tobytes() == np.tril(M).tobytes()
+    shifted = first.copy()
+    shifted[0] += 1e-12 * np.diag(M).max()
+    assert retry.tobytes() == shifted.tobytes()
 
 
 @pytest.mark.parametrize("name", NETLIB)
@@ -343,8 +395,8 @@ def test_sparse_path_above_dense_limit():
 
 
 class TestOnBothFactorPaths:
-    """Kernel oracles run on the dense Cholesky path and on the sparse LU
-    path (see ``kernel_path``)."""
+    """Kernel oracles run on the dense Cholesky path, on the banded
+    Cholesky path and on the sparse LU path (see ``kernel_path``)."""
 
     def test_nonfinite_data_is_a_numerical_error(self, kernel_path):
         # An overflowing iterate ends a solve; it is not a misuse, and the
@@ -378,23 +430,31 @@ class TestOnBothFactorPaths:
         # The iterates depend on M's last bits (kb2's alg2 ends
         # NumericalError instead of Optimal when only they change), so the
         # map must round as A.multiply(d) @ A.T does, at any scaling.  A
-        # dense map assembles only the lower triangle, which is all that
-        # Cholesky reads.
+        # dense or band map assembles only the lower triangle, which is
+        # all that Cholesky reads, and a band map holds zeros outside it.
         lp = presolved(name)
-        sparse = lp.m > arclp.linalg.DENSE_LIMIT
-        assert sparse == (kernel_path == "sparse" or lp.m > DENSE_LIMIT)
         product_map = arclp.linalg.map_products(lp.At)
-        assert (product_map.perm is not None) == sparse
-        perm = product_map.perm if sparse else np.arange(lp.m)
+        layout = ("dense" if product_map.perm is None else
+                  "band" if product_map.kd is not None else "sparse")
+        # st5x20x10 has half-width 105 in its band order, under the limit.
+        assert layout == ("band" if kernel_path == "dense"
+                          and lp.m > DENSE_LIMIT else kernel_path)
+        perm = np.arange(lp.m) if layout == "dense" else product_map.perm
         rng = np.random.default_rng(12)
         for k in (0, 1, 4, 8, 12):
             d = 10.0 ** rng.uniform(-k, k, lp.n)
             want = (lp.A.multiply(d) @ lp.At).toarray()[np.ix_(perm, perm)]
             M, diagonal = product_map.assemble(d)
-            got = M.toarray() if sparse else np.tril(M)
-            if not sparse:
-                assert not np.triu(M, 1).any(), k
+            if layout == "sparse":
+                got = M.toarray()
+            else:
                 want = np.tril(want)
+                if layout == "band":
+                    assert M.shape == (product_map.kd + 1, lp.m), k
+                    got = lower_of_band(M)
+                else:
+                    assert not np.triu(M, 1).any(), k
+                    got = np.tril(M)
             assert got.tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
 
@@ -410,9 +470,12 @@ class TestOnBothFactorPaths:
         for rhs in np.eye(2):
             assert_allclose(fac.solve(rhs),
                             np.linalg.solve((A * d) @ A.T, rhs), rtol=1e-14)
+        M, _ = lp.product_map.assemble(d)
         if kernel_path == "sparse":
-            M, _ = lp.product_map.assemble(d)
             assert M.nnz == 4 and M[0, 1] == 0.0 and M[1, 0] == 0.0
+        elif kernel_path == "band":
+            # The half-width counts the cancelled entry.
+            assert lp.product_map.kd == 1 and M[1, 0] == 0.0
 
     def test_random_systems_match_brute_force(self, kernel_path):
         rng = np.random.default_rng(42)
