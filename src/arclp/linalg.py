@@ -20,21 +20,17 @@ assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
 ``j``, as scipy's sparse product sums them, so every entry the map
 assembles is bit for bit that of scipy's ``A.multiply(d) @ A.T``.
 
-The map also decides the factor path, from the problem's structure.
-Problems with at most ``DENSE_LIMIT`` rows get a dense map of the lower
-triangle alone, the only part Cholesky reads; it fills a dense ``M`` that
-LAPACK's ``potrf`` factors and ``potrs`` solves with, called directly.
-Larger ones are put in reverse Cuthill-McKee order ``perm``, computed
-once per problem from the pattern of ``|A| @ |A|.T``.  If that order
-gives ``M`` a half-width ``kd < DENSE_LIMIT``, the map fills the lower
-band of ``M`` in LAPACK's band storage, which ``pbtrf`` factors in place
-and ``pbtrs`` solves with.  A wider band (a dense linking row makes it
-nearly ``m``) gets a sparse map whose slots are the CSC pattern of
-``|A| @ |A|.T`` in one minimum-degree row order instead; ``M`` is then
-factored by sparse LU in that order, pivoting on the diagonal, so every
-factorization of a problem has the same fill.  Every path retries once,
-on the same pattern, with a small diagonal regularization before giving
-up.
+The map also decides the factor path, from the half-width ``kd`` of
+``M`` in the reverse Cuthill-McKee order of the pattern of
+``|A| @ |A|.T``.  If ``kd < DENSE_LIMIT`` (always so up to
+``DENSE_LIMIT`` rows), the map fills the lower band of ``M`` in LAPACK's
+band storage, which ``pbtrf`` factors by Cholesky in place and ``pbtrs``
+solves with.  A wider band (a dense linking row makes it nearly ``m``)
+gets a sparse map of the CSC pattern of ``|A| @ |A|.T`` in one
+minimum-degree row order instead, factored by sparse LU in that order
+with diagonal pivots, so every factorization of a problem has the same
+fill.  Both paths retry once, on the same pattern, with a small diagonal
+regularization before giving up.
 """
 
 from __future__ import annotations
@@ -47,9 +43,10 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-_potrf, _potrs, _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(
-    ("potrf", "potrs", "pbtrf", "pbtrs"), dtype=np.float64)
+_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
+                                               dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
            "factor", "solve_block", "norm", "DENSE_LIMIT"]
@@ -80,7 +77,8 @@ class NewtonFactor:
 
     ``A``, ``At``, ``p`` and ``q`` are the caller's arrays, not copies:
     they must not change while the factor is in use.  Build a new factor
-    per scaling pair.
+    per scaling pair.  ``dense`` is True when LAPACK's band Cholesky
+    factored ``M`` and False when sparse LU did.
     """
 
     dense: bool
@@ -116,21 +114,18 @@ class ProductMap(NamedTuple):
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
     into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
     ascending ``j``.  ``diag`` holds the slot of each diagonal entry, in
-    the assembled matrix's row order.  There are three layouts:
+    the assembled matrix's row order.  Rows and columns are in the order
+    ``perm`` (row ``r`` of the assembled matrix is row ``perm[r]`` of
+    ``A``), in one of two layouts:
 
-    * dense (``perm`` is ``None``): the row-major entries of the m-by-m
-      matrix are the slots, and only the terms with ``k <= i`` are
-      mapped, so it assembles the lower triangle, diagonal included, and
-      leaves the upper one zero;
-    * band (``kd`` is set): rows and columns are in the order ``perm``
-      (row ``r`` of the assembled matrix is row ``perm[r]`` of ``A``),
-      and the lower triangle, all within ``kd`` of the diagonal, is laid
-      out in LAPACK's lower band storage, a ``(kd + 1, m)`` column-major
-      array whose entry ``(r - c, c)`` is ``M_rc``;
-    * sparse (``perm`` is set and ``kd`` is ``None``): the slots are
-      those of the CSC pattern ``indptr``/``indices`` of ``|A| @ |A|.T``
-      plus the diagonal, both triangles, with rows and columns in the
-      order ``perm``.
+    * band (``kd`` is set): only the terms with ``k <= i`` are mapped, so
+      the lower triangle, diagonal included and all within ``kd`` of the
+      diagonal, is laid out in LAPACK's lower band storage, a
+      ``(kd + 1, m)`` column-major array whose entry ``(r - c, c)`` is
+      ``M_rc``;
+    * sparse (``kd`` is ``None``): the slots are those of the CSC pattern
+      ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the diagonal, both
+      triangles.
     """
 
     m: int
@@ -140,28 +135,25 @@ class ProductMap(NamedTuple):
     coef: np.ndarray
     slot: np.ndarray
     diag: np.ndarray
-    perm: np.ndarray = None
+    perm: np.ndarray
     kd: int = None
     indptr: np.ndarray = None
     indices: np.ndarray = None
 
     def assemble(self, d):
-        """``M = A @ diag(d) @ A.T`` (an ndarray for a dense map, a fresh
-        band array for a band map, CSC for a sparse one, the last two in
-        the order ``perm``) and its diagonal, with the roundings of
-        scipy's ``A.multiply(d) @ A.T``."""
+        """``M = A @ diag(d) @ A.T`` in the order ``perm`` (a fresh band
+        array for a band map, CSC for a sparse one) and its diagonal, with
+        the roundings of scipy's ``A.multiply(d) @ A.T``."""
         ad = d.take(self.col)
         ad *= self.val
         terms = np.repeat(ad, self.lead)
         terms *= self.coef
-        dense, band = self.perm is None, self.kd is not None
+        band = self.kd is not None
         values = np.bincount(
             self.slot, weights=terms,
-            minlength=(self.m ** 2 if dense else (self.kd + 1) * self.m
-                       if band else self.indices.size))
-        if dense:
-            M = values.reshape(self.m, self.m)
-        elif band:
+            minlength=((self.kd + 1) * self.m if band
+                       else self.indices.size))
+        if band:
             M = values.reshape((self.kd + 1, self.m), order="F")
         else:
             M = sp.csc_array((values, self.indices, self.indptr),
@@ -189,9 +181,7 @@ def _terms(At, lower):
 
 def _rcm_order(At):
     # Reverse Cuthill-McKee order of the pattern of |A| @ |A|.T and the
-    # half-width of M in that order.  The graph module is loaded here:
-    # only problems above the dense limit need it.
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
+    # half-width of M in that order.
     unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
                         shape=At.shape)
     pattern = (unit.T @ unit).tocsr()
@@ -201,56 +191,39 @@ def _rcm_order(At):
     return perm, int(np.abs(rows - new[pattern.indices]).max(initial=0))
 
 
-def _band_map(At, perm, kd):
-    # With the rows of A renumbered in the order perm, each column's
-    # entries up to its own row give the lower triangle in that order.
-    # The arrays are copied, as summing the duplicates works in place.
-    m = perm.size
-    At = sp.csr_array((At.data, np.argsort(perm)[At.indices], At.indptr),
-                      shape=At.shape, copy=True)
-    At.sum_duplicates()
-    col, lead, i, k, coef = _terms(At, lower=True)
-    return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                      slot=k.astype(np.intp) * (kd + 1) + (i - k),
-                      diag=np.arange(m) * (kd + 1), perm=perm, kd=kd)
-
-
 def map_products(At):
     """Build the :class:`ProductMap` of ``A`` from ``At = A.T`` (CSR).
 
     The terms run over the columns ``j`` of ``A`` in ascending order and,
     within a column, over pairs of its entries, so the terms of each slot
-    come in ascending ``j``.  Up to ``DENSE_LIMIT`` rows the map is dense
-    and pairs each entry ``A_ij`` with the entries of its column up to
-    and including its own row, for which the duplicate entries of ``At``
-    are summed and its rows sorted first.
-
-    Above it, the rows are put in reverse Cuthill-McKee order (E. Cuthill
-    and J. McKee, Proc. 24th ACM National Conference, 1969) of the
-    pattern of ``|A| @ |A|.T``, which gives ``M`` its half-width ``kd``.
-    If ``kd < DENSE_LIMIT`` the map is a band map, built as the dense one
-    is, with the rows of ``A`` renumbered in that order first.  Otherwise
-    it is sparse and pairs every two entries of a column: it keeps an
-    explicit slot for an entry whose terms cancel, where scipy's product
-    drops it, so every ``d > 0`` gives the same pattern.  One
+    come in ascending ``j``.  The half-width ``kd`` of ``M`` in reverse
+    Cuthill-McKee order (E. Cuthill and J. McKee, Proc. 24th ACM National
+    Conference, 1969) of the pattern of ``|A| @ |A|.T`` alone picks the
+    layout.  If ``kd < DENSE_LIMIT`` the map is a band map in that order,
+    which pairs each entry ``A_ij`` with the entries of its column up to
+    and including its own row.  Otherwise it is sparse and pairs every
+    two entries of a column: it
+    keeps an explicit slot for an entry whose terms cancel, where scipy's
+    product drops it, so every ``d > 0`` gives the same pattern.  One
     minimum-degree ordering of that pattern (SuperLU's ``MMD_AT_PLUS_A``,
     on unit entries with ``m + 1`` on the diagonal, a strictly diagonally
     dominant matrix whose LU cannot fail) then serves every factorization
     of the problem, and the slots are laid out in that order.
     """
-    n, m = At.shape
-    if m <= DENSE_LIMIT:
-        if not At.has_canonical_format:
-            At = At.copy()
-            At.sum_duplicates()
-        col, lead, i, k, coef = _terms(At, lower=True)
-        # Slots are intp, which np.bincount takes without a copy.
-        return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                          slot=i.astype(np.intp) * m + k,
-                          diag=np.arange(m) * (m + 1))
+    m = At.shape[1]
     perm, kd = _rcm_order(At)
     if kd < DENSE_LIMIT:
-        return _band_map(At, perm, kd)
+        # With the rows of A renumbered in the order perm, each column's
+        # entries up to its own row give the lower triangle in that order.
+        # The arrays are copied, as summing the duplicates works in place.
+        # Slots are intp, which np.bincount takes without a copy.
+        At = sp.csr_array((At.data, np.argsort(perm)[At.indices],
+                           At.indptr), shape=At.shape, copy=True)
+        At.sum_duplicates()
+        col, lead, i, k, coef = _terms(At, lower=True)
+        return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
+                          slot=k.astype(np.intp) * (kd + 1) + (i - k),
+                          diag=np.arange(m) * (kd + 1), perm=perm, kd=kd)
     col, lead, i, k, coef = _terms(At, lower=False)
     # CSC keys k * m + i sort column by column, rows ascending.
     keys = np.concatenate([np.arange(m, dtype=np.int64) * (m + 1),
@@ -287,20 +260,10 @@ def _splu_in_order(M):
                      options={"SymmetricMode": True})
 
 
-def _cholesky(M):
-    # potrf copies M, which the regularized retry needs intact, and reads
-    # only its lower triangle.  Its info is nonzero only if M is not
-    # positive definite, as M's shape and dtype are fixed.
-    c, info = _potrf(M, lower=1, clean=0)
-    if info != 0:
-        raise scipy.linalg.LinAlgError("not positive definite")
-    return c
-
-
 def _band_cholesky(M):
     # pbtrf factors the fresh band array in place: the regularized retry
-    # assembles it again.  As for potrf, a nonzero info means that M is
-    # not positive definite.
+    # assembles it again.  Its info is nonzero only if M is not positive
+    # definite, as M's shape and dtype are fixed.
     c, info = _pbtrf(M, lower=1, overwrite_ab=1)
     if info != 0:
         raise scipy.linalg.LinAlgError("not positive definite")
@@ -312,18 +275,12 @@ def factor(lp, p, q):
 
     ``M`` is assembled from the problem's :class:`ProductMap`
     (``lp.product_map``, built on the first call and kept with the
-    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``.  The
-    map's layout chooses one of three paths (see :func:`map_products`):
-
-    * a dense map fills the lower triangle of a dense array, which
-      LAPACK's ``potrf`` factors by Cholesky and ``potrs`` solves with,
-      called directly; the upper triangle is neither assembled nor read;
-    * a band map fills the lower band of ``M``, with its rows and columns
-      in the map's order ``perm``, which ``pbtrf`` factors by Cholesky in
-      place and ``pbtrs`` solves with;
-    * a sparse map fills the fixed CSC pattern of ``|A| @ |A|.T`` in the
-      map's order ``perm``, which SuperLU factors in that order with
-      diagonal pivots.
+    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``, in the
+    map's order ``perm``.  A band map's lower band is factored in place by
+    LAPACK's ``pbtrf`` and solved by ``pbtrs``; a sparse map's fixed CSC
+    pattern is factored by SuperLU in that order with diagonal pivots (see
+    :func:`map_products`).  Each solve gathers its right-hand side into
+    the order ``perm`` and scatters the solution back.
 
     The LAPACK input is not checked for finiteness: ``|M_ik| <= (M_ii +
     M_kk) / 2``, so the guard on the diagonal, which raises
@@ -342,7 +299,7 @@ def factor(lp, p, q):
     -------
     NewtonFactor
         Holds ``lp.A``, ``lp.At``, ``p`` and ``q`` by reference; its
-        ``dense`` is True on the dense path alone.
+        ``dense`` is True on the band path and False on the sparse one.
 
     Raises
     ------
@@ -365,10 +322,8 @@ def factor(lp, p, q):
     if not math.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
-    dense, band = pm.perm is None, pm.kd is not None
-    if dense:
-        decompose, failure = _cholesky, scipy.linalg.LinAlgError
-    elif band:
+    band = pm.kd is not None
+    if band:
         decompose, failure = _band_cholesky, scipy.linalg.LinAlgError
     else:
         decompose, failure = _splu_in_order, RuntimeError
@@ -379,7 +334,7 @@ def factor(lp, p, q):
         # slots in place, on a band assembled again.
         if band:
             M = pm.assemble(d)[0]
-        values = M.data if sp.issparse(M) else M.reshape(-1, order="A")
+        values = M.reshape(-1, order="F") if band else M.data
         values[pm.diag] += reg
         try:
             fac = decompose(M)
@@ -388,17 +343,14 @@ def factor(lp, p, q):
                 from None
 
     # Nonfinite solutions are left to solve_block's residual guard.
-    if dense:
-        solve = lambda rhs: _potrs(fac, rhs, lower=1)[0]
-    else:
-        inner = ((lambda b: _pbtrs(fac, b, lower=1, overwrite_b=1)[0])
-                 if band else fac.solve)
+    inner = ((lambda b: _pbtrs(fac, b, lower=1, overwrite_b=1)[0])
+             if band else fac.solve)
 
-        def solve(rhs, perm=pm.perm):
-            y = np.empty(pm.m)
-            y[perm] = inner(rhs[perm])
-            return y
-    return NewtonFactor(dense=dense, A=A, At=At, p=p, q=q, _solve=solve)
+    def solve(rhs, perm=pm.perm):
+        y = np.empty(pm.m)
+        y[perm] = inner(rhs[perm])
+        return y
+    return NewtonFactor(dense=band, A=A, At=At, p=p, q=q, _solve=solve)
 
 
 # Every value solve_block computes reaches its residual guard, which turns

@@ -84,8 +84,9 @@ class StandardLP:
     @cached_property
     def product_map(self):
         """:class:`~arclp.linalg.ProductMap` of the normal matrix, built
-        on the first factorization: dense up to ``DENSE_LIMIT`` rows,
-        else a band or a sparse map with its row order ``perm``."""
+        on the first factorization: a band map, or a sparse one when the
+        half-width of the normal matrix reaches ``DENSE_LIMIT``, either
+        with its row order ``perm``."""
         return map_products(self.At)
 
     @property

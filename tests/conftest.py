@@ -155,7 +155,8 @@ def perfbench_module(name):
 def staircase_raw():
     """The benchmark generator's staircase production plan with five
     periods, 20 products and 10 resources (m = 250, n = 450 after
-    presolve), the smallest LP of the tier-1 suite on the sparse path."""
+    presolve), the smallest LP of the tier-1 suite above ``DENSE_LIMIT``
+    rows."""
     return perfbench_module("workloads").staircase_lp(
         arclp, 5, 20, 10, np.random.default_rng(5), "st5x20x10")
 

@@ -50,23 +50,12 @@ def presolved():
     return load
 
 
-def route_to_band(monkeypatch):
-    """Give every problem a band map in reverse Cuthill-McKee order,
-    whatever its size and half-width."""
-    def band_map(At):
-        return arclp.linalg._band_map(At, *arclp.linalg._rcm_order(At))
-    monkeypatch.setattr(arclp.linalg, "map_products", band_map)
-    monkeypatch.setattr(arclp.standardize, "map_products", band_map)
-
-
-@pytest.fixture(params=["dense", "band", "sparse"])
+@pytest.fixture(params=["band", "sparse"])
 def kernel_path(request, monkeypatch):
-    """Run a kernel test on the dense Cholesky path, on the banded
-    Cholesky path and, with every problem above the dense limit, on the
-    sparse LU path."""
-    if request.param == "band":
-        route_to_band(monkeypatch)
-    elif request.param == "sparse":
+    """Run a kernel test on the banded Cholesky path, which every problem
+    of these tests takes by default, and, with every half-width at or
+    above the band limit, on the sparse LU path."""
+    if request.param == "sparse":
         monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     return request.param
 
@@ -127,7 +116,7 @@ def test_problem_prepares_its_matrix_once(build):
 def test_product_map_is_built_once_per_problem(monkeypatch):
     # The product map is built on a problem's first factorization and
     # shared by the start point's factor and every iteration's, on either
-    # path: a dense map, or a sparse one that carries its row order.
+    # path: a band map or a sparse one, each with its row order.
     real_map = arclp.linalg.map_products
     real_assemble = arclp.linalg.ProductMap.assemble
     maps, used = [], []
@@ -152,13 +141,14 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
         assert all(fac.A is lp.A and fac.At is lp.At for fac in facs)
         return facs
 
-    dense_lp = lp_of(rng.standard_normal((3, 6)))
-    facs = start_and_two_iterations(dense_lp)
+    band_lp = lp_of(rng.standard_normal((3, 6)))
+    facs = start_and_two_iterations(band_lp)
     assert all(fac.dense for fac in facs)
-    assert len(maps) == 1 and maps[0] is dense_lp.At
-    assert dense_lp.product_map.perm is None
+    assert len(maps) == 1 and maps[0] is band_lp.At
+    assert band_lp.product_map.kd == 2
+    assert sorted(band_lp.product_map.perm) == [0, 1, 2]
     assert len(used) == 3
-    assert all(m is dense_lp.product_map for m in used)
+    assert all(m is band_lp.product_map for m in used)
 
     monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     lp = lp_of(rng.standard_normal((3, 6)))
@@ -166,7 +156,7 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
     facs = start_and_two_iterations(lp)
     assert not any(fac.dense for fac in facs)
     assert len(maps) == 2 and maps[1] is lp.At
-    assert lp.product_map.perm is not None
+    assert lp.product_map.kd is None
     assert sorted(lp.product_map.perm) == [0, 1, 2]
     assert not hasattr(lp, "row_order")
     assert len(used) == 3 and all(m is lp.product_map for m in used)
@@ -216,7 +206,6 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     # has overwritten the leading columns of the band in place.  The
     # regularized retry must factor the band assembled again plus the
     # diagonal shift, not what the failed attempt left behind.
-    route_to_band(monkeypatch)
     real_band_cholesky = arclp.linalg._band_cholesky
     seen = []
 
@@ -229,7 +218,7 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     d = np.array([2.0, 2.0, 1.0])
     lp = lp_of(A)
     fac = factor(lp, d, np.ones(3))
-    assert not fac.dense
+    assert fac.dense
     first, retry = seen
     perm = lp.product_map.perm
     M = ((A * d) @ A.T)[np.ix_(perm, perm)]
@@ -240,32 +229,49 @@ def test_band_retry_factors_the_band_again(monkeypatch):
 
 
 @pytest.mark.parametrize("name", NETLIB)
-def test_dense_factor_is_scipys_cholesky_bit_for_bit(presolved, name):
-    # factor calls LAPACK's potrf and potrs directly on the lower triangle
-    # that the map assembles; its solves must be those of scipy's own
-    # Cholesky of the full product, at any scaling, and so must those of
-    # its regularized retry where that Cholesky fails.
+def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
+                                                           monkeypatch):
+    # factor calls LAPACK's pbtrf and pbtrs directly on the lower band
+    # that the map assembles in its order perm; its factor and its solves
+    # in that order must be those of scipy's cholesky_banded of the band
+    # of the full product, at any scaling, and so must those of its
+    # regularized retry where that Cholesky fails.
     lp = presolved(name)
-    assert lp.m <= DENSE_LIMIT
+    pm = lp.product_map
+    assert pm.kd < DENSE_LIMIT
+    real_band_cholesky = arclp.linalg._band_cholesky
+    factors = []
+
+    def band_cholesky(M):
+        factors.append(real_band_cholesky(M))
+        return factors[-1]
+
+    monkeypatch.setattr(arclp.linalg, "_band_cholesky", band_cholesky)
+    perm = pm.perm
     rng = np.random.default_rng(13)
     for k in (0, 1, 4, 8, 12):
         p = 10.0 ** rng.uniform(-k, k, lp.n)
         q = 10.0 ** rng.uniform(-k, k, lp.n)
         rhs = rng.standard_normal(lp.m)
-        M = (lp.A.multiply(p / q) @ lp.At).toarray()
+        M = (lp.A.multiply(p / q) @ lp.At).toarray()[np.ix_(perm, perm)]
+        band = np.zeros((pm.kd + 1, lp.m))
+        for r in range(pm.kd + 1):
+            band[r, :lp.m - r] = np.diagonal(M, -r)
         try:
-            c = scipy.linalg.cho_factor(M, lower=True)
+            want = scipy.linalg.cholesky_banded(band, lower=True)
         except scipy.linalg.LinAlgError:
-            M[np.diag_indices(lp.m)] += 1e-12 * max(np.diag(M).max(), 1.0)
-            c = scipy.linalg.cho_factor(M, lower=True)
+            band[0] += 1e-12 * max(np.diag(M).max(), 1.0)
+            want = scipy.linalg.cholesky_banded(band, lower=True)
+        factors.clear()
         fac = factor(lp, p, q)
         assert fac.dense
-        want = scipy.linalg.cho_solve(c, rhs)
-        assert fac.solve(rhs).tobytes() == want.tobytes(), k
+        assert factors[-1].tobytes() == want.tobytes(), k
+        y = scipy.linalg.cho_solve_banded((want, True), rhs[perm])
+        assert fac.solve(rhs)[perm].tobytes() == y.tobytes(), k
 
 
 def test_duplicate_entries_are_summed(kernel_path):
-    # A CSR matrix may hold one entry twice; the dense map pairs each entry
+    # A CSR matrix may hold one entry twice; the band map pairs each entry
     # with those up to its own row only once the duplicates are summed.
     A = sp.csr_array((np.array([1.0, 2.0, 0.5, 3.0, 1.0]),
                       np.array([2, 0, 2, 1, 0]), np.array([0, 3, 5])),
@@ -281,8 +287,13 @@ def test_duplicate_entries_are_summed(kernel_path):
 
 
 def test_scalar_normal_matrix():
-    fac = factor(lp_of([[2.0]]), np.array([3.0]), np.array([6.0]))
+    # One row is a band of half-width 0: LAPACK's band storage is 1 by 1.
+    lp = lp_of([[2.0]])
+    fac = factor(lp, np.array([3.0]), np.array([6.0]))
     assert fac.dense
+    assert lp.product_map.kd == 0 and lp.product_map.perm.tolist() == [0]
+    M, diagonal = lp.product_map.assemble(np.array([0.5]))
+    assert M.shape == (1, 1) and M[0, 0] == 2.0 and diagonal.tolist() == [2.0]
     # M = 2 * (3/6) * 2 = 2, so solving M u = 1 gives u = 0.5.
     assert_allclose(fac.solve(np.array([1.0])), [0.5])
 
@@ -367,8 +378,13 @@ def test_common_scaling_leaves_dual_unchanged():
 
 
 def test_sparse_path_above_dense_limit():
+    # The half-width alone picks the path, not the row count: with more
+    # than DENSE_LIMIT rows, a banded pattern still takes the band, and
+    # the same pattern plus one dense row takes sparse LU.  Reverse
+    # Cuthill-McKee puts the dense row near the end, so it gives M a
+    # half-width of about m, which passes the limit at this m.
     rng = np.random.default_rng(5)
-    m = DENSE_LIMIT + 1
+    m = DENSE_LIMIT + 50
     n = m + 40
     # Banded full-rank pattern keeps the factorization cheap.
     diags = [np.full(m, 3.0), rng.uniform(0.5, 1.5, m - 1),
@@ -383,20 +399,24 @@ def test_sparse_path_above_dense_limit():
     A = A.toarray()
     p = rng.uniform(0.5, 2.0, n)
     q = rng.uniform(0.5, 2.0, n)
-    fac = factor(lp_of(A), p, q)
-    assert not fac.dense
-    r1 = rng.standard_normal(m)
-    r2 = rng.standard_normal(n)
-    r3 = rng.standard_normal(n)
-    dx, dlam, ds = solve_block(fac, r1, r2, r3)
-    bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
-    for res in residual_norms(A, p, q, r1, r2, r3, dx, dlam, ds):
-        assert res <= bound
+    for B, band in ((A, True), (np.vstack([A, np.ones(n)]), False)):
+        lp = lp_of(B)
+        fac = factor(lp, p, q)
+        assert fac.dense == band
+        assert (lp.product_map.kd < DENSE_LIMIT if band
+                else lp.product_map.kd is None)
+        r1 = rng.standard_normal(B.shape[0])
+        r2 = rng.standard_normal(n)
+        r3 = rng.standard_normal(n)
+        dx, dlam, ds = solve_block(fac, r1, r2, r3)
+        bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
+        for res in residual_norms(B, p, q, r1, r2, r3, dx, dlam, ds):
+            assert res <= bound
 
 
 class TestOnBothFactorPaths:
-    """Kernel oracles run on the dense Cholesky path, on the banded
-    Cholesky path and on the sparse LU path (see ``kernel_path``)."""
+    """Kernel oracles run on the banded Cholesky path and on the sparse
+    LU path (see ``kernel_path``)."""
 
     def test_nonfinite_data_is_a_numerical_error(self, kernel_path):
         # An overflowing iterate ends a solve; it is not a misuse, and the
@@ -430,16 +450,14 @@ class TestOnBothFactorPaths:
         # The iterates depend on M's last bits (kb2's alg2 ends
         # NumericalError instead of Optimal when only they change), so the
         # map must round as A.multiply(d) @ A.T does, at any scaling.  A
-        # dense or band map assembles only the lower triangle, which is
-        # all that Cholesky reads, and a band map holds zeros outside it.
+        # band map assembles only the lower triangle, which is all that
+        # Cholesky reads, and holds zeros outside it.
         lp = presolved(name)
         product_map = arclp.linalg.map_products(lp.At)
-        layout = ("dense" if product_map.perm is None else
-                  "band" if product_map.kd is not None else "sparse")
+        layout = "band" if product_map.kd is not None else "sparse"
         # st5x20x10 has half-width 105 in its band order, under the limit.
-        assert layout == ("band" if kernel_path == "dense"
-                          and lp.m > DENSE_LIMIT else kernel_path)
-        perm = np.arange(lp.m) if layout == "dense" else product_map.perm
+        assert layout == kernel_path
+        perm = product_map.perm
         rng = np.random.default_rng(12)
         for k in (0, 1, 4, 8, 12):
             d = 10.0 ** rng.uniform(-k, k, lp.n)
@@ -449,12 +467,8 @@ class TestOnBothFactorPaths:
                 got = M.toarray()
             else:
                 want = np.tril(want)
-                if layout == "band":
-                    assert M.shape == (product_map.kd + 1, lp.m), k
-                    got = lower_of_band(M)
-                else:
-                    assert not np.triu(M, 1).any(), k
-                    got = np.tril(M)
+                assert M.shape == (product_map.kd + 1, lp.m), k
+                got = lower_of_band(M)
             assert got.tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
 
@@ -473,7 +487,7 @@ class TestOnBothFactorPaths:
         M, _ = lp.product_map.assemble(d)
         if kernel_path == "sparse":
             assert M.nnz == 4 and M[0, 1] == 0.0 and M[1, 0] == 0.0
-        elif kernel_path == "band":
+        else:
             # The half-width counts the cancelled entry.
             assert lp.product_map.kd == 1 and M[1, 0] == 0.0
 
@@ -491,7 +505,7 @@ class TestOnBothFactorPaths:
             r2 = rng.standard_normal(n)
             r3 = rng.standard_normal(n)
             fac = factor(lp_of(A), p, q)
-            assert fac.dense == (kernel_path == "dense")
+            assert fac.dense == (kernel_path == "band")
             dx, dlam, ds = solve_block(fac, r1, r2, r3)
             bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
             assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)

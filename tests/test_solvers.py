@@ -537,18 +537,25 @@ class TestPracticalSolvers:
 
     def test_kb2_alg2_with_last_bit_changes_in_m(self, netlib_dir,
                                                  monkeypatch):
-        # Summing the terms as (A_ij * A_kj) * d_j changes the dense M only
-        # in its last bits; the block solves must absorb that.
+        # Summing the terms as (A_ij * A_kj) * d_j changes the band of M
+        # only in its last bits; the block solves must absorb that.
+        real_assemble = arclp.linalg.ProductMap.assemble
+        changed = []
+
         def reassociated(pm, d):
             terms = np.repeat(pm.val, pm.lead) * pm.coef
             terms *= np.repeat(d.take(pm.col), pm.lead)
-            M = np.bincount(pm.slot, weights=terms, minlength=pm.m ** 2)
-            return M.reshape(pm.m, pm.m), M[pm.diag]
+            M = np.bincount(pm.slot, weights=terms,
+                            minlength=(pm.kd + 1) * pm.m)
+            M = M.reshape((pm.kd + 1, pm.m), order="F")
+            changed.append(M.tobytes() != real_assemble(pm, d)[0].tobytes())
+            return M, M.reshape(-1, order="F")[pm.diag]
 
         lp = load_netlib(netlib_dir, "kb2")
         monkeypatch.setattr(arclp.linalg.ProductMap, "assemble",
                             reassociated)
         res = solve(lp, SolverConfig(algorithm="alg2"))
+        assert any(changed)
         assert res.status == Status.OPTIMAL, res.note
         assert_allclose(res.objective, -1.7499001299e3, rtol=1e-5)
 

@@ -1,13 +1,17 @@
-"""End to end above ``DENSE_LIMIT``, on the band and on the sparse LU path.
+"""End to end above ``DENSE_LIMIT`` rows, on the band and on the sparse
+LU path.
 
-The bundled netlib instances all stay on the dense path, so a staircase
+The half-width of the normal matrix in reverse Cuthill-McKee order picks
+the path.  The bundled netlib instances and the benchmark's transport
+plans have fewer than ``DENSE_LIMIT`` rows, so their half-width is under
+the limit and they take the band whatever their pattern.  A staircase
 production plan from the benchmark's generator (``perfbench/workloads.py``,
-loaded read-only) is solved through the whole pipeline by every algorithm
-and checked against scipy's HiGHS.  In reverse Cuthill-McKee order its
-normal matrix has half-width 105, under the dense limit, so it is
-factored in band storage.  The same plan with one more row over all
-columns couples every two rows of the normal matrix, which makes the
-half-width 248: that plan is factored by sparse LU.
+loaded read-only) has more rows: it is solved through the whole pipeline
+by every algorithm and checked against scipy's HiGHS.  Its normal matrix
+has half-width 105, under the limit, so it is factored in band storage.
+The same plan with one more row over all columns couples every two rows
+of the normal matrix, which makes the half-width 248: that plan is
+factored by sparse LU.
 """
 import dataclasses
 
@@ -23,7 +27,7 @@ from arclp.presolve import presolve
 from arclp.solvers import Status
 from arclp.standardize import to_standard_form
 
-from conftest import perfbench_module, staircase_raw
+from conftest import NETLIB_DIR, perfbench_module, staircase_raw
 
 
 def with_linking_row(raw):
@@ -71,6 +75,16 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
     assert lp.product_map.kd == 105 and lp.product_map.indptr is None
     assert linked.product_map.kd is None
     assert linked.product_map.indptr is not None
+    # Every netlib instance and the largest transport plan take the band.
+    narrow = [presolved(path) for path in sorted(NETLIB_DIR.glob("*.mps"))]
+    narrow.append(presolve(to_standard_form(
+        perfbench_module("workloads").transport_lp(
+            arclp, 16, 176, np.random.default_rng(1), "tr16x176")))[0])
+    assert len(narrow) == 9
+    for lp in narrow:
+        pm = lp.product_map
+        assert pm.kd == arclp.linalg._rcm_order(lp.At)[1] < DENSE_LIMIT
+        assert pm.indptr is None and sorted(pm.perm) == list(range(lp.m))
 
 
 def solve_on(path, ref, algorithm, layout, monkeypatch):
@@ -78,7 +92,7 @@ def solve_on(path, ref, algorithm, layout, monkeypatch):
     against ``ref`` and that every factorization took ``layout``'s path;
     return the record."""
     calls = {}
-    for name, key in (("_cholesky", "dense"), ("_band_cholesky", "band"),
+    for name, key in (("_band_cholesky", "band"),
                       ("_splu_in_order", "sparse")):
         def counted(M, real=getattr(arclp.linalg, name), key=key):
             calls[key] = calls.get(key, 0) + 1
