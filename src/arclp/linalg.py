@@ -21,16 +21,19 @@ assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
 assembles is bit for bit that of scipy's ``A.multiply(d) @ A.T``.
 
 The map also decides the factor path, from the half-width ``kd`` of
-``M`` in the reverse Cuthill-McKee order of the pattern of
-``|A| @ |A|.T``.  If ``kd < DENSE_LIMIT`` (always so up to
-``DENSE_LIMIT`` rows), the map fills the lower band of ``M`` in LAPACK's
-band storage, which ``pbtrf`` factors by Cholesky in place and ``pbtrs``
-solves with.  A wider band (a dense linking row makes it nearly ``m``)
-gets a sparse map of the CSC pattern of ``|A| @ |A|.T`` in one
-minimum-degree row order instead, factored by sparse LU in that order
-with diagonal pivots, so every factorization of a problem has the same
-fill.  Both paths retry once, on the same pattern, with a small diagonal
-regularization before giving up.
+``M`` in a reverse Cuthill-McKee order of the rows of ``A``, found
+without forming the pattern of ``|A| @ |A|.T``: a breadth-first search of
+the graph of ``A``'s rows and columns from a pseudo-peripheral row of
+each connected component (George and Liu's sweep), with ``kd`` the widest
+spread of new row numbers within one column of ``A``.  If
+``kd < DENSE_LIMIT`` (always so up to ``DENSE_LIMIT`` rows), the map
+fills the lower band of ``M`` in LAPACK's band storage, which ``pbtrf``
+factors by Cholesky in place and ``pbtrs`` solves with.  A wider band (a
+dense linking row makes it nearly ``m``) gets a sparse map of the CSC
+pattern of ``|A| @ |A|.T`` in one minimum-degree row order instead,
+factored by sparse LU in that order with diagonal pivots, so every
+factorization of a problem has the same fill.  Both paths retry once, on
+the same pattern, with a small diagonal regularization before giving up.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order
 
 _pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
                                                dtype=np.float64)
@@ -179,16 +182,90 @@ def _terms(At, lower):
             At.data[other])
 
 
+def _search(graph, root, m):
+    # One breadth-first search of the row-column graph from row `root`:
+    # the visiting order, each node's predecessor, the eccentricity of
+    # `root` among the rows and the deepest row level.  Rows (nodes below
+    # m) and columns alternate level by level, so a level ends where the
+    # kind of node changes.
+    order, pred = breadth_first_order(graph, root)
+    row = order < m
+    cuts = np.flatnonzero(row[1:] != row[:-1]) + 1
+    deep = cuts.size & ~1
+    last = order[cuts[deep - 1] if deep else 0:
+                 cuts[deep] if deep < cuts.size else None]
+    return order, pred, deep // 2, last
+
+
+def _cuthill_mckee(graph, root, m, degree):
+    # George and Liu's sweep for a pseudo-peripheral start: move to a row
+    # of least degree in the deepest level while that deepens the search.
+    # The last search is the Cuthill-McKee order from that start.
+    order, pred, depth, last = _search(graph, root, m)
+    while True:
+        x = last[np.argmin(degree[last])]
+        if x == root:
+            return order, pred
+        root = x
+        order, pred, deeper, last = _search(graph, root, m)
+        if deeper <= depth:
+            return order, pred
+        depth = deeper
+
+
 def _rcm_order(At):
-    # Reverse Cuthill-McKee order of the pattern of |A| @ |A|.T and the
-    # half-width of M in that order.
-    unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
-                        shape=At.shape)
-    pattern = (unit.T @ unit).tocsr()
-    perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-    new = np.argsort(perm)
-    rows = np.repeat(new, np.diff(pattern.indptr))
-    return perm, int(np.abs(rows - new[pattern.indices]).max(initial=0))
+    # Reverse Cuthill-McKee order of the rows of A and the half-width of M
+    # in that order, without forming |A| @ |A|.T.  The search runs on the
+    # bipartite graph of the rows of A and its columns of two or more
+    # entries, the only ones that link rows: node r < m is row r, node
+    # m + c the linking column of rank c in ascending entry count, so
+    # every row lists its columns, as the search visits them, fewest
+    # entries first.
+    m = At.shape[1]
+    count = np.diff(At.indptr)
+    col_of = np.flatnonzero(count > 1)
+    col_of = col_of[np.argsort(count[col_of], kind="stable")]
+    count = count[col_of]
+    n = count.size
+    ptr = np.zeros(n + 1, count.dtype)
+    np.cumsum(count, out=ptr[1:])
+    rows = At.indices[np.repeat(At.indptr[col_of] - ptr[:-1], count)
+                      + np.arange(ptr[-1])]
+    # Each row's columns by rank: the entries sorted stably by row.  In
+    # the narrowest unsigned type that holds a row number numpy sorts by
+    # radix, up to 65536 rows.
+    by_row = np.argsort(rows.astype(np.min_scalar_type(m - 1)), kind="stable")
+    # A row's degree: its entries in linking columns.
+    degree = np.bincount(rows, minlength=m)
+    # In int32, the index type of scipy's graph routines, so that scipy
+    # takes the arrays as they are.
+    graph = sp.csr_array(
+        (np.ones(2 * rows.size),
+         np.concatenate([np.repeat(np.arange(m, m + n), count)[by_row], rows],
+                        dtype=np.intc),
+         np.concatenate([[0], np.cumsum(degree), ptr[1:] + rows.size],
+                        dtype=np.intc)),
+        shape=(m + n, m + n))
+    # One start per connected component, at its row of least degree.
+    numbered = np.zeros(m, bool)
+    parts, first = [], None
+    while not numbered.all():
+        rest = np.flatnonzero(~numbered)
+        order, pred = _cuthill_mckee(graph, rest[np.argmin(degree[rest])], m,
+                                     degree)
+        parts.append(order[order < m])
+        numbered[parts[-1]] = True
+        # A search marks the nodes it does not reach with a negative
+        # predecessor, so the maximum keeps each node's own.
+        first = pred if first is None else np.maximum(first, pred)
+    order = np.concatenate(parts)
+    # A column's first row in the order is the one whose visit reached
+    # it, its predecessor, so the widest spread of rows within a column,
+    # the half-width, is the largest distance from a row to that one.
+    at = np.empty(m, np.intp)
+    at[order] = np.arange(m)
+    return order[::-1], int(
+        (at[rows] - np.repeat(at[first[m:]], count)).max(initial=0))
 
 
 def map_products(At):
@@ -198,17 +275,26 @@ def map_products(At):
     within a column, over pairs of its entries, so the terms of each slot
     come in ascending ``j``.  The half-width ``kd`` of ``M`` in reverse
     Cuthill-McKee order (E. Cuthill and J. McKee, Proc. 24th ACM National
-    Conference, 1969) of the pattern of ``|A| @ |A|.T`` alone picks the
-    layout.  If ``kd < DENSE_LIMIT`` the map is a band map in that order,
-    which pairs each entry ``A_ij`` with the entries of its column up to
-    and including its own row.  Otherwise it is sparse and pairs every
-    two entries of a column: it
-    keeps an explicit slot for an entry whose terms cancel, where scipy's
-    product drops it, so every ``d > 0`` gives the same pattern.  One
-    minimum-degree ordering of that pattern (SuperLU's ``MMD_AT_PLUS_A``,
-    on unit entries with ``m + 1`` on the diagonal, a strictly diagonally
-    dominant matrix whose LU cannot fail) then serves every factorization
-    of the problem, and the slots are laid out in that order.
+    Conference, 1969) alone picks the layout.  The order numbers the rows
+    of ``A`` by breadth-first search of the bipartite graph of its rows
+    and its columns of two or more entries, each row's columns visited in
+    ascending entry count, from one start per connected component: a
+    pseudo-peripheral row, found by George and Liu's sweep (A. George and
+    J. W. H. Liu, ACM Trans. Math. Software 5(3), 1979) from the
+    component's row of least degree (entries in those columns), moving to
+    a row of least degree in the deepest level while the search deepens.
+    ``kd`` is then the widest spread of new row numbers within one column
+    of ``A``, so the pattern of ``|A| @ |A|.T`` is never formed.  If
+    ``kd < DENSE_LIMIT`` the map is a band map in that order, which pairs
+    each entry ``A_ij`` with the entries of its column up to and including
+    its own row.  Otherwise it is sparse and pairs every two entries of a
+    column: it keeps an explicit slot for an entry whose terms cancel,
+    where scipy's product drops it, so every ``d > 0`` gives the same
+    pattern.  One minimum-degree ordering of that pattern (SuperLU's
+    ``MMD_AT_PLUS_A``, on unit entries with ``m + 1`` on the diagonal, a
+    strictly diagonally dominant matrix whose LU cannot fail) then serves
+    every factorization of the problem, and the slots are laid out in that
+    order.
     """
     m = At.shape[1]
     perm, kd = _rcm_order(At)

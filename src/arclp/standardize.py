@@ -86,7 +86,10 @@ class StandardLP:
         """:class:`~arclp.linalg.ProductMap` of the normal matrix, built
         on the first factorization: a band map, or a sparse one when the
         half-width of the normal matrix reaches ``DENSE_LIMIT``, either
-        with its row order ``perm``."""
+        with its row order ``perm``.  The half-width is taken in reverse
+        Cuthill-McKee order from a pseudo-peripheral row of each connected
+        component, found by searching the rows and columns of ``A``
+        without forming ``|A| @ |A|.T``."""
         return map_products(self.At)
 
     @property

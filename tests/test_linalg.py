@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import arclp.linalg
 import arclp.standardize
@@ -179,6 +180,55 @@ def test_row_order_keeps_the_minimum_degree_fill(monkeypatch):
     assert ours.L.nnz + ours.U.nnz == own.L.nnz + own.U.nnz
 
 
+def scipy_half_width(At, perm):
+    """Half-width of the pattern of ``|A| @ |A|.T``, formed by scipy, with
+    the rows of ``A`` in the order ``perm``."""
+    unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
+                        shape=At.shape)
+    pattern = (unit.T @ unit).tocoo()
+    new = np.argsort(perm)
+    return int(np.abs(new[pattern.row] - new[pattern.col]).max(initial=0))
+
+
+# Six components: two rows over three shared columns, two rows of one
+# column each, one row of two columns, an empty row and three rows over two
+# shared columns.
+BLOCKS = sp.csr_array(sp.block_diag(
+    [np.ones((2, 3)), np.eye(2), [[1.0, 2.0]], np.zeros((1, 1)),
+     np.ones((3, 2))]))
+
+
+@pytest.mark.parametrize("name", PROBLEMS + ["scalar", "blocks"])
+def test_half_width_is_that_of_scipys_product(presolved, name):
+    # The order comes from searches of the row-column graph of A, and its
+    # half-width from the columns of A: the product |A| @ |A|.T is never
+    # formed.  The half-width must be that of scipy's product in the
+    # returned order, which must be a permutation of the rows.  beaconfd
+    # has five components.
+    if name == "scalar":
+        At = lp_of([[2.0]]).At
+    elif name == "blocks":
+        At = sp.csr_array(BLOCKS.T)
+    else:
+        At = presolved(name).At
+    perm, kd = arclp.linalg._rcm_order(At)
+    assert sorted(perm.tolist()) == list(range(At.shape[1]))
+    assert kd == scipy_half_width(At, perm)
+    assert kd == {"scalar": 0, "blocks": 2}.get(name, kd)
+
+
+def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
+    # scipy's reverse Cuthill-McKee starts each component at a row of
+    # least degree; on the staircase plan a pseudo-peripheral start must
+    # give a narrower band (105 rows with scipy's order).
+    At = presolved("st5x20x10").At
+    unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
+                        shape=At.shape)
+    theirs = reverse_cuthill_mckee((unit.T @ unit).tocsr(),
+                                   symmetric_mode=True)
+    assert arclp.linalg._rcm_order(At)[1] < scipy_half_width(At, theirs)
+
+
 def test_sparse_retry_keeps_the_pattern(monkeypatch):
     # Rows 1 and 2 are equal, so M is singular and the first LU fails;
     # M_01 and M_02 cancel to zero.  The regularized retry must factor the
@@ -239,6 +289,9 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
     lp = presolved(name)
     pm = lp.product_map
     assert pm.kd < DENSE_LIMIT
+    # pbtrf works in level-3 BLAS blocks from a half-width of 32 on; CI
+    # runs these oracles on two BLAS threads to keep that path covered.
+    assert max(presolved(other).product_map.kd for other in NETLIB) >= 32
     real_band_cholesky = arclp.linalg._band_cholesky
     factors = []
 

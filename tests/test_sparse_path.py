@@ -1,14 +1,15 @@
 """End to end above ``DENSE_LIMIT`` rows, on the band and on the sparse
 LU path.
 
-The half-width of the normal matrix in reverse Cuthill-McKee order picks
-the path.  The bundled netlib instances and the benchmark's transport
-plans have fewer than ``DENSE_LIMIT`` rows, so their half-width is under
-the limit and they take the band whatever their pattern.  A staircase
+The half-width of the normal matrix in reverse Cuthill-McKee order, each
+component started at a pseudo-peripheral row, picks the path.  The
+bundled netlib instances and the benchmark's transport plans have fewer
+than ``DENSE_LIMIT`` rows, so their half-width is under the limit and
+they take the band whatever their pattern.  A staircase
 production plan from the benchmark's generator (``perfbench/workloads.py``,
 loaded read-only) has more rows: it is solved through the whole pipeline
 by every algorithm and checked against scipy's HiGHS.  Its normal matrix
-has half-width 105, under the limit, so it is factored in band storage.
+has half-width 77, under the limit, so it is factored in band storage.
 The same plan with one more row over all columns couples every two rows
 of the normal matrix, which makes the half-width 248: that plan is
 factored by sparse LU.
@@ -52,7 +53,7 @@ def plan_file(raw, tmp_path_factory):
 @pytest.fixture(scope="module")
 def staircase(tmp_path_factory):
     """Five periods, 20 products, 10 resources: m = 250 and n = 450 after
-    presolve, half-width 105."""
+    presolve, half-width 77."""
     return plan_file(staircase_raw(), tmp_path_factory)
 
 
@@ -70,9 +71,9 @@ def presolved(path):
 def test_half_width_picks_the_path(staircase, linked_staircase):
     lp, linked = presolved(staircase[0]), presolved(linked_staircase[0])
     assert (lp.m, lp.n, linked.m, linked.n) == (250, 450, 251, 451)
-    assert arclp.linalg._rcm_order(lp.At)[1] == 105
+    assert arclp.linalg._rcm_order(lp.At)[1] == 77
     assert arclp.linalg._rcm_order(linked.At)[1] == 248
-    assert lp.product_map.kd == 105 and lp.product_map.indptr is None
+    assert lp.product_map.kd == 77 and lp.product_map.indptr is None
     assert linked.product_map.kd is None
     assert linked.product_map.indptr is not None
     # Every netlib instance and the largest transport plan take the band.
