@@ -9,31 +9,51 @@ Every search direction used by the solvers comes from one block system ::
 with strictly positive scaling vectors ``p`` and ``q``.  Eliminating ``dx``
 and ``ds`` reduces it to the m-by-m normal equations
 ``M @ dlam = r1 - A @ (r3 / q) + A @ ((p / q) * r2)`` with
-``M = A @ diag(p / q) @ A.T``, factored once per scaling pair and reused
-for every right-hand side at that iterate; the factor carries the system.
+``M = A @ diag(d) @ A.T``, ``d = p / q``, factored once per scaling pair
+and reused for every right-hand side at that iterate; the factor carries
+the system.
 
-``M`` is assembled from one product map per problem
+Some rows of ``A`` couple to the rest of ``M`` through one column at most:
+all their entries but at most one lie in private columns (columns with a
+single entry), such as the rows ``x_j + s = u_j`` that the standardizer
+adds for upper bounds.  When no two of them share that one other column,
+their block of ``M`` is diagonal, and Gaussian elimination removes them
+exactly (:class:`Elimination`).  This is the implicit upper-bound
+treatment of primal-dual codes (S. J. Wright, Primal-Dual Interior-Point
+Methods, SIAM 1997), here in the linear algebra alone.  What is factored
+is the Schur complement ``S = A1 @ diag(dt) @ A1.T`` on the kept rows
+``A1``, where ``dt`` is ``d`` except at each eliminated row's shared
+column ``j``: ``dt_j = d_j * delta_r / Delta_r``, with ``Delta_r`` the
+row's pivot and ``delta_r`` its part from the private columns.  The
+factor still solves the full ``M @ y = w``.  With no such row (every
+transport plan) ``S`` is ``M``.
+
+``S`` is assembled from one product map per problem
 (:func:`map_products`, cached as ``StandardLP.product_map``): every term
 ``A_ij * A_kj`` with the slot of ``(i, k)`` in a fixed layout, so each
-assembly is a gather of ``d``, a repeat and one ``np.bincount`` of
-``(A_ij * d_j) * A_kj``.  The terms of a slot are summed in ascending
+assembly is a gather of ``dt``, a repeat and one ``np.bincount`` of
+``(A_ij * dt_j) * A_kj``.  The terms of a slot are summed in ascending
 ``j``, as scipy's sparse product sums them, so every entry the map
-assembles is bit for bit that of scipy's ``A.multiply(d) @ A.T``.
+assembles is bit for bit that of scipy's ``A1.multiply(dt) @ A1.T``.
 
 The map also decides the factor path, from the half-width ``kd`` of
-``M`` in a reverse Cuthill-McKee order of the rows of ``A``, found
-without forming the pattern of ``|A| @ |A|.T``: a breadth-first search of
-the graph of ``A``'s rows and columns from a pseudo-peripheral row of
+``S`` in a reverse Cuthill-McKee order of the rows of ``A1``, found
+without forming the pattern of ``|A1| @ |A1|.T``: a breadth-first search
+of the graph of ``A1``'s rows and columns from a pseudo-peripheral row of
 each connected component (George and Liu's sweep), with ``kd`` the widest
-spread of new row numbers within one column of ``A``.  If
+spread of new row numbers within one column of ``A1``.  If
 ``kd < DENSE_LIMIT`` (always so up to ``DENSE_LIMIT`` rows), the map
-fills the lower band of ``M`` in LAPACK's band storage, which ``pbtrf``
+fills the lower band of ``S`` in LAPACK's band storage, which ``pbtrf``
 factors by Cholesky in place and ``pbtrs`` solves with.  A wider band (a
 dense linking row makes it nearly ``m``) gets a sparse map of the CSC
-pattern of ``|A| @ |A|.T`` in one minimum-degree row order instead,
+pattern of ``|A1| @ |A1|.T`` in one minimum-degree row order instead,
 factored by sparse LU in that order with diagonal pivots, so every
 factorization of a problem has the same fill.  Both paths retry once, on
 the same pattern, with a small diagonal regularization before giving up.
+
+The map is built once per problem, and so once per request; its build
+calls ndarray methods rather than numpy's slower wrapper functions, and
+gathers with ``take``.
 """
 
 from __future__ import annotations
@@ -76,12 +96,15 @@ def norm(v):
 
 @dataclass(frozen=True)
 class NewtonFactor:
-    """Factorization of ``A @ diag(p / q) @ A.T`` with the system it solves.
+    """Factorization of ``M = A @ diag(p / q) @ A.T`` with the system it
+    solves.
 
     ``A``, ``At``, ``p`` and ``q`` are the caller's arrays, not copies:
     they must not change while the factor is in use.  Build a new factor
     per scaling pair.  ``dense`` is True when LAPACK's band Cholesky
-    factored ``M`` and False when sparse LU did.
+    factored the kept rows' Schur complement and False when sparse LU
+    did; :meth:`solve` solves with the full ``M``, eliminated rows
+    included.
     """
 
     dense: bool
@@ -92,7 +115,7 @@ class NewtonFactor:
     _solve: object = field(repr=False)
 
     def solve(self, rhs):
-        """Solve ``M @ y = rhs`` for one right-hand side."""
+        """Solve ``M @ y = rhs`` for one right-hand side (all m rows)."""
         return self._solve(rhs)
 
 
@@ -103,15 +126,88 @@ def _check_scaling(A, p, q):
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
     # A nonfinite entry passes: it makes M or the block residual nonfinite.
-    if (p <= 0).any() or (q <= 0).any():
+    # np.fmin skips nan, so this finds any entry <= 0, without the
+    # temporary and the wrapper of (p <= 0).any().
+    if (np.fmin.reduce(p, initial=np.inf) <= 0
+            or np.fmin.reduce(q, initial=np.inf) <= 0):
         raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
 
-class ProductMap(NamedTuple):
-    """Where each term of ``A @ diag(d) @ A.T`` goes, for every ``d``.
+class Elimination(NamedTuple):
+    """The rows of ``A`` that :func:`factor` eliminates before it factors
+    the normal matrix ``M = A @ diag(d) @ A.T``, and how they couple to
+    the rows it keeps.
 
-    The entries of ``A`` are taken column by column: entry ``e`` holds
+    A row is eliminated when all its entries but at most one lie in
+    private columns (columns of ``A`` with a single entry), one of its
+    entries is nonzero, and no eliminated row before it has an entry in
+    its one other column, its shared column ``j``.  Two eliminated rows
+    then share no column, so their block of ``M`` is diagonal, with the
+    pivot ``Delta_r = delta_r + d_j * A_rj**2`` in row ``r``: the private
+    part ``delta_r`` sums ``d_k * A_rk**2`` over the row's private columns
+    ``k``, and a row without a shared column lacks the second term.  Row
+    ``r`` couples to the kept rows only through column ``j``, so
+    eliminating the rows leaves the Schur complement ``S = A1 @ diag(dt)
+    @ A1.T`` on the kept rows ``A1`` of ``A``, where ``dt`` is ``d``
+    except at each shared column: ``dt_j = d_j * delta_r / Delta_r``, a
+    product and a quotient of positive numbers.
+
+    ``rows`` lists the eliminated rows of ``A``, the ``shared.size`` rows
+    with a shared column first: row ``rows[s]`` holds ``a[s]`` in column
+    ``shared[s]``.  Private entry ``e`` lies in row ``rows[own_row[e]]``
+    and column ``own_col[e]`` and holds a value whose square is
+    ``own_sq[e]``.  Link ``e`` is an entry ``A_ij = link_val[e]`` of a
+    kept row ``i`` in the shared column of the eliminated row
+    ``rows[link_row[e]]``; ``link_pos[e]`` is the position of row ``i`` in
+    the assembled matrix (see :class:`ProductMap`).  A solve reads its
+    right-hand side at ``gather``: the kept rows in the map's order
+    ``perm``, the eliminated rows, and the eliminated row of each link.
+    """
+
+    rows: np.ndarray
+    shared: np.ndarray
+    a: np.ndarray
+    own_row: np.ndarray
+    own_col: np.ndarray
+    own_sq: np.ndarray
+    link_row: np.ndarray
+    link_pos: np.ndarray
+    link_val: np.ndarray
+    gather: np.ndarray
+
+    def reduce(self, d, shift=0.0):
+        """``dt``, the pivots ``Delta`` and each link's weight ``A_ij *
+        d_j * A_rj / Delta_r`` for ``M + shift * I``: the shift adds to
+        every private part, and ``S`` gains it on its diagonal."""
+        own = d.take(self.own_col)
+        own *= self.own_sq
+        # Plus a float: without private entries np.bincount gives ints.
+        delta = np.bincount(self.own_row, own, self.rows.size) + shift
+        ns = self.shared.size
+        dj = d.take(self.shared)
+        coupling = dj * self.a
+        pivots = delta.copy()
+        pivots[:ns] += coupling * self.a
+        dj *= delta[:ns]
+        dj /= pivots[:ns]
+        dt = d.copy()
+        dt[self.shared] = dj
+        coupling /= pivots[:ns]
+        weights = coupling.take(self.link_row)
+        weights *= self.link_val
+        return dt, pivots, weights
+
+
+class ProductMap(NamedTuple):
+    """Where each term of ``A1 @ diag(d) @ A1.T`` goes, for every ``d``.
+
+    ``A1`` holds the rows of ``A`` that ``elim`` (an :class:`Elimination`,
+    or ``None`` when no row qualifies) does not eliminate: ``m`` of them.
+    :func:`factor` assembles the Schur complement ``A1 @ diag(dt) @
+    A1.T`` that the elimination leaves, with ``dt`` from
+    :meth:`Elimination.reduce`, and its solve still solves the full ``M``.
+    The entries of ``A1`` are taken column by column: entry ``e`` holds
     ``A_ij = val[e]`` with ``j = col[e]`` and leads the next ``lead[e]``
     terms, one per entry ``A_kj`` of its column.  Term ``t`` is
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
@@ -127,7 +223,7 @@ class ProductMap(NamedTuple):
       ``(kd + 1, m)`` column-major array whose entry ``(r - c, c)`` is
       ``M_rc``;
     * sparse (``kd`` is ``None``): the slots are those of the CSC pattern
-      ``indptr``/``indices`` of ``|A| @ |A|.T`` plus the diagonal, both
+      ``indptr``/``indices`` of ``|A1| @ |A1|.T`` plus the diagonal, both
       triangles.
     """
 
@@ -142,14 +238,15 @@ class ProductMap(NamedTuple):
     kd: int = None
     indptr: np.ndarray = None
     indices: np.ndarray = None
+    elim: Elimination = None
 
     def assemble(self, d):
-        """``M = A @ diag(d) @ A.T`` in the order ``perm`` (a fresh band
+        """``A1 @ diag(d) @ A1.T`` in the order ``perm`` (a fresh band
         array for a band map, CSC for a sparse one) and its diagonal, with
-        the roundings of scipy's ``A.multiply(d) @ A.T``."""
+        the roundings of scipy's ``A1.multiply(d) @ A1.T``."""
         ad = d.take(self.col)
         ad *= self.val
-        terms = np.repeat(ad, self.lead)
+        terms = ad.repeat(self.lead)
         terms *= self.coef
         band = self.kd is not None
         values = np.bincount(
@@ -164,22 +261,22 @@ class ProductMap(NamedTuple):
         return M, values[self.diag]
 
 
-def _terms(At, lower):
-    # Entry e of At leads the terms that pair it with entries first[e],
-    # first[e] + 1, ... of its row (a column of A): up to its own position
-    # when `lower`, else all of them.  Returns each entry's column j and
-    # lead, and each term's rows i and k and coefficient A_kj.
-    n = At.shape[0]
-    count = np.diff(At.indptr)
-    col = np.repeat(np.arange(n, dtype=np.int32), count)
-    first = np.repeat(At.indptr[:-1], count)
-    lead = (np.arange(At.nnz) - first + 1 if lower
-            else np.repeat(count, count))
-    start = np.cumsum(lead) - lead
+def _terms(At, lower, stride):
+    # Entry e of At (a _Columns) leads the terms that pair it with entries
+    # first[e], first[e] + 1, ... of its row (a column of A): up to its own
+    # position when `lower`, else all of them.  Returns each entry's lead
+    # and, for each term of rows i and k, the key k * stride + i and the
+    # coefficient A_kj.
+    indptr, indices, count = At.indptr, At.indices, At.count
+    first = indptr[:-1].repeat(count)
+    lead = (np.arange(1, indices.size + 1) - first if lower
+            else count.repeat(count))
+    start = lead.cumsum() - lead
     other = np.arange(int(lead.sum()), dtype=np.int32)
-    other -= np.repeat((start - first).astype(np.int32), lead)
-    return (col, lead, np.repeat(At.indices, lead), At.indices[other],
-            At.data[other])
+    other -= (start - first).astype(np.int32).repeat(lead)
+    key = (indices.astype(np.intp) * stride).take(other)
+    key += indices.repeat(lead)
+    return lead, key, At.data.take(other)
 
 
 def _search(graph, root, m):
@@ -190,7 +287,7 @@ def _search(graph, root, m):
     # kind of node changes.
     order, pred = breadth_first_order(graph, root)
     row = order < m
-    cuts = np.flatnonzero(row[1:] != row[:-1]) + 1
+    cuts = (row[1:] != row[:-1]).nonzero()[0] + 1
     deep = cuts.size & ~1
     last = order[cuts[deep - 1] if deep else 0:
                  cuts[deep] if deep < cuts.size else None]
@@ -203,7 +300,7 @@ def _cuthill_mckee(graph, root, m, degree):
     # The last search is the Cuthill-McKee order from that start.
     order, pred, depth, last = _search(graph, root, m)
     while True:
-        x = last[np.argmin(degree[last])]
+        x = last[degree.take(last).argmin()]
         if x == root:
             return order, pred
         root = x
@@ -213,48 +310,84 @@ def _cuthill_mckee(graph, root, m, degree):
         depth = deeper
 
 
-def _rcm_order(At):
-    # Reverse Cuthill-McKee order of the rows of A and the half-width of M
-    # in that order, without forming |A| @ |A|.T.  The search runs on the
-    # bipartite graph of the rows of A and its columns of two or more
-    # entries, the only ones that link rows: node r < m is row r, node
-    # m + c the linking column of rank c in ascending entry count, so
-    # every row lists its columns, as the search visits them, fewest
-    # entries first.
+class _Columns(NamedTuple):
+    # The arrays of a CSR matrix with the columns of A as rows, such as At,
+    # and the entry count of each column.
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    count: np.ndarray
+
+
+def _columns(At):
+    return _Columns(At.data, At.indices, At.indptr, At.shape,
+                    At.indptr[1:] - At.indptr[:-1])
+
+
+class _Links(NamedTuple):
+    # The columns of A of two or more entries, the only ones that link
+    # rows, ranked by ascending entry count: the linking column of rank c
+    # is column cols[c] of A, and its count[c] rows, in index order, are
+    # rows[ptr[c]:ptr[c + 1]].  degree[r] counts row r's entries in them.
+    m: int
+    cols: np.ndarray
+    count: np.ndarray
+    ptr: np.ndarray
+    rows: np.ndarray
+    degree: np.ndarray
+
+
+def _linking(At):
+    indptr, count = At.indptr, At.count
     m = At.shape[1]
-    count = np.diff(At.indptr)
-    col_of = np.flatnonzero(count > 1)
-    col_of = col_of[np.argsort(count[col_of], kind="stable")]
-    count = count[col_of]
+    cols = (count > 1).nonzero()[0]
+    cols = cols.take(count.take(cols).argsort(kind="stable"))
+    count = count.take(cols)
+    ptr = np.zeros(count.size + 1, count.dtype)
+    count.cumsum(out=ptr[1:])
+    rows = At.indices.take((indptr.take(cols) - ptr[:-1]).repeat(count)
+                           + np.arange(ptr[-1]))
+    return _Links(m, cols, count, ptr, rows, np.bincount(rows, minlength=m))
+
+
+def _rcm_order(links):
+    # Reverse Cuthill-McKee order of the rows of A, the half-width of M in
+    # that order and each row's position in it, without forming
+    # |A| @ |A|.T.  The search runs on the bipartite graph of the rows of A
+    # and its linking columns: node r < m is row r, node m + c the linking
+    # column of rank c, so every row lists its columns, as the search
+    # visits them, fewest entries first.
+    m, _, count, ptr, rows, degree = links
     n = count.size
-    ptr = np.zeros(n + 1, count.dtype)
-    np.cumsum(count, out=ptr[1:])
-    rows = At.indices[np.repeat(At.indptr[col_of] - ptr[:-1], count)
-                      + np.arange(ptr[-1])]
+    # A row of degree 0 is a component of its own, which the loop below
+    # would start first, in index order: number them so without a search.
+    parts = [(degree == 0).nonzero()[0]]
+    if parts[0].size == m:
+        return parts[0][::-1], 0, (m - 1) - parts[0]
     # Each row's columns by rank: the entries sorted stably by row.  In
     # the narrowest unsigned type that holds a row number numpy sorts by
     # radix, up to 65536 rows.
-    by_row = np.argsort(rows.astype(np.min_scalar_type(m - 1)), kind="stable")
-    # A row's degree: its entries in linking columns.
-    degree = np.bincount(rows, minlength=m)
+    by_row = rows.astype(np.min_scalar_type(m - 1)).argsort(kind="stable")
     # In int32, the index type of scipy's graph routines, so that scipy
     # takes the arrays as they are.
     graph = sp.csr_array(
         (np.ones(2 * rows.size),
-         np.concatenate([np.repeat(np.arange(m, m + n), count)[by_row], rows],
-                        dtype=np.intc),
-         np.concatenate([[0], np.cumsum(degree), ptr[1:] + rows.size],
+         np.concatenate([np.arange(m, m + n, dtype=np.intc).repeat(count)
+                         .take(by_row), rows], dtype=np.intc),
+         np.concatenate([[0], degree.cumsum(), ptr[1:] + rows.size],
                         dtype=np.intc)),
         shape=(m + n, m + n))
-    # One start per connected component, at its row of least degree.
-    numbered = np.zeros(m, bool)
-    parts, first = [], None
-    while not numbered.all():
-        rest = np.flatnonzero(~numbered)
-        order, pred = _cuthill_mckee(graph, rest[np.argmin(degree[rest])], m,
-                                     degree)
+    # One start per connected component, at its row of least degree;
+    # numbered rows, the isolated ones first, get a degree no row has.
+    rest = degree.copy()
+    rest[parts[0]] = n + 1
+    first, root = None, rest.argmin()
+    while rest[root] <= n:
+        order, pred = _cuthill_mckee(graph, root, m, degree)
         parts.append(order[order < m])
-        numbered[parts[-1]] = True
+        rest[parts[-1]] = n + 1
+        root = rest.argmin()
         # A search marks the nodes it does not reach with a negative
         # predecessor, so the maximum keeps each node's own.
         first = pred if first is None else np.maximum(first, pred)
@@ -264,78 +397,186 @@ def _rcm_order(At):
     # the half-width, is the largest distance from a row to that one.
     at = np.empty(m, np.intp)
     at[order] = np.arange(m)
-    return order[::-1], int(
-        (at[rows] - np.repeat(at[first[m:]], count)).max(initial=0))
+    kd = (at.take(rows) - at.take(first[m:]).repeat(count)).max(initial=0)
+    return order[::-1], int(kd), (m - 1) - at
+
+
+def _eliminate(At):
+    # The rows that the factor eliminates (see Elimination), or None if no
+    # row qualifies.  Returns their Elimination, the _Columns of At without
+    # their entries, the kept rows renumbered in index order, and the row
+    # of A of each kept row.  Until the kept rows are ordered, link_pos
+    # holds each link's row among the kept rows, and gather only the
+    # eliminated row of each link.
+    m = At.shape[1]
+    indptr, indices, data = At.indptr, At.indices, At.data
+    count = At.count
+    # Each entry of At: is it in a linking column?  A row's degree counts
+    # its entries that are.
+    linking = (count > 1).repeat(count)
+    degree = np.bincount(indices[linking], minlength=m)
+    out = degree <= 1
+    if not out.any():
+        return None
+    # Private entries: the one entry of a column.
+    own_col = (count == 1).nonzero()[0]
+    at = indptr.take(own_col)
+    owner = indices.take(at)
+    # An empty row or a row of explicit zeros would have a zero pivot.
+    if data.all():
+        live = degree > 0
+        live[owner] = True
+    else:
+        live = np.zeros(m, bool)
+        live[indices[data != 0]] = True
+    out &= live
+    # Candidates of degree one, by their linking entry: the first in its
+    # column (in index order) is eliminated, and the others are kept.
+    at_shared = (linking & out.take(indices)).nonzero()[0]
+    shared = indptr.searchsorted(at_shared, side="right") - 1
+    first = np.ones(at_shared.size, bool)
+    first[1:] = shared[1:] != shared[:-1]
+    r = indices.take(at_shared)
+    out[r] = first
+    at_shared, shared = at_shared[first], shared[first]
+    elim = np.concatenate([r[first], (out & (degree == 0)).nonzero()[0]])
+    if not elim.size:
+        return None
+    index = np.empty(m, np.intp)
+    index[elim] = np.arange(elim.size)
+    # The private entries of the eliminated rows.
+    mine = out.take(owner)
+    own_col, at, owner = own_col[mine], at[mine], owner[mine]
+    # At1: At without the eliminated rows' entries.  The kept rows keep
+    # their order, so every column stays sorted.
+    stay = ~out
+    keep = stay.nonzero()[0]
+    new = stay.cumsum(dtype=indices.dtype)
+    new -= 1
+    kept = stay.take(indices)
+    count = count.copy()
+    count[own_col] = 0
+    count[shared] -= 1
+    indptr = np.zeros(indptr.size, indptr.dtype)
+    count.cumsum(out=indptr[1:])
+    At1 = _Columns(data[kept], new.take(indices[kept]), indptr,
+                   (At.shape[0], keep.size), count)
+    # Links: the entries of the shared columns in At1.
+    length = count.take(shared)
+    at_link = ((indptr.take(shared) - length.cumsum() + length).repeat(length)
+               + np.arange(length.sum()))
+    link_row = np.arange(shared.size).repeat(length)
+    return Elimination(
+        rows=elim, shared=shared, a=data.take(at_shared),
+        own_row=index.take(owner), own_col=own_col,
+        own_sq=data.take(at) ** 2, link_row=link_row,
+        link_pos=At1.indices.take(at_link), link_val=At1.data.take(at_link),
+        gather=elim.take(link_row)), At1, keep
 
 
 def map_products(At):
     """Build the :class:`ProductMap` of ``A`` from ``At = A.T`` (CSR).
 
-    The terms run over the columns ``j`` of ``A`` in ascending order and,
+    First the rows of :class:`Elimination` are found and their entries
+    dropped: what remains, the kept rows ``A1``, is ordered and mapped, so
+    the normal matrix factored is the Schur complement ``A1 @ diag(dt) @
+    A1.T`` on the kept rows.  With no row eliminated, ``A1`` is ``A``.
+
+    The terms run over the columns ``j`` of ``A1`` in ascending order and,
     within a column, over pairs of its entries, so the terms of each slot
-    come in ascending ``j``.  The half-width ``kd`` of ``M`` in reverse
-    Cuthill-McKee order (E. Cuthill and J. McKee, Proc. 24th ACM National
-    Conference, 1969) alone picks the layout.  The order numbers the rows
-    of ``A`` by breadth-first search of the bipartite graph of its rows
-    and its columns of two or more entries, each row's columns visited in
-    ascending entry count, from one start per connected component: a
-    pseudo-peripheral row, found by George and Liu's sweep (A. George and
-    J. W. H. Liu, ACM Trans. Math. Software 5(3), 1979) from the
-    component's row of least degree (entries in those columns), moving to
-    a row of least degree in the deepest level while the search deepens.
-    ``kd`` is then the widest spread of new row numbers within one column
-    of ``A``, so the pattern of ``|A| @ |A|.T`` is never formed.  If
-    ``kd < DENSE_LIMIT`` the map is a band map in that order, which pairs
-    each entry ``A_ij`` with the entries of its column up to and including
-    its own row.  Otherwise it is sparse and pairs every two entries of a
-    column: it keeps an explicit slot for an entry whose terms cancel,
-    where scipy's product drops it, so every ``d > 0`` gives the same
-    pattern.  One minimum-degree ordering of that pattern (SuperLU's
-    ``MMD_AT_PLUS_A``, on unit entries with ``m + 1`` on the diagonal, a
-    strictly diagonally dominant matrix whose LU cannot fail) then serves
-    every factorization of the problem, and the slots are laid out in that
-    order.
+    come in ascending ``j``.  The half-width ``kd`` of the matrix in
+    reverse Cuthill-McKee order (E. Cuthill and J. McKee, Proc. 24th ACM
+    National Conference, 1969) alone picks the layout.  The order numbers
+    the rows of ``A1`` by breadth-first search of the bipartite graph of
+    its rows and its columns of two or more entries, each row's columns
+    visited in ascending entry count, from one start per connected
+    component: a pseudo-peripheral row, found by George and Liu's sweep
+    (A. George and J. W. H. Liu, ACM Trans. Math. Software 5(3), 1979)
+    from the component's row of least degree (entries in those columns),
+    moving to a row of least degree in the deepest level while the search
+    deepens.  ``kd`` is then the widest spread of new row numbers within
+    one column of ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never
+    formed.  If ``kd < DENSE_LIMIT`` the map is a band map in that order,
+    which pairs each entry ``A_ij`` with the entries of its column up to
+    and including its own row.  Otherwise it is sparse and pairs every two
+    entries of a column: it keeps an explicit slot for an entry whose
+    terms cancel, where scipy's product drops it, so every ``d > 0`` gives
+    the same pattern.  One minimum-degree ordering of that pattern
+    (SuperLU's ``MMD_AT_PLUS_A``, on unit entries with ``m + 1`` on the
+    diagonal, a strictly diagonally dominant matrix whose LU cannot fail)
+    then serves every factorization of the problem, and the slots are laid
+    out in that order.
     """
+    if not At.has_canonical_format:
+        At = sp.csr_array(At, copy=True)
+        At.sum_duplicates()
+    At = _columns(At)
+    found = _eliminate(At)
+    if found is None:
+        return _map(At, _linking(At))
+    elim, At1, keep = found
+    return _map(At1, _linking(At1), elim, keep)
+
+
+def _map(At, links, elim=None, keep=None):
+    # The ProductMap of At's rows, which are the rows keep of A when elim
+    # is given (see map_products).
     m = At.shape[1]
-    perm, kd = _rcm_order(At)
+    perm, kd, at = _rcm_order(links)
+    count = At.count
+    col = np.arange(At.shape[0], dtype=np.int32).repeat(count)
     if kd < DENSE_LIMIT:
         # With the rows of A renumbered in the order perm, each column's
-        # entries up to its own row give the lower triangle in that order.
-        # The arrays are copied, as summing the duplicates works in place.
-        # Slots are intp, which np.bincount takes without a copy.
-        At = sp.csr_array((At.data, np.argsort(perm)[At.indices],
-                           At.indptr), shape=At.shape, copy=True)
-        At.sum_duplicates()
-        col, lead, i, k, coef = _terms(At, lower=True)
-        return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                          slot=k.astype(np.intp) * (kd + 1) + (i - k),
-                          diag=np.arange(m) * (kd + 1), perm=perm, kd=kd)
-    col, lead, i, k, coef = _terms(At, lower=False)
-    # CSC keys k * m + i sort column by column, rows ascending.
-    keys = np.concatenate([np.arange(m, dtype=np.int64) * (m + 1),
-                           k.astype(np.int64) * m + i])
-    del i, k
-    pattern, slot = np.unique(keys, return_inverse=True)
-    del keys
-    rows, cols = pattern % m, pattern // m
-    perm_c = spla.splu(
-        sp.csc_array((np.where(rows == cols, m + 1.0, 1.0), rows,
-                      np.searchsorted(pattern, np.arange(m + 1) * m)),
-                     shape=(m, m)),
-        permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True}).perm_c
-    # Relabel the slots into that order: entry (r, c) moves to
-    # (perm_c[r], perm_c[c]), and its new slot is the rank of its new key.
-    keys = perm_c[cols].astype(np.int64) * m + perm_c[rows]
-    order = np.argsort(keys)
-    keys = keys[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return ProductMap(
-        m=m, col=col, val=At.data, lead=lead, coef=coef, slot=rank[slot[m:]],
-        diag=np.searchsorted(keys, np.arange(m) * (m + 1)),
-        perm=np.argsort(perm_c),
-        indptr=np.searchsorted(keys, np.arange(m + 1) * m).astype(np.int32),
-        indices=(keys % m).astype(np.int32))
+        # entries up to its own row give the lower triangle in that order,
+        # so each column's entries are sorted by their new row: by the key
+        # (column, new row), whose columns already come in order, which
+        # numpy's stable sort (timsort) exploits.
+        pos = at.take(At.indices)
+        key = col * np.int64(m)
+        key += pos
+        order = key.argsort(kind="stable")
+        At = _Columns(At.data.take(order), pos.take(order), At.indptr,
+                      At.shape, count)
+        # Term (i, k) goes to slot k * (kd + 1) + (i - k) = k * kd + i of
+        # the band; slots are intp, which np.bincount takes without a copy.
+        lead, slot, coef = _terms(At, True, kd)
+        layout = dict(slot=slot, diag=np.arange(0, m * (kd + 1), kd + 1),
+                      kd=kd)
+    else:
+        # CSC keys k * m + i sort column by column, rows ascending.
+        lead, keys, coef = _terms(At, False, m)
+        keys = np.concatenate([np.arange(m, dtype=np.intp) * (m + 1), keys])
+        pattern, slot = np.unique(keys, return_inverse=True)
+        del keys
+        rows, cols = pattern % m, pattern // m
+        at = spla.splu(
+            sp.csc_array((np.where(rows == cols, m + 1.0, 1.0), rows,
+                          np.searchsorted(pattern, np.arange(m + 1) * m)),
+                         shape=(m, m)),
+            permc_spec="MMD_AT_PLUS_A",
+            options={"SymmetricMode": True}).perm_c
+        perm = np.argsort(at)
+        # Relabel the slots into that order: entry (r, c) moves to
+        # (at[r], at[c]), and its new slot is the rank of its new key.
+        keys = at[cols].astype(np.int64) * m + at[rows]
+        order = np.argsort(keys)
+        keys = keys[order]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        layout = dict(
+            slot=rank[slot[m:]],
+            diag=np.searchsorted(keys, np.arange(m) * (m + 1)),
+            indptr=np.searchsorted(keys, np.arange(m + 1) * m).astype(
+                np.int32),
+            indices=(keys % m).astype(np.int32))
+    if elim is not None:
+        # at[r] is the position of row r of At in the order perm.
+        perm = keep.take(perm)
+        elim = elim._replace(
+            link_pos=at.take(elim.link_pos),
+            gather=np.concatenate([perm, elim.rows, elim.gather]))
+    return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
+                      perm=perm, elim=elim, **layout)
 
 
 def _splu_in_order(M):
@@ -359,20 +600,28 @@ def _band_cholesky(M):
 def factor(lp, p, q):
     """Factor the normal matrix ``M = A @ diag(p / q) @ A.T`` of ``lp``.
 
-    ``M`` is assembled from the problem's :class:`ProductMap`
-    (``lp.product_map``, built on the first call and kept with the
-    problem), bit for bit as scipy's ``A.multiply(p / q) @ A.T``, in the
-    map's order ``perm``.  A band map's lower band is factored in place by
-    LAPACK's ``pbtrf`` and solved by ``pbtrs``; a sparse map's fixed CSC
-    pattern is factored by SuperLU in that order with diagonal pivots (see
-    :func:`map_products`).  Each solve gathers its right-hand side into
-    the order ``perm`` and scatters the solution back.
+    The rows of the problem's :class:`Elimination` (``lp.product_map.elim``)
+    are eliminated first: with ``d = p / q``, their pivots ``Delta`` and
+    the scaling ``dt`` (``d``, but ``dt_j = d_j * delta_r / Delta_r`` at
+    each shared column ``j``) leave the Schur complement ``S = A1 @
+    diag(dt) @ A1.T`` on the kept rows.  ``S`` is assembled from the
+    problem's :class:`ProductMap` (``lp.product_map``, built on the first
+    call and kept with the problem), bit for bit as scipy's
+    ``A1.multiply(dt) @ A1.T``, in the map's order ``perm``.  A band map's
+    lower band is factored in place by LAPACK's ``pbtrf`` and solved by
+    ``pbtrs``; a sparse map's fixed CSC pattern is factored by SuperLU in
+    that order with diagonal pivots (see :func:`map_products`).  The
+    factor still solves the full ``M @ y = w``: the eliminated rows'
+    right-hand side is folded into the kept rows', one solve with ``S``
+    gives their ``y`` in the order ``perm``, and back-substitution gives
+    the eliminated rows' ``y``.  With no row eliminated, ``S`` is ``M``.
 
-    The LAPACK input is not checked for finiteness: ``|M_ik| <= (M_ii +
-    M_kk) / 2``, so the guard on the diagonal, which raises
+    The LAPACK input is not checked for finiteness: ``|S_ik| <= (S_ii +
+    S_kk) / 2``, so the guard on the diagonal and the pivots, which raises
     ``NumericalError``, covers every entry.  If the factorization fails,
-    it is retried once on the same pattern with a small regularization
-    added to the diagonal.
+    it is retried once on the same pattern for ``M`` plus a small
+    regularization on its diagonal: the eliminated rows take it into
+    their pivots and ``dt``, and ``S`` on its diagonal.
 
     Parameters
     ----------
@@ -399,12 +648,18 @@ def factor(lp, p, q):
     A, At = lp.A, lp.At
     p, q = _check_scaling(A, p, q)
     pm = lp.product_map
-    # |M_ik| <= (M_ii + M_kk) / 2, so a finite diagonal means finite M;
-    # an overflow here is reported below, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = p / q
-        M, diagonal = pm.assemble(d)
-        reg = 1e-12 * max(diagonal.max(), 1.0)
+    el = pm.elim
+    # |S_ik| <= (S_ii + S_kk) / 2, so a finite diagonal and finite pivots
+    # mean finite M; an overflow here is reported below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d = dt = p / q
+        if el is not None:
+            dt, pivots, weights = el.reduce(d)
+        M, diagonal = pm.assemble(dt)
+        top = diagonal.max(initial=1.0)
+        if el is not None:
+            top = pivots.max(initial=top)
+        reg = 1e-12 * top
     if not math.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
@@ -416,9 +671,14 @@ def factor(lp, p, q):
     try:
         fac = decompose(M)
     except failure:
-        # One regularized retry on the same pattern: shift M's diagonal
-        # slots in place, on a band assembled again.
-        if band:
+        # One regularized retry on the same pattern, for M + reg * I: the
+        # eliminated rows take reg into their pivots and dt, a band is
+        # assembled again, as pbtrf overwrote it, and reg shifts the
+        # diagonal slots.
+        if el is not None:
+            dt, pivots, weights = el.reduce(d, reg)
+            M = pm.assemble(dt)[0]
+        elif band:
             M = pm.assemble(d)[0]
         values = M.reshape(-1, order="F") if band else M.data
         values[pm.diag] += reg
@@ -431,10 +691,27 @@ def factor(lp, p, q):
     # Nonfinite solutions are left to solve_block's residual guard.
     inner = ((lambda b: _pbtrs(fac, b, lower=1, overwrite_b=1)[0])
              if band else fac.solve)
+    m, m1 = A.shape[0], pm.m
+    gather = pm.perm if el is None else el.gather
+    order = gather[:m]
 
-    def solve(rhs, perm=pm.perm):
-        y = np.empty(pm.m)
-        y[perm] = inner(rhs[perm])
+    def solve(rhs):
+        # One gather: the kept rows' right-hand side in the order perm,
+        # then the eliminated rows' and the links' sources.
+        g = rhs[gather]
+        w = g[:m1]
+        if el is not None:
+            # Fold the eliminated rows into the kept rows' right-hand side.
+            w -= np.bincount(el.link_pos, weights * g[m:], m1)
+        w[:] = inner(w)
+        if el is not None:
+            # Back-substitute the eliminated rows.
+            y2 = g[m1:m]
+            y2 /= pivots
+            y2 -= np.bincount(el.link_row, weights * w.take(el.link_pos),
+                              y2.size)
+        y = np.empty(m)
+        y[order] = g[:m]
         return y
     return NewtonFactor(dense=band, A=A, At=At, p=p, q=q, _solve=solve)
 

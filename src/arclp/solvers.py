@@ -646,7 +646,7 @@ def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
     The corrector recentered toward ``(1 - sin a) * mu``, so the
     contraction identity reads ``mu_new = (1 - sin a) * mu``.
     """
-    rb_floor = 1e-12 * (1.0 + np.abs(rb0).max())
+    rb_floor = 1e-12 * (1.0 + np.abs(rb0).max(initial=0.0))
     shrink = 1.0 - sin_a
     expected = shrink * mu
     if abs(mu_new - expected) > 1e-8 * max(expected, 1e-300):

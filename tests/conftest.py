@@ -152,13 +152,15 @@ def perfbench_module(name):
     return module
 
 
-def staircase_raw():
-    """The benchmark generator's staircase production plan with five
-    periods, 20 products and 10 resources (m = 250, n = 450 after
-    presolve), the smallest LP of the tier-1 suite above ``DENSE_LIMIT``
-    rows."""
+def staircase_raw(periods=5):
+    """The benchmark generator's staircase production plan with
+    ``periods`` periods, 20 products and 10 resources.  With five
+    (m = 250, n = 450 after presolve) it is the smallest LP of the tier-1
+    suite above ``DENSE_LIMIT`` rows; 100 of its rows are bounds that the
+    factor eliminates, which leaves 150."""
     return perfbench_module("workloads").staircase_lp(
-        arclp, 5, 20, 10, np.random.default_rng(5), "st5x20x10")
+        arclp, periods, 20, 10, np.random.default_rng(5),
+        "st%dx20x10" % periods)
 
 
 # Small integers keep every product and sum exact, so the dense reference

@@ -117,7 +117,8 @@ def test_problem_prepares_its_matrix_once(build):
 def test_product_map_is_built_once_per_problem(monkeypatch):
     # The product map is built on a problem's first factorization and
     # shared by the start point's factor and every iteration's, on either
-    # path: a band map or a sparse one, each with its row order.
+    # path: a band map or a sparse one, each with its row order, and with
+    # the elimination of the rows that qualify.
     real_map = arclp.linalg.map_products
     real_assemble = arclp.linalg.ProductMap.assemble
     maps, used = [], []
@@ -137,8 +138,8 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
 
     def start_and_two_iterations(lp):
         initial_point_mehrotra(lp)
-        facs = [factor(lp, rng.uniform(0.5, 2.0, 6),
-                       rng.uniform(0.5, 2.0, 6)) for _ in range(2)]
+        facs = [factor(lp, rng.uniform(0.5, 2.0, lp.n),
+                       rng.uniform(0.5, 2.0, lp.n)) for _ in range(2)]
         assert all(fac.A is lp.A and fac.At is lp.At for fac in facs)
         return facs
 
@@ -147,16 +148,30 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
     assert all(fac.dense for fac in facs)
     assert len(maps) == 1 and maps[0] is band_lp.At
     assert band_lp.product_map.kd == 2
+    assert band_lp.product_map.elim is None
     assert sorted(band_lp.product_map.perm) == [0, 1, 2]
     assert len(used) == 3
     assert all(m is band_lp.product_map for m in used)
+
+    # Row 3 holds the only entry of column 6 and one of column 0: it is
+    # eliminated, and the map covers rows 0 to 2.
+    A = np.hstack([rng.standard_normal((4, 6)), np.zeros((4, 1))])
+    A[3, 1:] = [0.0] * 5 + [2.0]
+    elim_lp = lp_of(A)
+    used.clear()
+    facs = start_and_two_iterations(elim_lp)
+    assert len(maps) == 2 and maps[1] is elim_lp.At
+    pm = elim_lp.product_map
+    assert pm.elim.rows.tolist() == [3] and pm.elim.shared.tolist() == [0]
+    assert pm.m == 3 and sorted(pm.perm) == [0, 1, 2]
+    assert len(used) == 3 and all(m is pm for m in used)
 
     monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
     lp = lp_of(rng.standard_normal((3, 6)))
     used.clear()
     facs = start_and_two_iterations(lp)
     assert not any(fac.dense for fac in facs)
-    assert len(maps) == 2 and maps[1] is lp.At
+    assert len(maps) == 3 and maps[2] is lp.At
     assert lp.product_map.kd is None
     assert sorted(lp.product_map.perm) == [0, 1, 2]
     assert not hasattr(lp, "row_order")
@@ -171,13 +186,22 @@ def test_row_order_keeps_the_minimum_degree_fill(monkeypatch):
     A = (A + sp.eye(100, 200)).tocsr()
     d = np.random.default_rng(9).uniform(0.5, 2.0, 200)
     options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    own = spla.splu((A.multiply(d) @ A.T).tocsc(),
-                    permc_spec="MMD_AT_PLUS_A", **options)
     perm = arclp.linalg.map_products(sp.csr_array(A.T)).perm
+    # The map orders the rows it keeps: compare on those.
+    A1 = A[np.sort(perm)]
+    own = spla.splu((A1.multiply(d) @ A1.T).tocsc(),
+                    permc_spec="MMD_AT_PLUS_A", **options)
     Ap = A[perm]
     ours = spla.splu((Ap.multiply(d) @ Ap.T).tocsc(),
                      permc_spec="NATURAL", **options)
     assert ours.L.nnz + ours.U.nnz == own.L.nnz + own.U.nnz
+
+
+def rcm_order(At):
+    """``_rcm_order`` of the rows of ``A`` from ``At``: the order, its
+    half-width and each row's position in it."""
+    linalg = arclp.linalg
+    return linalg._rcm_order(linalg._linking(linalg._columns(At)))
 
 
 def scipy_half_width(At, perm):
@@ -211,8 +235,9 @@ def test_half_width_is_that_of_scipys_product(presolved, name):
         At = sp.csr_array(BLOCKS.T)
     else:
         At = presolved(name).At
-    perm, kd = arclp.linalg._rcm_order(At)
+    perm, kd, position = rcm_order(At)
     assert sorted(perm.tolist()) == list(range(At.shape[1]))
+    assert position[perm].tolist() == list(range(At.shape[1]))
     assert kd == scipy_half_width(At, perm)
     assert kd == {"scalar": 0, "blocks": 2}.get(name, kd)
 
@@ -226,7 +251,7 @@ def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
                         shape=At.shape)
     theirs = reverse_cuthill_mckee((unit.T @ unit).tocsr(),
                                    symmetric_mode=True)
-    assert arclp.linalg._rcm_order(At)[1] < scipy_half_width(At, theirs)
+    assert rcm_order(At)[1] < scipy_half_width(At, theirs)
 
 
 def test_sparse_retry_keeps_the_pattern(monkeypatch):
@@ -278,14 +303,47 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     assert retry.tobytes() == shifted.tobytes()
 
 
+def reduced(lp, d, shift=0.0):
+    """The kept rows ``A1`` of ``lp`` in its map's order, the scaling ``dt``
+    of the Schur complement ``A1 @ diag(dt) @ A1.T`` left by eliminating
+    the map's other rows from ``M + shift * I``, and their pivots, row by
+    row from ``A``: a pivot sums ``d_k * A_rk**2`` over the row's private
+    columns in ascending order, plus ``shift``, plus ``(d_j * A_rj) *
+    A_rj`` for its shared column ``j``, where ``dt_j = d_j * (private part
+    plus shift) / pivot``."""
+    pm = lp.product_map
+    A1 = lp.A[pm.perm]
+    if pm.elim is None:
+        return A1, d, np.zeros(0)
+    dt = d.copy()
+    count = np.diff(lp.At.indptr)
+    pivots = []
+    for r in pm.elim.rows:
+        row = slice(lp.A.indptr[r], lp.A.indptr[r + 1])
+        cols, vals = lp.A.indices[row], lp.A.data[row]
+        private = count[cols] == 1
+        delta = 0.0
+        for k, a in zip(cols[private], vals[private]):
+            delta += d[k] * a ** 2
+        delta += shift
+        pivot = delta
+        for j, a in zip(cols[~private], vals[~private]):
+            pivot = delta + (d[j] * a) * a
+            dt[j] = d[j] * delta / pivot
+        pivots.append(pivot)
+    return A1, dt, np.array(pivots)
+
+
 @pytest.mark.parametrize("name", NETLIB)
 def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
                                                            monkeypatch):
     # factor calls LAPACK's pbtrf and pbtrs directly on the lower band
-    # that the map assembles in its order perm; its factor and its solves
-    # in that order must be those of scipy's cholesky_banded of the band
-    # of the full product, at any scaling, and so must those of its
-    # regularized retry where that Cholesky fails.
+    # that the map assembles in its order perm: the Schur complement on
+    # the rows it keeps.  Its factor must be scipy's cholesky_banded of
+    # the band of scipy's A1.multiply(dt) @ A1.T, at any scaling, and so
+    # must that of its regularized retry where that Cholesky fails; the
+    # band solve of the kept rows' reduced right-hand side must be
+    # cho_solve_banded's.
     lp = presolved(name)
     pm = lp.product_map
     assert pm.kd < DENSE_LIMIT
@@ -293,34 +351,49 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
     # runs these oracles on two BLAS threads to keep that path covered.
     assert max(presolved(other).product_map.kd for other in NETLIB) >= 32
     real_band_cholesky = arclp.linalg._band_cholesky
-    factors = []
+    real_pbtrs = arclp.linalg._pbtrs
+    factors, reduced_rhs = [], []
 
     def band_cholesky(M):
         factors.append(real_band_cholesky(M))
         return factors[-1]
 
+    def pbtrs(c, b, **kwargs):
+        reduced_rhs.append(b.copy())
+        return real_pbtrs(c, b, **kwargs)
+
     monkeypatch.setattr(arclp.linalg, "_band_cholesky", band_cholesky)
-    perm = pm.perm
+    monkeypatch.setattr(arclp.linalg, "_pbtrs", pbtrs)
     rng = np.random.default_rng(13)
     for k in (0, 1, 4, 8, 12):
         p = 10.0 ** rng.uniform(-k, k, lp.n)
         q = 10.0 ** rng.uniform(-k, k, lp.n)
         rhs = rng.standard_normal(lp.m)
-        M = (lp.A.multiply(p / q) @ lp.At).toarray()[np.ix_(perm, perm)]
-        band = np.zeros((pm.kd + 1, lp.m))
+        d = p / q
+        A1, dt, pivots = reduced(lp, d)
+        M = (A1.multiply(dt) @ A1.T).toarray()
+        band = np.zeros((pm.kd + 1, pm.m))
         for r in range(pm.kd + 1):
-            band[r, :lp.m - r] = np.diagonal(M, -r)
+            band[r, :pm.m - r] = np.diagonal(M, -r)
         try:
             want = scipy.linalg.cholesky_banded(band, lower=True)
         except scipy.linalg.LinAlgError:
-            band[0] += 1e-12 * max(np.diag(M).max(), 1.0)
+            reg = 1e-12 * max(np.diag(M).max(initial=1.0),
+                              pivots.max(initial=1.0))
+            A1, dt, _ = reduced(lp, d, reg)
+            M = (A1.multiply(dt) @ A1.T).toarray()
+            for r in range(pm.kd + 1):
+                band[r, :pm.m - r] = np.diagonal(M, -r)
+            band[0] += reg
             want = scipy.linalg.cholesky_banded(band, lower=True)
         factors.clear()
+        reduced_rhs.clear()
         fac = factor(lp, p, q)
         assert fac.dense
         assert factors[-1].tobytes() == want.tobytes(), k
-        y = scipy.linalg.cho_solve_banded((want, True), rhs[perm])
-        assert fac.solve(rhs)[perm].tobytes() == y.tobytes(), k
+        y = fac.solve(rhs)
+        got = scipy.linalg.cho_solve_banded((want, True), reduced_rhs[-1])
+        assert y[pm.perm].tobytes() == got.tobytes(), k
 
 
 def test_duplicate_entries_are_summed(kernel_path):
@@ -340,13 +413,20 @@ def test_duplicate_entries_are_summed(kernel_path):
 
 
 def test_scalar_normal_matrix():
-    # One row is a band of half-width 0: LAPACK's band storage is 1 by 1.
+    # One row whose one entry lies in a private column is eliminated: the
+    # band of the kept rows is empty, a (1, 0) array with half-width 0, and
+    # the row's pivot is M itself.
     lp = lp_of([[2.0]])
     fac = factor(lp, np.array([3.0]), np.array([6.0]))
     assert fac.dense
-    assert lp.product_map.kd == 0 and lp.product_map.perm.tolist() == [0]
-    M, diagonal = lp.product_map.assemble(np.array([0.5]))
-    assert M.shape == (1, 1) and M[0, 0] == 2.0 and diagonal.tolist() == [2.0]
+    pm = lp.product_map
+    assert pm.m == 0 and pm.kd == 0 and pm.perm.size == 0
+    assert pm.elim.rows.tolist() == [0] and pm.elim.shared.size == 0
+    M, diagonal = pm.assemble(np.array([0.5]))
+    assert M.shape == (1, 0) and diagonal.size == 0
+    dt, pivots, weights = pm.elim.reduce(np.array([0.5]))
+    assert dt.tolist() == [0.5] and pivots.tolist() == [2.0]
+    assert weights.size == 0
     # M = 2 * (3/6) * 2 = 2, so solving M u = 1 gives u = 0.5.
     assert_allclose(fac.solve(np.array([1.0])), [0.5])
 
@@ -467,6 +547,73 @@ def test_sparse_path_above_dense_limit():
             assert res <= bound
 
 
+def eliminable_system(rng):
+    """A random ``A`` (CSR) whose rows take every case of the elimination,
+    shuffled, with the set of rows the map must eliminate.
+
+    Four dense kept rows over eight columns, plus rows that qualify: one
+    of private columns only; one with a private entry and one in kept
+    column 0; two twins that both have a private entry and one in kept
+    column 1, of which only the first in index order is eliminated; one
+    with a single entry, in kept column 2, and no private entry; and one
+    with an explicit zero and a nonzero in private columns and an entry in
+    kept column 3.  A kept row holds an explicit zero too.  Values are
+    +-1 or of other sizes."""
+    def value():
+        return rng.choice([-1.0, 1.0]) * (1.0 if rng.random() < 0.5
+                                          else rng.uniform(0.1, 10.0))
+    kept = [{j: value() for j in range(8)} for _ in range(4)]
+    kept[0][5] = 0.0
+    extra = iter(range(8, 100))
+    rows = kept + [
+        {next(extra): value(), next(extra): value()},
+        {next(extra): value(), 0: value()},
+        {next(extra): value(), 1: value()},
+        {next(extra): value(), 1: value()},
+        {2: value()},
+        {next(extra): 0.0, next(extra): value(), 3: value()},
+    ]
+    n = next(extra)
+    order = rng.permutation(len(rows))
+    rows = [rows[i] for i in order]
+    new = np.argsort(order)
+    twins = sorted(new[[6, 7]])
+    elim = set(new[4:]) - {twins[1]}
+    cols = rng.permutation(n)
+    A = sp.csr_array((
+        [v for row in rows for v in row.values()],
+        [cols[j] for row in rows for j in row],
+        np.cumsum([0] + [len(row) for row in rows])), shape=(len(rows), n))
+    A.sort_indices()
+    return A, elim
+
+
+def test_elimination_picks_its_rows():
+    # The rows eliminated are exactly the qualifying ones, one twin of the
+    # pair that shares a column; the rest are the map's kept rows.
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        A, elim = eliminable_system(rng)
+        lp = lp_of(A)
+        assert (lp.A.data == 0).sum() == 2
+        pm = lp.product_map
+        assert set(pm.elim.rows.tolist()) == elim
+        assert sorted(pm.perm.tolist() + pm.elim.rows.tolist()) == \
+            list(range(A.shape[0]))
+        # The rows with a shared column come first, one per column.
+        assert pm.elim.shared.size == 4 == np.unique(pm.elim.shared).size
+    # An empty row or one of explicit zeros would have a zero pivot: it is
+    # kept, while row 0, of private columns only, is eliminated.
+    for zeros in (0, 1):
+        A = sp.csr_array((np.array([1.0, 2.0, 0.0][:2 + zeros]),
+                          np.array([0, 1, 2][:2 + zeros]),
+                          np.array([0, 2, 2 + zeros])), shape=(2, 3))
+        lp = lp_of(A)
+        assert (lp.A.data == 0).sum() == zeros
+        pm = lp.product_map
+        assert pm.elim.rows.tolist() == [0] and pm.perm.tolist() == [1]
+
+
 class TestOnBothFactorPaths:
     """Kernel oracles run on the banded Cholesky path and on the sparse
     LU path (see ``kernel_path``)."""
@@ -502,25 +649,32 @@ class TestOnBothFactorPaths:
                                                     presolved, name):
         # The iterates depend on M's last bits (kb2's alg2 ends
         # NumericalError instead of Optimal when only they change), so the
-        # map must round as A.multiply(d) @ A.T does, at any scaling.  A
-        # band map assembles only the lower triangle, which is all that
-        # Cholesky reads, and holds zeros outside it.
+        # map must round as scipy's A1.multiply(dt) @ A1.T does on the rows
+        # A1 it keeps, at any scaling.  A band map assembles only the lower
+        # triangle, which is all that Cholesky reads, and holds zeros
+        # outside it.
         lp = presolved(name)
         product_map = arclp.linalg.map_products(lp.At)
         layout = "band" if product_map.kd is not None else "sparse"
-        # st5x20x10 has half-width 105 in its band order, under the limit.
+        # st5x20x10 has half-width 57 in its band order, under the limit.
         assert layout == kernel_path
         perm = product_map.perm
+        A1 = lp.A[perm]
+        if layout == "band":
+            # The band is as narrow as the kept rows allow in that order.
+            assert product_map.kd == scipy_half_width(
+                sp.csr_array(A1.T), np.arange(product_map.m))
         rng = np.random.default_rng(12)
         for k in (0, 1, 4, 8, 12):
             d = 10.0 ** rng.uniform(-k, k, lp.n)
-            want = (lp.A.multiply(d) @ lp.At).toarray()[np.ix_(perm, perm)]
-            M, diagonal = product_map.assemble(d)
+            dt = reduced(lp, d)[1]
+            want = (A1.multiply(dt) @ A1.T).toarray()
+            M, diagonal = product_map.assemble(dt)
             if layout == "sparse":
                 got = M.toarray()
             else:
                 want = np.tril(want)
-                assert M.shape == (product_map.kd + 1, lp.m), k
+                assert M.shape == (product_map.kd + 1, product_map.m), k
                 got = lower_of_band(M)
             assert got.tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
@@ -564,6 +718,34 @@ class TestOnBothFactorPaths:
             assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
             assert_allclose(dlam, blam, rtol=1e-6, atol=1e-9)
             assert_allclose(ds, bs, rtol=1e-6, atol=1e-9)
+
+    def test_elimination_matches_brute_force(self, kernel_path):
+        # NewtonFactor.solve solves the full M @ y = w, eliminated rows
+        # included, on the band and on the sparse LU side of the kept
+        # rows; so does the block solve.
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            A, elim = eliminable_system(rng)
+            m, n = A.shape
+            lp = lp_of(A)
+            dense_A = A.toarray()
+            for k in (0, 1, 2):
+                p = 10.0 ** rng.uniform(-k, k, n)
+                q = 10.0 ** rng.uniform(-k, k, n)
+                fac = factor(lp, p, q)
+                assert fac.dense == (kernel_path == "band")
+                w = rng.standard_normal(m)
+                assert_allclose(
+                    fac.solve(w),
+                    np.linalg.solve((dense_A * (p / q)) @ dense_A.T, w),
+                    rtol=1e-6, atol=1e-9)
+                r1 = rng.standard_normal(m)
+                r2 = rng.standard_normal(n)
+                r3 = rng.standard_normal(n)
+                for got, want in zip(solve_block(fac, r1, r2, r3),
+                                     brute_force(dense_A, p, q, r1, r2, r3)):
+                    assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+            assert set(lp.product_map.elim.rows.tolist()) == elim
 
     def test_inconsistent_system_raises(self, kernel_path):
         # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the

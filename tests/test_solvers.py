@@ -670,3 +670,15 @@ class TestDispatcher:
         base = solve(small_lp)
         moved = solve(shifted)
         assert_allclose(moved.objective, base.objective + 5.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line", "alg1"])
+    def test_problem_without_rows(self, algorithm):
+        # No constraint rows, so the normal matrix is empty (its band has
+        # no columns): minimize x1 + 2 x2 over x >= 0, whose optimum is 0.
+        lp = make_standard_lp(np.zeros((0, 3)), np.zeros(0), [1.0, 2.0, 0.0])
+        config = SolverConfig(algorithm=algorithm)
+        res = solve(lp, config)
+        assert res.status == Status.OPTIMAL
+        assert res.invariant_violations == []
+        # The gap the relative stopping rule allows.
+        assert abs(res.objective) <= lp.n * config.epsilon
