@@ -50,10 +50,6 @@ pattern of ``|A1| @ |A1|.T`` in one minimum-degree row order instead,
 factored by sparse LU in that order with diagonal pivots, so every
 factorization of a problem has the same fill.  Both paths retry once, on
 the same pattern, with a small diagonal regularization before giving up.
-
-The map is built once per problem, and so once per request; its build
-calls ndarray methods rather than numpy's slower wrapper functions, and
-gathers with ``take``.
 """
 
 from __future__ import annotations
@@ -126,10 +122,7 @@ def _check_scaling(A, p, q):
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
     # A nonfinite entry passes: it makes M or the block residual nonfinite.
-    # np.fmin skips nan, so this finds any entry <= 0, without the
-    # temporary and the wrapper of (p <= 0).any().
-    if (np.fmin.reduce(p, initial=np.inf) <= 0
-            or np.fmin.reduce(q, initial=np.inf) <= 0):
+    if (p <= 0).any() or (q <= 0).any():
         raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
@@ -183,13 +176,13 @@ class Elimination(NamedTuple):
         own = d.take(self.own_col)
         own *= self.own_sq
         # Plus a float: without private entries np.bincount gives ints.
-        delta = np.bincount(self.own_row, own, self.rows.size) + shift
+        pivots = np.bincount(self.own_row, own, self.rows.size) + shift
         ns = self.shared.size
         dj = d.take(self.shared)
         coupling = dj * self.a
-        pivots = delta.copy()
+        # The private parts first make dt, then become the pivots.
+        dj *= pivots[:ns]
         pivots[:ns] += coupling * self.a
-        dj *= delta[:ns]
         dj /= pivots[:ns]
         dt = d.copy()
         dt[self.shared] = dj
@@ -246,7 +239,7 @@ class ProductMap(NamedTuple):
         the roundings of scipy's ``A1.multiply(d) @ A1.T``."""
         ad = d.take(self.col)
         ad *= self.val
-        terms = ad.repeat(self.lead)
+        terms = np.repeat(ad, self.lead)
         terms *= self.coef
         band = self.kd is not None
         values = np.bincount(
@@ -287,7 +280,7 @@ def _search(graph, root, m):
     # kind of node changes.
     order, pred = breadth_first_order(graph, root)
     row = order < m
-    cuts = (row[1:] != row[:-1]).nonzero()[0] + 1
+    cuts = np.flatnonzero(row[1:] != row[:-1]) + 1
     deep = cuts.size & ~1
     last = order[cuts[deep - 1] if deep else 0:
                  cuts[deep] if deep < cuts.size else None]
@@ -300,7 +293,7 @@ def _cuthill_mckee(graph, root, m, degree):
     # The last search is the Cuthill-McKee order from that start.
     order, pred, depth, last = _search(graph, root, m)
     while True:
-        x = last[degree.take(last).argmin()]
+        x = last[np.argmin(degree[last])]
         if x == root:
             return order, pred
         root = x
@@ -325,41 +318,26 @@ def _columns(At):
                     At.indptr[1:] - At.indptr[:-1])
 
 
-class _Links(NamedTuple):
-    # The columns of A of two or more entries, the only ones that link
-    # rows, ranked by ascending entry count: the linking column of rank c
-    # is column cols[c] of A, and its count[c] rows, in index order, are
-    # rows[ptr[c]:ptr[c + 1]].  degree[r] counts row r's entries in them.
-    m: int
-    cols: np.ndarray
-    count: np.ndarray
-    ptr: np.ndarray
-    rows: np.ndarray
-    degree: np.ndarray
-
-
-def _linking(At):
-    indptr, count = At.indptr, At.count
+def _rcm_order(At):
+    # Reverse Cuthill-McKee order of the rows of A (At is a _Columns), the
+    # half-width of M in that order and each row's position in it, without
+    # forming |A| @ |A|.T.  The search runs on the bipartite graph of the
+    # rows of A and its columns of two or more entries, the only ones that
+    # link rows: node r < m is row r, node m + c the linking column of rank
+    # c in ascending entry count, so every row lists its columns, as the
+    # search visits them, fewest entries first.
     m = At.shape[1]
-    cols = (count > 1).nonzero()[0]
-    cols = cols.take(count.take(cols).argsort(kind="stable"))
-    count = count.take(cols)
-    ptr = np.zeros(count.size + 1, count.dtype)
-    count.cumsum(out=ptr[1:])
-    rows = At.indices.take((indptr.take(cols) - ptr[:-1]).repeat(count)
-                           + np.arange(ptr[-1]))
-    return _Links(m, cols, count, ptr, rows, np.bincount(rows, minlength=m))
-
-
-def _rcm_order(links):
-    # Reverse Cuthill-McKee order of the rows of A, the half-width of M in
-    # that order and each row's position in it, without forming
-    # |A| @ |A|.T.  The search runs on the bipartite graph of the rows of A
-    # and its linking columns: node r < m is row r, node m + c the linking
-    # column of rank c, so every row lists its columns, as the search
-    # visits them, fewest entries first.
-    m, _, count, ptr, rows, degree = links
+    count = At.count
+    col_of = (count > 1).nonzero()[0]
+    col_of = col_of.take(count.take(col_of).argsort(kind="stable"))
+    count = count.take(col_of)
     n = count.size
+    ptr = np.zeros(n + 1, count.dtype)
+    count.cumsum(out=ptr[1:])
+    rows = At.indices.take((At.indptr.take(col_of) - ptr[:-1]).repeat(count)
+                           + np.arange(ptr[-1]))
+    # A row's degree: its entries in linking columns.
+    degree = np.bincount(rows, minlength=m)
     # A row of degree 0 is a component of its own, which the loop below
     # would start first, in index order: number them so without a search.
     parts = [(degree == 0).nonzero()[0]]
@@ -403,8 +381,8 @@ def _rcm_order(links):
 
 def _eliminate(At):
     # The rows that the factor eliminates (see Elimination), or None if no
-    # row qualifies.  Returns their Elimination, the _Columns of At without
-    # their entries, the kept rows renumbered in index order, and the row
+    # row qualifies.  Returns the _Columns of At without their entries, the
+    # kept rows renumbered in index order, their Elimination, and the row
     # of A of each kept row.  Until the kept rows are ordered, link_pos
     # holds each link's row among the kept rows, and gather only the
     # eliminated row of each link.
@@ -423,12 +401,8 @@ def _eliminate(At):
     at = indptr.take(own_col)
     owner = indices.take(at)
     # An empty row or a row of explicit zeros would have a zero pivot.
-    if data.all():
-        live = degree > 0
-        live[owner] = True
-    else:
-        live = np.zeros(m, bool)
-        live[indices[data != 0]] = True
+    live = np.zeros(m, bool)
+    live[indices[data != 0]] = True
     out &= live
     # Candidates of degree one, by their linking entry: the first in its
     # column (in index order) is eliminated, and the others are kept.
@@ -466,12 +440,12 @@ def _eliminate(At):
     at_link = ((indptr.take(shared) - length.cumsum() + length).repeat(length)
                + np.arange(length.sum()))
     link_row = np.arange(shared.size).repeat(length)
-    return Elimination(
+    return At1, Elimination(
         rows=elim, shared=shared, a=data.take(at_shared),
         own_row=index.take(owner), own_col=own_col,
         own_sq=data.take(at) ** 2, link_row=link_row,
         link_pos=At1.indices.take(at_link), link_val=At1.data.take(at_link),
-        gather=elim.take(link_row)), At1, keep
+        gather=elim.take(link_row)), keep
 
 
 def map_products(At):
@@ -513,16 +487,15 @@ def map_products(At):
     At = _columns(At)
     found = _eliminate(At)
     if found is None:
-        return _map(At, _linking(At))
-    elim, At1, keep = found
-    return _map(At1, _linking(At1), elim, keep)
+        return _map(At)
+    return _map(*found)
 
 
-def _map(At, links, elim=None, keep=None):
+def _map(At, elim=None, keep=None):
     # The ProductMap of At's rows, which are the rows keep of A when elim
     # is given (see map_products).
     m = At.shape[1]
-    perm, kd, at = _rcm_order(links)
+    perm, kd, at = _rcm_order(At)
     count = At.count
     col = np.arange(At.shape[0], dtype=np.int32).repeat(count)
     if kd < DENSE_LIMIT:
@@ -619,9 +592,10 @@ def factor(lp, p, q):
     The LAPACK input is not checked for finiteness: ``|S_ik| <= (S_ii +
     S_kk) / 2``, so the guard on the diagonal and the pivots, which raises
     ``NumericalError``, covers every entry.  If the factorization fails,
-    it is retried once on the same pattern for ``M`` plus a small
-    regularization on its diagonal: the eliminated rows take it into
-    their pivots and ``dt``, and ``S`` on its diagonal.
+    or an eliminated row's pivot is zero (``d`` underflowed), it is
+    retried once on the same pattern for ``M`` plus a small regularization
+    on its diagonal: the eliminated rows take it into their pivots and
+    ``dt``, and ``S`` on its diagonal.
 
     Parameters
     ----------
@@ -669,6 +643,9 @@ def factor(lp, p, q):
     else:
         decompose, failure = _splu_in_order, RuntimeError
     try:
+        # A zero pivot (an underflow in d) fails as a singular S would.
+        if el is not None and not pivots.min(initial=1.0) > 0:
+            raise failure
         fac = decompose(M)
     except failure:
         # One regularized retry on the same pattern, for M + reg * I: the

@@ -201,7 +201,7 @@ def rcm_order(At):
     """``_rcm_order`` of the rows of ``A`` from ``At``: the order, its
     half-width and each row's position in it."""
     linalg = arclp.linalg
-    return linalg._rcm_order(linalg._linking(linalg._columns(At)))
+    return linalg._rcm_order(linalg._columns(At))
 
 
 def scipy_half_width(At, perm):
@@ -746,6 +746,32 @@ class TestOnBothFactorPaths:
                                      brute_force(dense_A, p, q, r1, r2, r3)):
                     assert_allclose(got, want, rtol=1e-6, atol=1e-9)
             assert set(lp.product_map.elim.rows.tolist()) == elim
+
+    def test_underflowed_pivot_takes_the_regularized_retry(self,
+                                                           kernel_path):
+        # Row 0's entries lie in private columns only, so it is eliminated,
+        # and d underflows to zero on them: its pivot is zero, and its row
+        # of M too, as a zero diagonal that fails the Cholesky of M would
+        # be.  The factor must take the regularized retry, which solves
+        # M + reg * I: y_0 = 0 for w_0 = 0, not 0 / 0, and the kept rows'
+        # solution of their own block.
+        A = np.array([[1.0, 2.0, 0.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1.0, 0.0],
+                      [0.0, 0.0, 1.0, -1.0, 1.0]])
+        p = np.array([1e-300, 1e-300, 1.0, 2.0, 3.0])
+        q = np.array([1e300, 1e300, 1.0, 1.0, 1.0])
+        d = p / q
+        assert d[0] == d[1] == 0.0
+        lp = lp_of(A)
+        fac = factor(lp, p, q)
+        assert lp.product_map.elim.rows.tolist() == [0]
+        w = np.array([0.0, 1.0, -2.0])
+        expected = np.zeros(3)
+        M = (A * d) @ A.T
+        expected[1:] = np.linalg.solve(M[1:, 1:], w[1:])
+        y = fac.solve(w)
+        assert np.isfinite(y).all()
+        assert_allclose(y, expected, rtol=1e-9, atol=0)
 
     def test_inconsistent_system_raises(self, kernel_path):
         # Duplicated row makes A dx = r1 unsolvable for r1 = (1, 2); the

@@ -78,8 +78,8 @@ def half_widths(lp):
     order, and that of the rows the factor keeps, in theirs."""
     At = linalg._columns(lp.At)
     found = linalg._eliminate(At)
-    At1 = At if found is None else found[1]
-    return tuple(linalg._rcm_order(linalg._linking(B))[1] for B in (At, At1))
+    At1 = At if found is None else found[0]
+    return tuple(linalg._rcm_order(B)[1] for B in (At, At1))
 
 
 def test_half_width_picks_the_path(staircase, linked_staircase):
