@@ -120,7 +120,7 @@ def solve_mps_file(path, config=None):
 
     name = path.stem
     try:
-        raw = parse_mps(path.read_text())
+        raw = parse_mps(path.read_bytes())
         name = raw.name or name
         std = to_standard_form(raw)
         reduced, report = presolve(std)

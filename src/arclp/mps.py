@@ -8,25 +8,26 @@ lines are indented and whitespace-delimited.  Integer markers (MARKER /
 INTORG) and OBJSENSE sections are rejected rather than silently ignored,
 as are ``nan`` in any numeric field and infinite values outside BOUNDS.
 
-The reader splits the text at its section header lines, with the line
-breaks of ``str.splitlines``, and reads each section body in bulk: it
-tokenizes the body's data lines once, maps the names to their indices
-with one dict lookup each, converts all numeric fields with one array
-conversion and runs every check as a mask over the whole section.  An
-error is located only once a mask holds one: the first failing line, and
-on that line the first check in the order of a line-by-line reader, so
-the message and the line number are the ones such a reader gives.
-Headers are checked in file order, and each body is read before the next
-header is checked.  The E, G and L blocks pick their rows from one CSR
-matrix of all constraint rows.  The writer stacks the blocks back into
-one matrix.
+The reader finds the lines of the text and their tokens with array
+operations over its code points: lines end as with ``str.splitlines``,
+and tokens are separated by the whitespace of ``str.split``.  It then
+reads each section in bulk: one ``str.split`` of the section's text gives
+its tokens, names map to their indices with one dict lookup each, all
+numeric fields convert in one array conversion, and every check runs as a
+mask over the whole section.  An error is located only once a mask holds
+one: the first failing line, and on that line the first check in the
+order of a line-by-line reader, so the message and the line number are
+the ones such a reader gives.  Headers are checked in file order, and each
+body is read before the next header is checked.  The E, G and L blocks
+pick their rows from one CSR matrix of all constraint rows.  The writer
+stacks the blocks back into one matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,7 +42,15 @@ _BOUND_CODES = {btype: code for code, btype in enumerate(_BOUND_TYPES)}
 _SETS_LOWER = np.array([True, False, True, True, True, False])
 _SETS_UPPER = np.array([False, True, True, True, False, True])
 _SECTIONS = ("NAME", "ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "ENDATA")
-_MARKERS = frozenset(["MARKER", "'MARKER'"])
+_MARKERS = ["MARKER", "'MARKER'"]
+# Characters by code point: 0 and 1 ("*") are token characters, 2 (blank or
+# tab) and up the whitespace of str.split, 4 ("\r"), 5 ("\n") and 6 the line
+# ends of str.splitlines.  The last entry stands for all code points past it.
+_KINDS = np.zeros(0x3002, dtype=np.uint8)
+_KINDS[[42, 9, 32, 13, 10]] = [1, 2, 2, 4, 5]
+_KINDS[[31, 0xa0, 0x1680, *range(0x2000, 0x200b), 0x202f, 0x205f, 0x3000]] = 3
+_KINDS[[11, 12, 28, 29, 30, 0x85, 0x2028, 0x2029]] = 6
+_CHUNK = 1 << 14    # characters classified at a time, to bound temporaries
 # Row indices of the objective row and of a name that is no row.
 _OBJECTIVE, _UNKNOWN = -1, -2
 
@@ -175,22 +184,15 @@ def _sort_repeats(keys, among):
 
 
 def _first_failure(checks):
-    """``(k, message)`` of the first failing item, or None.
-
-    ``checks`` holds ``(mask, message)`` pairs in the order in which one
-    item is checked, so the earliest item wins, and on one item the
-    earliest check.
-    """
-    first = None
+    """``(k, message)`` of the first failing item, else the number of items
+    and None.  ``checks`` holds ``(mask, message)`` pairs in the order in
+    which one item is checked, so the earliest item wins, and on one item
+    the earliest check."""
+    first = (len(checks[0][0]), None)
     for mask, message in checks:
-        if mask.any() and (first is None or mask.argmax() < first[0]):
+        if mask.any() and mask.argmax() < first[0]:
             first = (int(mask.argmax()), message)
     return first
-
-
-def _lines_before_failure(checks, count):
-    first = _first_failure(checks)
-    return count if first is None else first[0]
 
 
 def _raise_first(checks, linenos, line_of=None):
@@ -199,72 +201,80 @@ def _raise_first(checks, linenos, line_of=None):
     ``message(k)`` formats item ``k``'s error; ``line_of[k]`` is the item's
     line in the section (the item is a line when ``line_of`` is None).
     """
-    first = _first_failure(checks)
-    if first is not None:
-        k, message = first
+    k, message = _first_failure(checks)
+    if message is not None:
         line = k if line_of is None else line_of[k]
         raise MpsParseError(message(k), int(linenos[line]))
 
 
-def _tokenize(lines, lineno, comments):
-    """Split a section body into the token lists of its data lines.
+def _scan(text):
+    """Per line of ``text`` (as by ``str.splitlines``, plus a blank one if
+    the text ends with a line end): its offset (and the text's length
+    after the last), its number of ``str.split`` tokens, and its role: 1
+    for a header, which starts with neither a blank nor a tab, 2 for a
+    data line, which does, and 0 for a blank line or a comment (``*...``)."""
+    kind = np.empty(len(text), dtype=np.uint8)
+    for i in range(0, len(text), _CHUNK):
+        code = text[i:i + _CHUNK].encode("utf-32-le", "surrogatepass")
+        _KINDS.take(np.frombuffer(code, "<u4"), mode="clip",
+                    out=kind[i:i + _CHUNK])
+    ends = (kind >= 4).nonzero()[0]
+    # A "\r\n" pair ends one line, at its "\n".
+    ends = ends[(kind[ends] != 4)
+                | (kind[np.minimum(ends + 1, len(kind) - 1)] != 5)]
+    start = kind < 2
+    start[1:] &= kind[:-1] >= 2
+    tokens = start.nonzero()[0]
+    offset = np.concatenate(([0], ends + 1, [len(kind)]))
+    at = np.searchsorted(tokens, offset)
+    count = np.diff(at)
+    filled = (count > 0).nonzero()[0]
+    role = np.zeros(len(count), dtype=np.int8)
+    role[filled] = np.where(kind[tokens[at[filled]]] == 1, 0,
+                            np.where(kind[offset[filled]] == 2, 2, 1))
+    return offset, count, role
 
-    Returns the token lists and their 1-based line numbers (``lineno`` is
-    that of the body's first line).  Blank lines are dropped, and so are
-    comment lines when ``comments`` says the text may hold some.
-    """
-    tokens = [line.split() for line in lines]
-    linenos = np.arange(lineno, lineno + len(lines))
-    if comments or not all(tokens):
-        keep = np.array([bool(t) and t[0][0] != "*" for t in tokens],
-                        dtype=bool)
-        tokens = list(compress(tokens, keep))
-        linenos = linenos[keep]
-    return tokens, linenos
 
-
-def _fields(tokens):
-    """All tokens of a section in one list, the number of tokens on each
-    line, and the index of each line's first token in the list."""
-    lens = np.fromiter(map(len, tokens), np.intp, len(tokens))
-    return list(chain.from_iterable(tokens)), lens, np.cumsum(lens) - lens
-
-
-def _take(items, positions):
-    """The items at ``positions``, as a list."""
-    return list(map(items.__getitem__, positions.tolist()))
+def _section(text, lines, begin, end):
+    """The data lines among lines ``begin`` to ``end`` (exclusive): their
+    tokens in one array, split at once, the number of tokens on each line,
+    the index of each line's first token, and the 1-based line numbers."""
+    offset, count, role = lines
+    tokens = text[offset[begin]:offset[end]].split()
+    flat = np.fromiter(tokens, object, len(tokens))
+    count, data = count[begin:end], role[begin:end] == 2
+    lens = count[data]
+    if lens.sum() < len(flat):      # comment lines
+        flat = flat[np.repeat(data, count)]
+    return flat, lens, np.cumsum(lens) - lens, data.nonzero()[0] + begin + 1
 
 
 def _pairs(flat, skip, count):
-    """Split the (row, value) pairs out of a section's tokens.
-
-    ``skip`` holds the positions of the tokens outside any pair, and
-    ``count`` each line's number of pairs.  Returns the row tokens, the
-    value tokens and each pair's line.
-    """
+    """Row tokens, value tokens and lines of the pairs left once the tokens
+    at ``skip`` are dropped; ``count`` holds each line's number of pairs."""
     keep = np.ones(len(flat), dtype=bool)
     keep[skip] = False
-    rest = list(compress(flat, keep))
-    return rest[0::2], rest[1::2], np.repeat(np.arange(len(count)), count)
+    rest = flat[keep][:2 * count.sum()]
+    return (rest[0::2].tolist(), rest[1::2].tolist(),
+            np.repeat(np.arange(len(count)), count))
 
 
-def _read_rows(tokens, linenos):
+def _read_rows(flat, lens, start, linenos):
     """Read ROWS: the objective row's name, and the names and kinds of the
     constraint rows.  ``rows`` maps each row name to its index among the
     constraint rows, or to ``_OBJECTIVE``."""
-    flat, lens, _ = _fields(tokens)
     line_checks = [(lens != 2,
                     lambda k: "ROWS line needs a type and a name")]
-    stop = _lines_before_failure(line_checks, len(tokens))
-    kinds = list(map(str.upper, flat[0:2 * stop:2]))
-    names = flat[1:2 * stop:2]
+    stop = _first_failure(line_checks)[0]
+    kinds = list(map(str.upper, flat[0:2 * stop:2].tolist()))
+    names = flat[1:2 * stop:2].tolist()
     objective = np.fromiter(map("N".__eq__, kinds), bool, stop)
     first_line = dict(zip(reversed(names), range(stop - 1, -1, -1)))
     _raise_first([
         (objective & (np.cumsum(objective) > 1),
          lambda k: "multiple objective (N) rows"),
         (~np.fromiter(map(_ROW_KINDS.__contains__, kinds), bool, stop),
-         lambda k: "unknown row type %r" % tokens[k][0]),
+         lambda k: "unknown row type %r" % flat[start[k]]),
         (np.fromiter(map(first_line.__getitem__, names), np.intp, stop)
          != np.arange(stop),
          lambda k: "duplicate row name %r" % names[k]),
@@ -278,22 +288,22 @@ def _read_rows(tokens, linenos):
     return name, row_names, np.array(kinds, dtype=str)[~objective], rows
 
 
-def _read_columns(tokens, linenos, rows, markers):
+def _read_columns(flat, lens, start, linenos, rows, markers):
     """Read COLUMNS: the columns in order of first appearance, the costs,
     and the row, the column and the value of every matrix entry, row by
     row in ascending columns.  ``markers`` says whether the text holds
     the word MARKER."""
-    flat, lens, start = _fields(tokens)
+    marked = np.zeros(len(lens), dtype=bool)
+    if markers:
+        marker = np.isin(flat, _MARKERS)
+        marked[np.repeat(np.arange(len(lens)), lens)[marker]] = True
     line_checks = [
-        (np.fromiter((not _MARKERS.isdisjoint(t) for t in tokens), bool,
-                     len(tokens)) if markers else np.zeros(len(tokens), bool),
-         lambda k: "integer markers are not supported"),
+        (marked, lambda k: "integer markers are not supported"),
         ((lens < 3) | (lens % 2 == 0),
          lambda k: "COLUMNS line needs (row, value) pairs")]
-    stop = _lines_before_failure(line_checks, len(tokens))
+    stop = _first_failure(line_checks)[0]
     lens, start = lens[:stop], start[:stop]
-    flat = flat[:int(lens.sum())]
-    names = _take(flat, start)
+    names = flat[start].tolist()
     row_tokens, value_tokens, line_of = _pairs(flat, start, (lens - 1) // 2)
     cols = dict.fromkeys(names)
     cols = dict(zip(cols, range(len(cols))))
@@ -320,21 +330,19 @@ def _read_columns(tokens, linenos, rows, markers):
     return cols, c, (i[entries], j[entries], values[entries])
 
 
-def _read_pairs(section, tokens, linenos, rows):
+def _read_pairs(section, flat, lens, start, linenos, rows):
     """Read RHS or RANGES: the row index (``_OBJECTIVE`` for the objective
     row) and the value of every (row, value) pair.
 
     The leading set name is optional in the wild; it is taken as absent
     when a line has an even number of tokens and starts with a row name.
     """
-    flat, lens, start = _fields(tokens)
-    named = ~(np.fromiter(map(rows.__contains__, _take(flat, start)), bool,
-                          len(tokens)) & (lens % 2 == 0))
+    named = ~(np.fromiter(map(rows.__contains__, flat[start].tolist()), bool,
+                          len(lens)) & (lens % 2 == 0))
     body = lens - named
     line_checks = [((body == 0) | (body % 2 != 0),
                     lambda k: "%s line needs (row, value) pairs" % section)]
-    stop = _lines_before_failure(line_checks, len(tokens))
-    flat = flat[:int(lens[:stop].sum())]
+    stop = _first_failure(line_checks)[0]
     row_tokens, value_tokens, line_of = _pairs(
         flat, start[:stop][named[:stop]], body[:stop] // 2)
     i = np.fromiter(map(rows.get, row_tokens, repeat(_UNKNOWN)), np.intp,
@@ -355,27 +363,26 @@ def _read_pairs(section, tokens, linenos, rows):
     return i, values
 
 
-def _read_bounds(tokens, linenos, cols):
+def _read_bounds(flat, lens, start, linenos, cols):
     """Read BOUNDS: the type code, the column index and the value (nan
     for FR, MI and PL) of every line.
 
     An optional bound-set name sits between the type and the column.
     """
-    flat, lens, start = _fields(tokens)
-    codes = np.fromiter(map(_BOUND_CODES.get,
-                            map(str.upper, _take(flat, start)), repeat(-1)),
-                        np.intp, len(tokens))
+    types = flat[start].tolist()
+    codes = np.fromiter(map(_BOUND_CODES.get, map(str.upper, types),
+                            repeat(-1)), np.intp, len(lens))
     has_value = codes < 3
     want = 2 + has_value
     named = lens == want + 1
     line_checks = [
-        (codes < 0, lambda k: "unknown bound type %r" % tokens[k][0]),
+        (codes < 0, lambda k: "unknown bound type %r" % types[k]),
         ((lens != want) & ~named, lambda k: "malformed BOUNDS line")]
-    stop = _lines_before_failure(line_checks, len(tokens))
-    start, named, has_value = start[:stop], named[:stop], has_value[:stop]
-    column = start + 1 + named
-    col_tokens = _take(flat, column)
-    value_tokens = _take(flat, (column + 1)[has_value])
+    stop = _first_failure(line_checks)[0]
+    named, has_value = named[:stop], has_value[:stop]
+    column = start[:stop] + 1 + named
+    col_tokens = flat[column].tolist()
+    value_tokens = flat[(column + 1)[has_value]].tolist()
     j = np.fromiter(map(cols.get, col_tokens, repeat(-1)), np.intp, stop)
     values = np.full(stop, np.nan)
     bad = np.zeros(stop, dtype=bool)
@@ -390,11 +397,9 @@ def _read_bounds(tokens, linenos, cols):
 
 
 def _no_data(body, message):
-    """Raise ``message`` on the first data line of a section that takes
-    none."""
-    linenos = body[1]
-    if linenos.size:
-        raise MpsParseError(message, int(linenos[0]))
+    """Raise ``message`` on the first data line of a section with none."""
+    if body[3].size:
+        raise MpsParseError(message, int(body[3][0]))
 
 
 def parse_mps(text):
@@ -417,15 +422,9 @@ def parse_mps(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8", errors="replace")
 
-    lines = text.splitlines()
-    # A header is a line whose first character is neither blank nor a
-    # tab, unless the line is blank or a comment.
-    first = np.array(lines, dtype="U1")
-    heads = [int(h) for h in np.flatnonzero((first != " ") & (first != "\t"))
-             if lines[h][:1] not in " \t"
-             and (t := lines[h].split()) and not t[0].startswith("*")]
-    ends = heads[1:] + [len(lines)]
-    comments = "*" in text
+    lines = offset, count, role = _scan(text)
+    heads = (role == 1).nonzero()[0].tolist()
+    ends = heads[1:] + [len(count)]
     markers = "MARKER" in text
 
     # What an absent section leaves.
@@ -436,12 +435,12 @@ def parse_mps(text):
     rhs = ranges = (no_index, no_values)
     bounds = (no_index, no_index, no_values)
 
-    _no_data(_tokenize(lines[:heads[0] if heads else len(lines)], 1,
-                       comments), "data line outside any section")
+    _no_data(_section(text, lines, 0, heads[0] if heads else len(count)),
+             "data line outside any section")
     seen = []
     for head, end in zip(heads, ends):
         lineno = head + 1
-        tokens = lines[head].split()
+        tokens = text[offset[head]:offset[lineno]].split()
         keyword = tokens[0].upper()
         if keyword not in _SECTIONS:
             raise MpsParseError("unknown section %r" % tokens[0], lineno)
@@ -454,7 +453,7 @@ def parse_mps(text):
             raise MpsParseError("section %s before ROWS" % keyword, lineno)
         seen.append(keyword)
 
-        body = _tokenize(lines[head + 1:end], lineno + 1, comments)
+        body = _section(text, lines, lineno, end)
         if keyword == "NAME":
             name = tokens[1] if len(tokens) > 1 else ""
             _no_data(body, "data line outside any section")

@@ -41,17 +41,27 @@ class InfeasibleBoundsError(ValueError):
 class VarMap:
     """Recipe for mapping a standard-form solution back to raw variables.
 
-    ``rules`` has one entry per raw variable: ``("shift", j, offset)``
-    recovers ``x_raw = x_std[j] + offset`` and ``("split", jp, jn)``
-    recovers ``x_raw = x_std[jp] - x_std[jn]``.  ``c`` and
-    ``objective_shift`` reproduce the raw objective value from a
-    standard-form point.
+    Raw variable ``i`` starts at standard column ``j = col[i]``.  Where
+    ``split[i]`` holds, ``x_raw = x_std[j] - x_std[j + 1]``; otherwise
+    ``x_raw = x_std[j] + offset[i]``.  ``c`` and ``objective_shift``
+    reproduce the raw objective value from a standard-form point.
     """
 
-    rules: tuple
+    col: np.ndarray
+    split: np.ndarray
+    offset: np.ndarray
     n_std: int
     c: np.ndarray
     objective_shift: float
+
+    @cached_property
+    def rules(self):
+        """The recipe as one tuple per raw variable: ``("shift", j,
+        offset)`` or ``("split", j, j + 1)``."""
+        return tuple(("split", j, j + 1) if s else ("shift", j, offset)
+                     for j, s, offset in zip(self.col.tolist(),
+                                             self.split.tolist(),
+                                             self.offset))
 
 
 @dataclass(frozen=True)
@@ -182,9 +192,7 @@ def to_standard_form(raw):
     c[col[split] + 1] -= raw.c[split]
     objective_shift = float(raw.c @ shift) + raw.objective_constant
 
-    rules = tuple(("split", j, j + 1) if s else ("shift", j, lo)
-                  for j, s, lo in zip(col.tolist(), split.tolist(), lower))
-    var_map = VarMap(rules=rules, n_std=n, c=c.copy(),
+    var_map = VarMap(col=col, split=split, offset=shift, n_std=n, c=c.copy(),
                      objective_shift=objective_shift)
     return StandardLP(name=raw.name, A=A, b=b, c=c,
                       objective_shift=objective_shift,
@@ -213,11 +221,9 @@ def recover_solution(x_std, var_map):
     if x_std.shape != (var_map.n_std,):
         raise ValueError("expected a vector of length %d, got shape %r"
                          % (var_map.n_std, x_std.shape))
-    x_raw = np.empty(len(var_map.rules))
-    for i, rule in enumerate(var_map.rules):
-        if rule[0] == "split":
-            x_raw[i] = x_std[rule[1]] - x_std[rule[2]]
-        else:
-            x_raw[i] = x_std[rule[1]] + rule[2]
+    # A split variable's offset is 0, and its sum is then replaced.
+    x_raw = x_std[var_map.col] + var_map.offset
+    split = var_map.col[var_map.split]
+    x_raw[var_map.split] = x_std[split] - x_std[split + 1]
     objective = float(var_map.c @ x_std) + var_map.objective_shift
     return x_raw, objective

@@ -16,12 +16,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import arclp
 from arclp.mps import RawLP
 from arclp.standardize import StandardLP, VarMap
+
+# More examples for the tests that take their number from the profile, such
+# as the parser's whitespace oracle: ``--hypothesis-profile=ci``.
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 ROOT = Path(__file__).resolve().parents[1]
 NETLIB_DIR = ROOT / "data" / "netlib"
@@ -109,8 +114,9 @@ def make_standard_lp(A, b, c, name="fixture", shift=0.0):
                      else np.atleast_2d(np.asarray(A, dtype=float)))
     b = np.asarray(b, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel()
-    rules = tuple(("shift", j, 0.0) for j in range(A.shape[1]))
-    var_map = VarMap(rules=rules, n_std=A.shape[1], c=c.copy(),
+    n = A.shape[1]
+    var_map = VarMap(col=np.arange(n), split=np.zeros(n, dtype=bool),
+                     offset=np.zeros(n), n_std=n, c=c.copy(),
                      objective_shift=shift)
     return StandardLP(name=name, A=A, b=b, c=c, objective_shift=shift,
                       var_map=var_map)

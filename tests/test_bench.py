@@ -62,6 +62,15 @@ class TestSolveMpsFile:
         rec, result, _ = solve_mps_file(bad)
         assert rec.status == Status.INPUT_ERROR and result is None
 
+    def test_non_utf8_byte_in_a_comment_is_read(self, netlib_dir, tmp_path):
+        # One decoding rule, whatever the locale: undecodable bytes are
+        # replaced, as parse_mps does with bytes.
+        path = tmp_path / "afiro.mps"
+        path.write_bytes(b"* caf\xe9\n"
+                         + (netlib_dir / "afiro.mps").read_bytes())
+        rec, _, _ = solve_mps_file(path)
+        assert rec.status == Status.OPTIMAL
+
     def test_bound_conflict_is_infeasible(self, tmp_path):
         path = tmp_path / "cross.mps"
         path.write_text("NAME CROSS\nROWS\n N  OBJ\n L  R1\nCOLUMNS\n"

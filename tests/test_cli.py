@@ -41,6 +41,13 @@ class TestSolve:
         assert_allclose(payload["objective"], -7.0, rtol=1e-6)
         assert payload["iterations"] > 0
 
+    def test_non_utf8_byte_in_a_comment_is_read(self, tmp_path, capsys):
+        path = tmp_path / "afiro.mps"
+        path.write_bytes(b"* caf\xe9\n"
+                         + (NETLIB_DIR / "afiro.mps").read_bytes())
+        assert main(["solve", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "Optimal"
+
     @pytest.mark.parametrize("text, status", [
         (FIX_INFEASIBLE_MPS, "Infeasible"),
         ("ROWS\n", "InputError"),

@@ -1,4 +1,6 @@
 """Parser tests: fixture files, dialect corners, errors, round-trips."""
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from arclp import mps
 from arclp.mps import MpsParseError, RawLP, parse_mps, write_mps
 
 from conftest import FIX1_MPS, FIX2_MPS, raw_lps
@@ -457,3 +460,94 @@ def _relayout(text, rnd):
 @given(raw=raw_lps(), rnd=st.randoms(use_true_random=False))
 def test_layout_does_not_change_the_lp(raw, rnd):
     assert parse_mps(_relayout(write_mps(raw), rnd)) == raw
+
+
+def test_code_point_kinds_are_those_of_str_split_and_splitlines():
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    blank = np.fromiter(map(str.isspace, every), bool, len(every))
+    pieces = every.splitlines(keepends=True)
+    ends = np.cumsum(np.fromiter(map(len, pieces), int, len(pieces))) - 1
+    kinds = mps._KINDS.take(np.arange(len(every)), mode="clip")
+    assert_array_equal(kinds >= 2, blank)
+    assert_array_equal(np.flatnonzero(kinds >= 4), ends[:-1])
+    # The classes that the reader tells apart beyond whitespace.
+    assert ([kinds[ord(ch)] for ch in "*A\t \x1f\r\n\x0b"]
+            == [1, 0, 2, 2, 3, 4, 5, 6])
+
+
+# Characters that str.split takes as whitespace: those that str.splitlines
+# does not take as line ends, and those that it does.
+BLANKS = [" ", "\t", "\x1f", "\xa0", "\u3000"]
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+             "\x85", "\u2028"]
+BAD_TOKENS = ["1.2.3", "nan", "-inf", "1D5", "NOPE", "'MARKER'", "*X",
+              "UQ", "N", "FR", "ROWS", "BOUNDS"]
+
+
+def _scramble(text, rnd):
+    """``text`` with its tokens split by random whitespace, a random end
+    on each line, blank and comment lines between its lines, and, at a
+    random rate, malformed edits: tokens dropped or replaced, lines
+    repeated or dropped or broken in two, and lines moved to or from
+    column one."""
+    rate = rnd.choice([0.0, 0.0, 0.01, 0.05])
+    out = []
+    for line in text.splitlines():
+        tokens = line.split()
+        edit = rnd.random() / rate if rate else 1.0
+        if edit < 0.2:
+            continue
+        if edit < 0.4 and tokens:
+            del tokens[rnd.randrange(len(tokens))]
+        elif edit < 0.6 and tokens:
+            tokens[rnd.randrange(len(tokens))] = rnd.choice(BAD_TOKENS)
+        indent = ""
+        if (line[:1] == " ") != (0.6 <= edit < 0.7):
+            indent = rnd.choice([" ", "\t"]) + "".join(
+                rnd.choices(BLANKS, k=rnd.randint(0, 2)))
+        elif rnd.random() < 0.05:
+            indent = rnd.choice(BLANKS[2:])
+        seps = [rnd.choice(LINE_ENDS if 0.7 <= edit < 0.8 else BLANKS)
+                if rnd.random() < 0.1 else " " * rnd.randint(1, 4)
+                for _ in tokens]
+        new = indent + "".join(t + s for t, s in zip(tokens, seps))
+        out.append(new.rstrip(" ") if rnd.random() < 0.5 else new)
+        if 0.8 <= edit < 1.0:
+            out.append(new)
+        if rnd.random() < 0.05:
+            out.append(rnd.choice(["", " ", "\t \xa0", "*", "* a comment",
+                                   "  * ROWS", "**", "\x1f* x"]))
+    ends = rnd.choices(LINE_ENDS, k=len(out))
+    if ends and rnd.random() < 0.3:
+        ends[-1] = ""
+    return "".join(map(str.__add__, out, ends))
+
+
+def _canonical(text):
+    """``text`` with each line's tokens joined by single spaces, behind
+    two spaces when the line starts with a blank or a tab."""
+    return "\n".join(("  " if line[:1] in (" ", "\t") else "")
+                     + " ".join(line.split()) for line in text.splitlines())
+
+
+def _parsed(text):
+    """The bytes of every field of ``parse_mps(text)``, or the message and
+    line of the error it raises."""
+    try:
+        lp = parse_mps(text)
+    except MpsParseError as exc:
+        return str(exc), exc.lineno
+    fields = [lp.name, lp.col_names, lp.objective_name,
+              np.float64(lp.objective_constant).tobytes()]
+    fields += [a.tobytes() for a in (lp.c, lp.lower, lp.upper)]
+    for _, A, b, names in lp.blocks():
+        fields += [A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+                   A.data.tobytes(), b.tobytes(), names]
+    return fields
+
+
+@settings(deadline=None)
+@given(raw=raw_lps(), rnd=st.randoms(use_true_random=False))
+def test_whitespace_and_line_ends_are_those_of_str_split(raw, rnd):
+    text = _scramble(write_mps(raw), rnd)
+    assert _parsed(text) == _parsed(_canonical(text))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
@@ -11,7 +12,7 @@ from arclp.mps import parse_mps
 from arclp.standardize import (InfeasibleBoundsError, recover_solution,
                                to_standard_form)
 
-from conftest import raw_lps
+from conftest import EDGE_FLOATS, outcome, raw_lps
 
 MINIMAL = """\
 NAME MIN1
@@ -273,3 +274,25 @@ def test_matches_dense_block_formula(raw, seed):
     X = ref["X"]
     assert_array_equal(x_raw, X @ x_std[:X.shape[1]] + ref["l"])
     assert objective == raw.c @ x_raw + raw.objective_constant
+
+
+def recover_by_rules(x_std, var_map):
+    """``x_raw`` by the rule tuples, one raw variable at a time."""
+    x_raw = np.empty(len(var_map.rules))
+    for i, rule in enumerate(var_map.rules):
+        if rule[0] == "split":
+            x_raw[i] = x_std[rule[1]] - x_std[rule[2]]
+        else:
+            x_raw[i] = x_std[rule[1]] + rule[2]
+    return x_raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_lps(), data=st.data())
+def test_recovery_applies_the_rules_bit_for_bit(raw, data):
+    if dense_standard_form(raw)["A"].shape[0] == 0:
+        return
+    var_map = to_standard_form(raw).var_map
+    x_std = data.draw(hnp.arrays(float, var_map.n_std, elements=EDGE_FLOATS))
+    assert (outcome(lambda x: recover_solution(x, var_map)[0], x_std)
+            == outcome(recover_by_rules, x_std, var_map))
