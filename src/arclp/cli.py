@@ -2,8 +2,8 @@
 
 Exit codes of ``solve``: 0 optimal, 2 iteration limit or step too small,
 3 numerical failure, 4 unreadable input (I/O or parse error, no
-constraints) or an infeasible/unbounded verdict.  Bad flags or a missing
-file exit 1.
+constraints) or an infeasible/unbounded verdict.  Bad flags, a missing
+file or an output file that cannot be written exit 1.
 """
 
 from __future__ import annotations
@@ -110,32 +110,43 @@ def build_parser():
     return parser
 
 
+def _error(message):
+    sys.stderr.write("arclp: %s\n" % message)
+    return 1
+
+
 def _write_or_print(text, out):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    # 0, or 1 once the error is reported if the file cannot be written.
+    try:
+        if out:
+            Path(out).write_text(text)
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:
+        return _error(exc)
+    return 0
 
 
 def cmd_solve(args):
     path = Path(args.path)
     if not path.is_file():
-        sys.stderr.write("arclp: no such file: %s\n" % path)
-        return 1
+        return _error("no such file: %s" % path)
     try:
         config = _config_from(args).validate()
     except ValueError as exc:
-        sys.stderr.write("arclp: %s\n" % exc)
-        return 1
+        return _error(exc)
 
     record, result, _ = solve_mps_file(path, config)
     if args.trace:
         # An outcome the input decided has no iterations: header only.
-        with open(args.trace, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(_TRACE_FIELDS)
-            for entry in result.trace if result is not None else ():
-                writer.writerow([entry.get(k) for k in _TRACE_FIELDS])
+        try:
+            with open(args.trace, "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(_TRACE_FIELDS)
+                for entry in result.trace if result is not None else ():
+                    writer.writerow([entry.get(k) for k in _TRACE_FIELDS])
+        except OSError as exc:
+            return _error(exc)
 
     if args.json:
         # JSON has no nan or inf: a figure that was never computed (the
@@ -159,8 +170,7 @@ def cmd_solve(args):
 def cmd_bench(args):
     directory = Path(args.dir)
     if not directory.is_dir():
-        sys.stderr.write("arclp: no such directory: %s\n" % directory)
-        return 1
+        return _error("no such directory: %s" % directory)
     try:
         configs = [_config_from(args, algorithm=name.strip())
                    for name in args.algorithms.split(",") if name.strip()]
@@ -168,24 +178,21 @@ def cmd_bench(args):
             raise ValueError("no algorithms given")
         records = run_benchmark(directory, configs)
     except ValueError as exc:
-        sys.stderr.write("arclp: %s\n" % exc)
-        return 1
-    _write_or_print(records_to_csv(records), args.out)
-    return 0
+        return _error(exc)
+    return _write_or_print(records_to_csv(records), args.out)
 
 
 def cmd_profile(args):
     path = Path(args.csv)
     if not path.is_file():
-        sys.stderr.write("arclp: no such file: %s\n" % path)
-        return 1
+        return _error("no such file: %s" % path)
     try:
         records = records_from_csv(path.read_text())
         curves = performance_profile(records, metric=args.metric)
     except ValueError as exc:
-        sys.stderr.write("arclp: %s\n" % exc)
+        return _error(exc)
+    if _write_or_print(profile_to_csv(curves), args.out):
         return 1
-    _write_or_print(profile_to_csv(curves), args.out)
     if args.time_threshold is not None:
         print(average_time_report(records, args.time_threshold))
     return 0

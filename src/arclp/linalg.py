@@ -36,20 +36,18 @@ assembly is a gather of ``dt``, a repeat and one ``np.bincount`` of
 ``j``, as scipy's sparse product sums them, so every entry the map
 assembles is bit for bit that of scipy's ``A1.multiply(dt) @ A1.T``.
 
-The map also decides the factor path, from the half-width ``kd`` of
-``S`` in a reverse Cuthill-McKee order of the rows of ``A1``, found
-without forming the pattern of ``|A1| @ |A1|.T``: a breadth-first search
-of the graph of ``A1``'s rows and columns from a pseudo-peripheral row of
-each connected component (George and Liu's sweep), with ``kd`` the widest
-spread of new row numbers within one column of ``A1``.  If
-``kd < DENSE_LIMIT`` (always so up to ``DENSE_LIMIT`` rows), the map
-fills the lower band of ``S`` in LAPACK's band storage, which ``pbtrf``
-factors by Cholesky in place and ``pbtrs`` solves with.  A wider band (a
-dense linking row makes it nearly ``m``) gets a sparse map of the CSC
-pattern of ``|A1| @ |A1|.T`` in one minimum-degree row order instead,
-factored by sparse LU in that order with diagonal pivots, so every
-factorization of a problem has the same fill.  Both paths retry once, on
-the same pattern, with a small diagonal regularization before giving up.
+The map orders the rows of ``A1`` in reverse Cuthill-McKee order and
+lays ``S`` out as a band in LAPACK's band storage, which ``pbtrf``
+factors in place and ``pbtrs`` solves with.  A band as wide as
+``DENSE_LIMIT`` comes from a few dense rows (one linking row makes it
+nearly ``m``), and a dense row ordered last causes no fill (the bordered
+form of A. George and J. W. H. Liu, Computer Solution of Large Sparse
+Positive Definite Systems, Prentice-Hall 1981).  Such rows then form a
+border after the band ``B``: with ``S = [[B, C], [C.T, E]]``, ``pbtrf``
+factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @ C`` and ``U =
+L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve is one
+``pbtrs`` and one ``potrs``.  A failed factorization is retried once, on
+the same layout, with a small diagonal regularization.
 """
 
 from __future__ import annotations
@@ -61,11 +59,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import breadth_first_order
 
-_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"),
-                                               dtype=np.float64)
+_pbtrf, _pbtrs, _tbtrs, _potrf, _potrs = scipy.linalg.get_lapack_funcs(
+    ("pbtrf", "pbtrs", "tbtrs", "potrf", "potrs"), dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
            "factor", "solve_block", "norm", "DENSE_LIMIT"]
@@ -97,10 +94,10 @@ class NewtonFactor:
 
     ``A``, ``At``, ``p`` and ``q`` are the caller's arrays, not copies:
     they must not change while the factor is in use.  Build a new factor
-    per scaling pair.  ``dense`` is True when LAPACK's band Cholesky
-    factored the kept rows' Schur complement and False when sparse LU
-    did; :meth:`solve` solves with the full ``M``, eliminated rows
-    included.
+    per scaling pair.  ``dense`` is True when the band Cholesky alone
+    factored the kept rows' Schur complement and False when a dense
+    border took part; :meth:`solve` solves with the full ``M``,
+    eliminated rows included.
     """
 
     dense: bool
@@ -206,18 +203,14 @@ class ProductMap(NamedTuple):
     ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
     into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
     ascending ``j``.  ``diag`` holds the slot of each diagonal entry, in
-    the assembled matrix's row order.  Rows and columns are in the order
-    ``perm`` (row ``r`` of the assembled matrix is row ``perm[r]`` of
-    ``A``), in one of two layouts:
-
-    * band (``kd`` is set): only the terms with ``k <= i`` are mapped, so
-      the lower triangle, diagonal included and all within ``kd`` of the
-      diagonal, is laid out in LAPACK's lower band storage, a
-      ``(kd + 1, m)`` column-major array whose entry ``(r - c, c)`` is
-      ``M_rc``;
-    * sparse (``kd`` is ``None``): the slots are those of the CSC pattern
-      ``indptr``/``indices`` of ``|A1| @ |A1|.T`` plus the diagonal, both
-      triangles.
+    the assembled matrix's row order ``perm`` (its row ``r`` is row
+    ``perm[r]`` of ``A``): the ``m - border`` band rows, then the border.
+    Only the lower triangle (``k <= i``) is mapped, in one array of two
+    blocks (see :meth:`blocks`): the band rows' block, within ``kd`` of
+    its diagonal, in LAPACK's lower band storage, a ``(kd + 1, m -
+    border)`` column-major array whose entry ``(r - c, c)`` is ``M_rc``;
+    then the border, a ``(border, m)`` array whose row ``b`` holds row ``m
+    - border + b`` up to the diagonal.
     """
 
     m: int
@@ -228,48 +221,54 @@ class ProductMap(NamedTuple):
     slot: np.ndarray
     diag: np.ndarray
     perm: np.ndarray
-    kd: int = None
-    indptr: np.ndarray = None
-    indices: np.ndarray = None
+    kd: int
+    border: int = 0
     elim: Elimination = None
 
     def assemble(self, d):
-        """``A1 @ diag(d) @ A1.T`` in the order ``perm`` (a fresh band
-        array for a band map, CSC for a sparse one) and its diagonal, with
-        the roundings of scipy's ``A1.multiply(d) @ A1.T``."""
+        """The lower triangle of ``A1 @ diag(d) @ A1.T`` in the order
+        ``perm``, a fresh array in the map's layout, and its diagonal,
+        with the roundings of scipy's ``A1.multiply(d) @ A1.T``."""
         ad = d.take(self.col)
         ad *= self.val
         terms = np.repeat(ad, self.lead)
         terms *= self.coef
-        band = self.kd is not None
         values = np.bincount(
             self.slot, weights=terms,
-            minlength=((self.kd + 1) * self.m if band
-                       else self.indices.size))
-        if band:
-            M = values.reshape((self.kd + 1, self.m), order="F")
-        else:
-            M = sp.csc_array((values, self.indices, self.indptr),
-                             shape=(self.m, self.m))
-        return M, values[self.diag]
+            minlength=((self.kd + 1) * (self.m - self.border)
+                       + self.border * self.m))
+        return values, values[self.diag]
+
+    def blocks(self, values):
+        """Views of the band and the border in what :meth:`assemble` made."""
+        nb = self.m - self.border
+        cut = (self.kd + 1) * nb
+        return (values[:cut].reshape((self.kd + 1, nb), order="F"),
+                values[cut:].reshape(self.border, self.m))
 
 
-def _terms(At, lower, stride):
-    # Entry e of At (a _Columns) leads the terms that pair it with entries
-    # first[e], first[e] + 1, ... of its row (a column of A): up to its own
-    # position when `lower`, else all of them.  Returns each entry's lead
-    # and, for each term of rows i and k, the key k * stride + i and the
-    # coefficient A_kj.
+def _terms(At, kd, nb):
+    # Entry e of At (a _Columns, each column's rows ascending) leads the
+    # terms that pair it with entries first[e], ..., e of its column: its
+    # lead, and each term's slot (see ProductMap) and coefficient A_kj.
     indptr, indices, count = At.indptr, At.indices, At.count
     first = indptr[:-1].repeat(count)
-    lead = (np.arange(1, indices.size + 1) - first if lower
-            else count.repeat(count))
+    lead = np.arange(1, indices.size + 1) - first
     start = lead.cumsum() - lead
     other = np.arange(int(lead.sum()), dtype=np.int32)
     other -= (start - first).astype(np.int32).repeat(lead)
-    key = (indices.astype(np.intp) * stride).take(other)
-    key += indices.repeat(lead)
-    return lead, key, At.data.take(other)
+    # Term (i, k) of two band rows goes to slot k * (kd + 1) + (i - k) =
+    # k * kd + i of the band; slots are intp, which np.bincount takes
+    # without a copy.  Term (i, k) of a border row i goes to entry (i -
+    # nb, k) of the border, which follows the band.
+    slot = (indices * kd).take(other)
+    slot += indices.repeat(lead)
+    if nb < At.shape[1]:
+        mine = indices >= nb
+        edge = mine.repeat(lead)
+        slot[edge] = (((indices[mine] - nb) * At.shape[1] + (kd + 1) * nb)
+                      .repeat(lead[mine]) + indices.take(other[edge]))
+    return lead, slot, At.data.take(other)
 
 
 def _search(graph, root, m):
@@ -316,6 +315,18 @@ class _Columns(NamedTuple):
 def _columns(At):
     return _Columns(At.data, At.indices, At.indptr, At.shape,
                     At.indptr[1:] - At.indptr[:-1])
+
+
+def _drop(At, out):
+    # At (a _Columns) without the rows marked `out`, and the rows it keeps,
+    # which keep their order, so every column stays sorted.
+    stay = ~out
+    new = stay.cumsum(dtype=At.indices.dtype) - 1
+    kept = stay.take(At.indices)
+    indptr = np.concatenate([[0], kept.cumsum()]).take(At.indptr)
+    keep = stay.nonzero()[0]
+    return _Columns(At.data[kept], new.take(At.indices[kept]), indptr,
+                    (At.shape[0], keep.size), indptr[1:] - indptr[:-1]), keep
 
 
 def _rcm_order(At):
@@ -421,24 +432,11 @@ def _eliminate(At):
     # The private entries of the eliminated rows.
     mine = out.take(owner)
     own_col, at, owner = own_col[mine], at[mine], owner[mine]
-    # At1: At without the eliminated rows' entries.  The kept rows keep
-    # their order, so every column stays sorted.
-    stay = ~out
-    keep = stay.nonzero()[0]
-    new = stay.cumsum(dtype=indices.dtype)
-    new -= 1
-    kept = stay.take(indices)
-    count = count.copy()
-    count[own_col] = 0
-    count[shared] -= 1
-    indptr = np.zeros(indptr.size, indptr.dtype)
-    count.cumsum(out=indptr[1:])
-    At1 = _Columns(data[kept], new.take(indices[kept]), indptr,
-                   (At.shape[0], keep.size), count)
+    At1, keep = _drop(At, out)
     # Links: the entries of the shared columns in At1.
-    length = count.take(shared)
-    at_link = ((indptr.take(shared) - length.cumsum() + length).repeat(length)
-               + np.arange(length.sum()))
+    length = At1.count.take(shared)
+    at_link = ((At1.indptr.take(shared) - length.cumsum() + length)
+               .repeat(length) + np.arange(length.sum()))
     link_row = np.arange(shared.size).repeat(length)
     return At1, Elimination(
         rows=elim, shared=shared, a=data.take(at_shared),
@@ -457,29 +455,22 @@ def map_products(At):
     A1.T`` on the kept rows.  With no row eliminated, ``A1`` is ``A``.
 
     The terms run over the columns ``j`` of ``A1`` in ascending order and,
-    within a column, over pairs of its entries, so the terms of each slot
-    come in ascending ``j``.  The half-width ``kd`` of the matrix in
-    reverse Cuthill-McKee order (E. Cuthill and J. McKee, Proc. 24th ACM
-    National Conference, 1969) alone picks the layout.  The order numbers
-    the rows of ``A1`` by breadth-first search of the bipartite graph of
-    its rows and its columns of two or more entries, each row's columns
-    visited in ascending entry count, from one start per connected
-    component: a pseudo-peripheral row, found by George and Liu's sweep
-    (A. George and J. W. H. Liu, ACM Trans. Math. Software 5(3), 1979)
-    from the component's row of least degree (entries in those columns),
-    moving to a row of least degree in the deepest level while the search
-    deepens.  ``kd`` is then the widest spread of new row numbers within
-    one column of ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never
-    formed.  If ``kd < DENSE_LIMIT`` the map is a band map in that order,
-    which pairs each entry ``A_ij`` with the entries of its column up to
-    and including its own row.  Otherwise it is sparse and pairs every two
-    entries of a column: it keeps an explicit slot for an entry whose
-    terms cancel, where scipy's product drops it, so every ``d > 0`` gives
-    the same pattern.  One minimum-degree ordering of that pattern
-    (SuperLU's ``MMD_AT_PLUS_A``, on unit entries with ``m + 1`` on the
-    diagonal, a strictly diagonally dominant matrix whose LU cannot fail)
-    then serves every factorization of the problem, and the slots are laid
-    out in that order.
+    within a column, pair each entry ``A_ij`` with the entries up to its
+    own row, so the terms of each slot come in ascending ``j``.  The rows
+    of ``A1`` are in reverse Cuthill-McKee order (E. Cuthill and J. McKee,
+    Proc. 24th ACM National Conference, 1969): a breadth-first search of
+    the bipartite graph of its rows and its linking columns (columns of
+    two or more entries), each row's columns visited in ascending entry
+    count, from one start per connected component: a pseudo-peripheral
+    row, found by George and Liu's sweep (A. George and J. W. H. Liu, ACM
+    Trans. Math. Software 5(3), 1979) from the component's row of least
+    degree (entries in linking columns), moving to a row of least degree
+    in the deepest level while the search deepens.  The half-width ``kd``
+    is then the widest spread of new row numbers within one column of
+    ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never formed.  If ``kd
+    >= DENSE_LIMIT``, the rows ranked first by degree, ties by row index,
+    1, then 2, 4, ... of them, form the border, until the other rows' own
+    order has a half-width under ``DENSE_LIMIT`` or no row is left.
     """
     if not At.has_canonical_format:
         At = sp.csr_array(At, copy=True)
@@ -495,53 +486,40 @@ def _map(At, elim=None, keep=None):
     # The ProductMap of At's rows, which are the rows keep of A when elim
     # is given (see map_products).
     m = At.shape[1]
-    perm, kd, at = _rcm_order(At)
     count = At.count
+    perm, kd, at = _rcm_order(At)
+    border = 0
+    if kd >= DENSE_LIMIT and m:
+        # The border rows by rank, after the band rows in their own order.
+        degree = np.bincount(At.indices[(count > 1).repeat(count)],
+                             minlength=m)
+        rank = (-degree).argsort(kind="stable")
+        while kd >= DENSE_LIMIT and border < m:
+            border = min(2 * border or 1, m)
+            out = np.zeros(m, bool)
+            out[rank[:border]] = True
+            rest, rest_rows = _drop(At, out)
+            order, kd, _ = _rcm_order(rest)
+        perm = np.concatenate([rest_rows.take(order), rank[:border]])
+        at = np.empty(m, np.intp)
+        at[perm] = np.arange(m)
     col = np.arange(At.shape[0], dtype=np.int32).repeat(count)
-    if kd < DENSE_LIMIT:
-        # With the rows of A renumbered in the order perm, each column's
-        # entries up to its own row give the lower triangle in that order,
-        # so each column's entries are sorted by their new row: by the key
-        # (column, new row), whose columns already come in order, which
-        # numpy's stable sort (timsort) exploits.
-        pos = at.take(At.indices)
-        key = col * np.int64(m)
-        key += pos
-        order = key.argsort(kind="stable")
-        At = _Columns(At.data.take(order), pos.take(order), At.indptr,
-                      At.shape, count)
-        # Term (i, k) goes to slot k * (kd + 1) + (i - k) = k * kd + i of
-        # the band; slots are intp, which np.bincount takes without a copy.
-        lead, slot, coef = _terms(At, True, kd)
-        layout = dict(slot=slot, diag=np.arange(0, m * (kd + 1), kd + 1),
-                      kd=kd)
-    else:
-        # CSC keys k * m + i sort column by column, rows ascending.
-        lead, keys, coef = _terms(At, False, m)
-        keys = np.concatenate([np.arange(m, dtype=np.intp) * (m + 1), keys])
-        pattern, slot = np.unique(keys, return_inverse=True)
-        del keys
-        rows, cols = pattern % m, pattern // m
-        at = spla.splu(
-            sp.csc_array((np.where(rows == cols, m + 1.0, 1.0), rows,
-                          np.searchsorted(pattern, np.arange(m + 1) * m)),
-                         shape=(m, m)),
-            permc_spec="MMD_AT_PLUS_A",
-            options={"SymmetricMode": True}).perm_c
-        perm = np.argsort(at)
-        # Relabel the slots into that order: entry (r, c) moves to
-        # (at[r], at[c]), and its new slot is the rank of its new key.
-        keys = at[cols].astype(np.int64) * m + at[rows]
-        order = np.argsort(keys)
-        keys = keys[order]
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        layout = dict(
-            slot=rank[slot[m:]],
-            diag=np.searchsorted(keys, np.arange(m) * (m + 1)),
-            indptr=np.searchsorted(keys, np.arange(m + 1) * m).astype(
-                np.int32),
-            indices=(keys % m).astype(np.int32))
+    # With the rows of A renumbered in the order perm, each column's
+    # entries up to its own row give the lower triangle in that order, so
+    # each column's entries are sorted by their new row: by the key
+    # (column, new row), whose columns already come in order, which
+    # numpy's stable sort (timsort) exploits.
+    pos = at.take(At.indices)
+    key = col * np.int64(m)
+    key += pos
+    order = key.argsort(kind="stable")
+    At = _Columns(At.data.take(order), pos.take(order), At.indptr,
+                  At.shape, count)
+    nb = m - border
+    lead, slot, coef = _terms(At, kd, nb)
+    base = (kd + 1) * nb
+    diag = np.concatenate([np.arange(0, base, kd + 1),
+                           np.arange(border) * (m + 1) + (base + nb)])
     if elim is not None:
         # at[r] is the position of row r of At in the order perm.
         perm = keep.take(perm)
@@ -549,25 +527,31 @@ def _map(At, elim=None, keep=None):
             link_pos=at.take(elim.link_pos),
             gather=np.concatenate([perm, elim.rows, elim.gather]))
     return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                      perm=perm, elim=elim, **layout)
+                      slot=slot, diag=diag, perm=perm, kd=kd, border=border,
+                      elim=elim)
 
 
-def _splu_in_order(M):
-    # M is symmetric positive definite (up to regularization) and already
-    # in fill-reducing order: keep that order and pivot on the diagonal,
-    # so the fill is fixed by the pattern, not by the data.
-    return spla.splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
-
-
-def _band_cholesky(M):
-    # pbtrf factors the fresh band array in place: the regularized retry
-    # assembles it again.  Its info is nonzero only if M is not positive
-    # definite, as M's shape and dtype are fixed.
-    c, info = _pbtrf(M, lower=1, overwrite_ab=1)
+def _cholesky(pm, values):
+    # The band's Cholesky factor L (in place: a retry assembles values
+    # again) and, with a border [C.T, E], W = L^-1 @ C, U = L^-T @ W and
+    # the Cholesky factor of E - W.T @ W.  pbtrf and potrf fail only on a
+    # matrix that is not positive definite; tbtrs cannot, after pbtrf.
+    band, border = pm.blocks(values)
+    c, info = _pbtrf(band, lower=1, overwrite_ab=1)
+    W = U = schur = None
+    if pm.border and info == 0:
+        nb = band.shape[1]
+        W = U = border[:, :nb].T
+        if nb:
+            # Not on an empty band: tbtrs takes the zero leading dimension
+            # of several right-hand sides and writes out of bounds.
+            W = _tbtrs(c, W, uplo="L")[0]
+            U = _tbtrs(c, W, uplo="L", trans="T")[0]
+        schur, info = _potrf(border[:, nb:] - W.T @ W, lower=1,
+                             overwrite_a=1, clean=0)
     if info != 0:
         raise scipy.linalg.LinAlgError("not positive definite")
-    return c
+    return c, W, U, schur
 
 
 def factor(lp, p, q):
@@ -580,22 +564,21 @@ def factor(lp, p, q):
     diag(dt) @ A1.T`` on the kept rows.  ``S`` is assembled from the
     problem's :class:`ProductMap` (``lp.product_map``, built on the first
     call and kept with the problem), bit for bit as scipy's
-    ``A1.multiply(dt) @ A1.T``, in the map's order ``perm``.  A band map's
-    lower band is factored in place by LAPACK's ``pbtrf`` and solved by
-    ``pbtrs``; a sparse map's fixed CSC pattern is factored by SuperLU in
-    that order with diagonal pivots (see :func:`map_products`).  The
-    factor still solves the full ``M @ y = w``: the eliminated rows'
-    right-hand side is folded into the kept rows', one solve with ``S``
-    gives their ``y`` in the order ``perm``, and back-substitution gives
-    the eliminated rows' ``y``.  With no row eliminated, ``S`` is ``M``.
+    ``A1.multiply(dt) @ A1.T``, in the map's order ``perm``, and factored
+    as a band with, past ``DENSE_LIMIT``, a border (see the module
+    docstring).  The factor still solves the full ``M @ y = w``: the
+    eliminated rows' right-hand side is folded into the kept rows', one
+    solve with ``S`` gives their ``y`` in the order ``perm``, and
+    back-substitution gives the eliminated rows' ``y``.  With no row
+    eliminated, ``S`` is ``M``.
 
     The LAPACK input is not checked for finiteness: ``|S_ik| <= (S_ii +
     S_kk) / 2``, so the guard on the diagonal and the pivots, which raises
-    ``NumericalError``, covers every entry.  If the factorization fails,
-    or an eliminated row's pivot is zero (``d`` underflowed), it is
-    retried once on the same pattern for ``M`` plus a small regularization
-    on its diagonal: the eliminated rows take it into their pivots and
-    ``dt``, and ``S`` on its diagonal.
+    ``NumericalError``, covers every entry.  If ``pbtrf`` or ``potrf``
+    fails, or an eliminated row's pivot is zero (``d`` underflowed), the
+    factorization is retried once on the same layout for ``M`` plus a
+    small regularization on its diagonal: the eliminated rows take it into
+    their pivots and ``dt``, and ``S`` on its diagonal.
 
     Parameters
     ----------
@@ -608,7 +591,7 @@ def factor(lp, p, q):
     -------
     NewtonFactor
         Holds ``lp.A``, ``lp.At``, ``p`` and ``q`` by reference; its
-        ``dense`` is True on the band path and False on the sparse one.
+        ``dense`` is True when the map has no border.
 
     Raises
     ------
@@ -629,7 +612,7 @@ def factor(lp, p, q):
         d = dt = p / q
         if el is not None:
             dt, pivots, weights = el.reduce(d)
-        M, diagonal = pm.assemble(dt)
+        values, diagonal = pm.assemble(dt)
         top = diagonal.max(initial=1.0)
         if el is not None:
             top = pivots.max(initial=top)
@@ -637,38 +620,29 @@ def factor(lp, p, q):
     if not math.isfinite(reg):
         raise NumericalError("normal matrix is not finite")
 
-    band = pm.kd is not None
-    if band:
-        decompose, failure = _band_cholesky, scipy.linalg.LinAlgError
-    else:
-        decompose, failure = _splu_in_order, RuntimeError
     try:
         # A zero pivot (an underflow in d) fails as a singular S would.
         if el is not None and not pivots.min(initial=1.0) > 0:
-            raise failure
-        fac = decompose(M)
-    except failure:
-        # One regularized retry on the same pattern, for M + reg * I: the
-        # eliminated rows take reg into their pivots and dt, a band is
-        # assembled again, as pbtrf overwrote it, and reg shifts the
+            raise scipy.linalg.LinAlgError
+        c, _, U, schur = _cholesky(pm, values)
+    except scipy.linalg.LinAlgError:
+        # One regularized retry on the same layout, for M + reg * I: the
+        # eliminated rows take reg into their pivots and dt, S is
+        # assembled again, as pbtrf overwrote its band, and reg shifts the
         # diagonal slots.
         if el is not None:
             dt, pivots, weights = el.reduce(d, reg)
-            M = pm.assemble(dt)[0]
-        elif band:
-            M = pm.assemble(d)[0]
-        values = M.reshape(-1, order="F") if band else M.data
+        values = pm.assemble(dt)[0]
         values[pm.diag] += reg
         try:
-            fac = decompose(M)
-        except failure:
+            c, _, U, schur = _cholesky(pm, values)
+        except scipy.linalg.LinAlgError:
             raise NumericalError("normal matrix factorization failed") \
                 from None
 
     # Nonfinite solutions are left to solve_block's residual guard.
-    inner = ((lambda b: _pbtrs(fac, b, lower=1, overwrite_b=1)[0])
-             if band else fac.solve)
     m, m1 = A.shape[0], pm.m
+    nb = m1 - pm.border
     gather = pm.perm if el is None else el.gather
     order = gather[:m]
 
@@ -680,7 +654,17 @@ def factor(lp, p, q):
         if el is not None:
             # Fold the eliminated rows into the kept rows' right-hand side.
             w -= np.bincount(el.link_pos, weights * g[m:], m1)
-        w[:] = inner(w)
+        if U is None:
+            w[:] = _pbtrs(c, w, lower=1, overwrite_b=1)[0]
+        else:
+            # The border rows solve the Schur complement with w2 - C.T @
+            # B^-1 @ w1 = w2 - U.T @ w1, and the band rows get B^-1 @ w1 -
+            # U @ w2, in place; dot, as matmul is slow on one border row.
+            w1, w2 = w[:nb], w[nb:]
+            w2 -= U.T.dot(w1)
+            w2[:] = _potrs(schur, w2, lower=1, overwrite_b=1)[0]
+            w1[:] = _pbtrs(c, w1, lower=1, overwrite_b=1)[0]
+            w1 -= U.dot(w2)
         if el is not None:
             # Back-substitute the eliminated rows.
             y2 = g[m1:m]
@@ -690,7 +674,8 @@ def factor(lp, p, q):
         y = np.empty(m)
         y[order] = g[:m]
         return y
-    return NewtonFactor(dense=band, A=A, At=At, p=p, q=q, _solve=solve)
+    return NewtonFactor(dense=not pm.border, A=A, At=At, p=p, q=q,
+                        _solve=solve)
 
 
 # Every value solve_block computes reaches its residual guard, which turns

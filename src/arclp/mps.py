@@ -303,11 +303,20 @@ def _read_columns(flat, lens, start, linenos, rows, markers):
          lambda k: "COLUMNS line needs (row, value) pairs")]
     stop = _first_failure(line_checks)[0]
     lens, start = lens[:stop], start[:stop]
-    names = flat[start].tolist()
+    names = flat[start]
     row_tokens, value_tokens, line_of = _pairs(flat, start, (lens - 1) // 2)
-    cols = dict.fromkeys(names)
-    cols = dict(zip(cols, range(len(cols))))
-    j = np.fromiter(map(cols.__getitem__, names), np.intp, stop)[line_of]
+    # A column's lines come together: look a name up where it changes, and
+    # close the gaps in the numbers that a column met again leaves.
+    new = np.ones(stop, dtype=bool)
+    new[1:] = names[1:] != names[:-1]
+    runs = names[new].tolist()
+    cols = {}
+    j = np.fromiter(map(cols.setdefault, runs, range(len(runs))), np.intp,
+                    len(runs))
+    if len(cols) < len(runs):
+        j = np.unique(j, return_inverse=True)[1]
+        cols = dict(zip(cols, range(len(cols))))
+    j = j[np.cumsum(new) - 1][line_of]
     i = np.fromiter(map(rows.get, row_tokens, repeat(_UNKNOWN)), np.intp,
                     len(row_tokens))
     values, bad = _numbers(value_tokens)
@@ -396,12 +405,6 @@ def _read_bounds(flat, lens, start, linenos, cols):
     return codes[:stop], j, values
 
 
-def _no_data(body, message):
-    """Raise ``message`` on the first data line of a section with none."""
-    if body[3].size:
-        raise MpsParseError(message, int(body[3][0]))
-
-
 def parse_mps(text):
     """Parse an MPS document into a :class:`RawLP`.
 
@@ -425,6 +428,10 @@ def parse_mps(text):
     lines = offset, count, role = _scan(text)
     heads = (role == 1).nonzero()[0].tolist()
     ends = heads[1:] + [len(count)]
+    # The first data line after the start and after each header, or the
+    # line count; it lies in that stretch only if before the stretch ends.
+    data = np.append((role == 2).nonzero()[0], len(count))
+    firsts = data[data.searchsorted([0] + heads)].tolist()
     markers = "MARKER" in text
 
     # What an absent section leaves.
@@ -435,10 +442,10 @@ def parse_mps(text):
     rhs = ranges = (no_index, no_values)
     bounds = (no_index, no_index, no_values)
 
-    _no_data(_section(text, lines, 0, heads[0] if heads else len(count)),
-             "data line outside any section")
+    if firsts[0] < (heads[0] if heads else len(count)):
+        raise MpsParseError("data line outside any section", firsts[0] + 1)
     seen = []
-    for head, end in zip(heads, ends):
+    for head, end, first in zip(heads, ends, firsts[1:]):
         lineno = head + 1
         tokens = text[offset[head]:offset[lineno]].split()
         keyword = tokens[0].upper()
@@ -453,11 +460,16 @@ def parse_mps(text):
             raise MpsParseError("section %s before ROWS" % keyword, lineno)
         seen.append(keyword)
 
-        body = _section(text, lines, lineno, end)
         if keyword == "NAME":
             name = tokens[1] if len(tokens) > 1 else ""
-            _no_data(body, "data line outside any section")
-        elif keyword == "ROWS":
+        if keyword in ("NAME", "ENDATA"):
+            if first < end:
+                raise MpsParseError(
+                    "content after ENDATA" if keyword == "ENDATA"
+                    else "data line outside any section", first + 1)
+            continue
+        body = _section(text, lines, lineno, end)
+        if keyword == "ROWS":
             objective, row_names, kinds, rows = _read_rows(*body)
         elif keyword == "COLUMNS":
             cols, c, entries = _read_columns(*body, rows, markers)
@@ -465,10 +477,8 @@ def parse_mps(text):
             rhs = _read_pairs("RHS", *body, rows)
         elif keyword == "RANGES":
             ranges = _read_pairs("RANGES", *body, rows)
-        elif keyword == "BOUNDS":
-            bounds = _read_bounds(*body, cols)
         else:
-            _no_data(body, "content after ENDATA")
+            bounds = _read_bounds(*body, cols)
         del body    # free the section's tokens before the next is split
 
     if seen[-1:] != ["ENDATA"]:

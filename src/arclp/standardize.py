@@ -98,12 +98,8 @@ class StandardLP:
         factor eliminates first (all their entries but at most one in
         columns of one entry, such as the bound rows
         ``x_j + s_B = u_j - l_j`` of the standard form).  The rest are
-        mapped: a band map, or a sparse one when the half-width of their
-        normal matrix reaches ``DENSE_LIMIT``, either with its row order
-        ``perm``.  The half-width is taken in reverse Cuthill-McKee order
-        from a pseudo-peripheral row of each connected component, found
-        by searching the rows and columns of ``A`` without forming
-        ``|A| @ |A|.T``."""
+        mapped in their order ``perm``: a band, and past ``DENSE_LIMIT`` a
+        border of the densest rows after it."""
         return map_products(self.At)
 
     @property

@@ -138,6 +138,20 @@ class TestSolve:
             "iter,mu,mu_z,beta_k,step_primal,step_dual,rb_norm,rc_norm"]
 
 
+    def test_unwritable_trace(self, fix1_path, tmp_path, capsys):
+        trace = tmp_path / "absent" / "trace.csv"
+        code = main(["solve", str(fix1_path), "--trace", str(trace)])
+        assert code == 1
+        assert_unwritable(capsys.readouterr().err, trace)
+
+
+def assert_unwritable(err, path):
+    """``err`` is the one line that reports that ``path`` cannot be
+    written."""
+    assert err.startswith("arclp: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 class TestBench:
     def test_bench_to_stdout(self, problem_dir, capsys):
         code = main(["bench", str(problem_dir),
@@ -153,6 +167,15 @@ class TestBench:
                      "--out", str(out)])
         assert code == 0
         assert out.read_text().startswith("problem,")
+
+    def test_unwritable_out(self, problem_dir, tmp_path, capsys):
+        out = tmp_path / "absent" / "bench.csv"
+        code = main(["bench", str(problem_dir), "--algorithms", "line",
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert_unwritable(captured.err, out)
+        assert captured.out == ""
 
     def test_missing_directory(self, tmp_path, capsys):
         code = main(["bench", str(tmp_path / "void")])
@@ -199,6 +222,13 @@ class TestProfile:
         code = main(["profile", str(csv_path), "--time-threshold", "30"])
         assert code == 0
         assert "no problems" in capsys.readouterr().out
+
+    def test_unwritable_out(self, problem_dir, tmp_path, capsys):
+        csv_path = self._bench_csv(problem_dir, tmp_path)
+        out = tmp_path / "absent" / "profile.csv"
+        code = main(["profile", str(csv_path), "--out", str(out)])
+        assert code == 1
+        assert_unwritable(capsys.readouterr().err, out)
 
     def test_missing_csv(self, tmp_path, capsys):
         code = main(["profile", str(tmp_path / "void.csv")])

@@ -10,8 +10,7 @@ from conftest import ROOT
 # What arclp imports from scipy.  Importing them loads more than scipy
 # itself (numpy.f2py, and through it charset_normalizer where that is
 # installed), so the modules they load are measured, not listed.
-SCIPY_USED = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg",
-              "scipy.sparse.csgraph")
+SCIPY_USED = ("scipy.linalg", "scipy.sparse", "scipy.sparse.csgraph")
 
 
 def loaded_by(statement):

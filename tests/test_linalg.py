@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -51,13 +50,23 @@ def presolved():
     return load
 
 
-@pytest.fixture(params=["band", "sparse"])
+# Band limits under which every problem of PROBLEMS gets a border: all
+# its kept rows with a limit of 0, some with a limit of 8.
+BORDER_LIMITS = {"sparse": 0, "band+border": 8}
+
+
+@pytest.fixture(params=["band", "sparse", "band+border"])
 def kernel_path(request, monkeypatch):
-    """Run a kernel test on the banded Cholesky path, which every problem
-    of these tests takes by default, and, with every half-width at or
-    above the band limit, on the sparse LU path."""
-    if request.param == "sparse":
-        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
+    """Run a kernel test on the band alone, which every problem of these
+    tests takes by default; with a band limit of 0, which puts every kept
+    row in the border and so factors the Schur complement by dense
+    Cholesky (its id, ``sparse``, is that of the sparse LU path it
+    replaced, so that the test ids stay those of earlier runs); and with
+    a band limit of 8, which leaves both the band and the border
+    non-empty on every problem of PROBLEMS."""
+    if request.param in BORDER_LIMITS:
+        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT",
+                            BORDER_LIMITS[request.param])
     return request.param
 
 
@@ -70,6 +79,19 @@ def lower_of_band(band):
         c = np.arange(m - r)
         lower[c + r, c] = band[r, :m - r]
         assert not band[r, m - r:].any()
+    return lower
+
+
+def lower_of(pm, values):
+    """The lower triangle that ``values`` holds in the layout of the map
+    ``pm``: the band rows' block in band storage, then the border rows,
+    which must hold zeros right of the diagonal."""
+    band, border = pm.blocks(values)
+    nb = band.shape[1]
+    assert not np.triu(border, nb + 1).any()
+    lower = np.zeros((pm.m, pm.m))
+    lower[:nb, :nb] = lower_of_band(band)
+    lower[nb:] = border
     return lower
 
 
@@ -116,9 +138,9 @@ def test_problem_prepares_its_matrix_once(build):
 
 def test_product_map_is_built_once_per_problem(monkeypatch):
     # The product map is built on a problem's first factorization and
-    # shared by the start point's factor and every iteration's, on either
-    # path: a band map or a sparse one, each with its row order, and with
-    # the elimination of the rows that qualify.
+    # shared by the start point's factor and every iteration's, with or
+    # without a border, each with its row order, and with the elimination
+    # of the rows that qualify.
     real_map = arclp.linalg.map_products
     real_assemble = arclp.linalg.ProductMap.assemble
     maps, used = [], []
@@ -148,6 +170,7 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
     assert all(fac.dense for fac in facs)
     assert len(maps) == 1 and maps[0] is band_lp.At
     assert band_lp.product_map.kd == 2
+    assert band_lp.product_map.border == 0
     assert band_lp.product_map.elim is None
     assert sorted(band_lp.product_map.perm) == [0, 1, 2]
     assert len(used) == 3
@@ -172,29 +195,10 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
     facs = start_and_two_iterations(lp)
     assert not any(fac.dense for fac in facs)
     assert len(maps) == 3 and maps[2] is lp.At
-    assert lp.product_map.kd is None
+    assert (lp.product_map.kd, lp.product_map.border) == (0, 3)
     assert sorted(lp.product_map.perm) == [0, 1, 2]
     assert not hasattr(lp, "row_order")
     assert len(used) == 3 and all(m is lp.product_map for m in used)
-
-
-def test_row_order_keeps_the_minimum_degree_fill(monkeypatch):
-    # Factoring in the map's order gives the fill of SuperLU's own
-    # minimum-degree factorization (its inverse permutation gives more).
-    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
-    A = sp.random(100, 200, density=0.03, random_state=9, format="csr")
-    A = (A + sp.eye(100, 200)).tocsr()
-    d = np.random.default_rng(9).uniform(0.5, 2.0, 200)
-    options = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    perm = arclp.linalg.map_products(sp.csr_array(A.T)).perm
-    # The map orders the rows it keeps: compare on those.
-    A1 = A[np.sort(perm)]
-    own = spla.splu((A1.multiply(d) @ A1.T).tocsc(),
-                    permc_spec="MMD_AT_PLUS_A", **options)
-    Ap = A[perm]
-    ours = spla.splu((Ap.multiply(d) @ Ap.T).tocsc(),
-                     permc_spec="NATURAL", **options)
-    assert ours.L.nnz + ours.U.nnz == own.L.nnz + own.U.nnz
 
 
 def rcm_order(At):
@@ -255,25 +259,35 @@ def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
 
 
 def test_sparse_retry_keeps_the_pattern(monkeypatch):
-    # Rows 1 and 2 are equal, so M is singular and the first LU fails;
-    # M_01 and M_02 cancel to zero.  The regularized retry must factor the
-    # map's pattern, with those slots kept, as the first attempt did.
-    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
-    real_splu = arclp.linalg._splu_in_order
+    # Rows 1 and 2 are equal, so M is singular, and with a band limit of 0
+    # or 1 both are border rows, on which potrf fails after pbtrf
+    # overwrote the band.  The regularized retry must factor the same band
+    # and border, assembled again, plus the diagonal shift.
+    real_cholesky = arclp.linalg._cholesky
     seen = []
 
-    def splu_in_order(M):
-        seen.append((M.indptr.copy(), M.indices.copy()))
-        return real_splu(M)
+    def cholesky(pm, values):
+        seen.append(values.copy())
+        return real_cholesky(pm, values)
 
-    monkeypatch.setattr(arclp.linalg, "_splu_in_order", splu_in_order)
-    lp = lp_of([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
-    factor(lp, np.array([2.0, 2.0, 1.0]), np.ones(3))
-    pm = lp.product_map
-    assert pm.indices.size == 9 and len(seen) == 2
-    for indptr, indices in seen:
-        assert np.array_equal(indptr, pm.indptr)
-        assert np.array_equal(indices, pm.indices)
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
+    A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
+    d = np.array([2.0, 2.0, 1.0])
+    for limit in (0, 1):
+        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+        lp = lp_of(A)
+        seen.clear()
+        fac = factor(lp, d, np.ones(3))
+        pm = lp.product_map
+        assert not fac.dense and pm.m - pm.border == limit
+        first, retry = seen
+        M = ((A * d) @ A.T)[np.ix_(pm.perm, pm.perm)]
+        assert lower_of(pm, first).tobytes() == np.tril(M).tobytes()
+        shifted = first.copy()
+        shifted[pm.diag] += 1e-12 * np.diag(M).max()
+        assert retry.tobytes() == shifted.tobytes()
+        w = np.array([1.0, 2.0, 2.0])
+        assert_allclose(M @ fac.solve(w)[pm.perm], w[pm.perm], rtol=1e-6)
 
 
 def test_band_retry_factors_the_band_again(monkeypatch):
@@ -281,14 +295,14 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     # has overwritten the leading columns of the band in place.  The
     # regularized retry must factor the band assembled again plus the
     # diagonal shift, not what the failed attempt left behind.
-    real_band_cholesky = arclp.linalg._band_cholesky
+    real_cholesky = arclp.linalg._cholesky
     seen = []
 
-    def band_cholesky(M):
-        seen.append(M.copy())
-        return real_band_cholesky(M)
+    def cholesky(pm, values):
+        seen.append(pm.blocks(values.copy())[0])
+        return real_cholesky(pm, values)
 
-    monkeypatch.setattr(arclp.linalg, "_band_cholesky", band_cholesky)
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
     A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
     d = np.array([2.0, 2.0, 1.0])
     lp = lp_of(A)
@@ -350,19 +364,19 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
     # pbtrf works in level-3 BLAS blocks from a half-width of 32 on; CI
     # runs these oracles on two BLAS threads to keep that path covered.
     assert max(presolved(other).product_map.kd for other in NETLIB) >= 32
-    real_band_cholesky = arclp.linalg._band_cholesky
+    real_cholesky = arclp.linalg._cholesky
     real_pbtrs = arclp.linalg._pbtrs
     factors, reduced_rhs = [], []
 
-    def band_cholesky(M):
-        factors.append(real_band_cholesky(M))
-        return factors[-1]
+    def cholesky(pm, values):
+        factors.append(real_cholesky(pm, values)[0])
+        return factors[-1], None, None, None
 
     def pbtrs(c, b, **kwargs):
         reduced_rhs.append(b.copy())
         return real_pbtrs(c, b, **kwargs)
 
-    monkeypatch.setattr(arclp.linalg, "_band_cholesky", band_cholesky)
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
     monkeypatch.setattr(arclp.linalg, "_pbtrs", pbtrs)
     rng = np.random.default_rng(13)
     for k in (0, 1, 4, 8, 12):
@@ -396,6 +410,59 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
         assert y[pm.perm].tobytes() == got.tobytes(), k
 
 
+@pytest.mark.parametrize("limit", BORDER_LIMITS.values())
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_border_factor_is_the_block_cholesky(presolved, name, limit,
+                                            monkeypatch):
+    # With a border [C.T, E] after the band B, the factor of what the map
+    # assembled is B's band Cholesky L (scipy's cholesky_banded bit for
+    # bit), W with L @ W = C and U with L.T @ U = W, each to the rounding
+    # of a triangular solve, and scipy's Cholesky of E - W.T @ W bit for
+    # bit, at any scaling and in the regularized retry too.  Its solve
+    # must solve M.
+    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    lp = presolved(name)
+    pm = arclp.linalg.map_products(lp.At)
+    monkeypatch.setitem(vars(lp), "product_map", pm)
+    nb = pm.m - pm.border
+    assert pm.border and (nb > 0) == (limit > 0)
+    real_cholesky = arclp.linalg._cholesky
+    calls = []
+
+    def cholesky(pm, values):
+        copy = values.copy()
+        calls.append((copy, real_cholesky(pm, values)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
+    rng = np.random.default_rng(14)
+    A = lp.A.toarray()
+    eps = np.finfo(float).eps
+    for k in (0, 1, 4, 8, 12):
+        p = 10.0 ** rng.uniform(-k, k, lp.n)
+        q = 10.0 ** rng.uniform(-k, k, lp.n)
+        fac = factor(lp, p, q)
+        assert not fac.dense
+        values, (c, W, U, schur) = calls[-1]
+        band, border = pm.blocks(values)
+        if nb:
+            want = scipy.linalg.cholesky_banded(band, lower=True)
+            assert c.tobytes() == want.tobytes(), k
+        L = lower_of_band(c)
+        C = border[:, :nb].T
+        assert (np.abs(L @ W - C)
+                <= 4 * nb * eps * (np.abs(L) @ np.abs(W))).all(), k
+        assert (np.abs(L.T @ U - W)
+                <= 4 * nb * eps * (np.abs(L.T) @ np.abs(U))).all(), k
+        want = scipy.linalg.cholesky(border[:, nb:] - W.T @ W, lower=True)
+        assert np.tril(schur).tobytes() == want.tobytes(), k
+        M = (A * (p / q)) @ A.T
+        w = rng.standard_normal(lp.m)
+        y = fac.solve(w)
+        assert norm(M @ y - w) <= 1e-10 * (np.abs(M).max() * norm(y)
+                                           + norm(w)), k
+
+
 def test_duplicate_entries_are_summed(kernel_path):
     # A CSR matrix may hold one entry twice; the band map pairs each entry
     # with those up to its own row only once the duplicates are summed.
@@ -422,8 +489,10 @@ def test_scalar_normal_matrix():
     pm = lp.product_map
     assert pm.m == 0 and pm.kd == 0 and pm.perm.size == 0
     assert pm.elim.rows.tolist() == [0] and pm.elim.shared.size == 0
-    M, diagonal = pm.assemble(np.array([0.5]))
-    assert M.shape == (1, 0) and diagonal.size == 0
+    values, diagonal = pm.assemble(np.array([0.5]))
+    band, border = pm.blocks(values)
+    assert band.shape == (1, 0) and border.shape == (0, 0)
+    assert diagonal.size == 0
     dt, pivots, weights = pm.elim.reduce(np.array([0.5]))
     assert dt.tolist() == [0.5] and pivots.tolist() == [2.0]
     assert weights.size == 0
@@ -511,11 +580,11 @@ def test_common_scaling_leaves_dual_unchanged():
 
 
 def test_sparse_path_above_dense_limit():
-    # The half-width alone picks the path, not the row count: with more
-    # than DENSE_LIMIT rows, a banded pattern still takes the band, and
-    # the same pattern plus one dense row takes sparse LU.  Reverse
-    # Cuthill-McKee puts the dense row near the end, so it gives M a
-    # half-width of about m, which passes the limit at this m.
+    # The half-width alone decides on a border, not the row count: with
+    # more than DENSE_LIMIT rows, a banded pattern takes the band alone,
+    # and the same pattern plus one dense row, which gives M a half-width
+    # of about m in reverse Cuthill-McKee order, takes the band with that
+    # row as its border.
     rng = np.random.default_rng(5)
     m = DENSE_LIMIT + 50
     n = m + 40
@@ -532,12 +601,13 @@ def test_sparse_path_above_dense_limit():
     A = A.toarray()
     p = rng.uniform(0.5, 2.0, n)
     q = rng.uniform(0.5, 2.0, n)
-    for B, band in ((A, True), (np.vstack([A, np.ones(n)]), False)):
+    for B, border in ((A, 0), (np.vstack([A, np.ones(n)]), 1)):
         lp = lp_of(B)
         fac = factor(lp, p, q)
-        assert fac.dense == band
-        assert (lp.product_map.kd < DENSE_LIMIT if band
-                else lp.product_map.kd is None)
+        assert fac.dense == (not border)
+        pm = lp.product_map
+        assert pm.kd < DENSE_LIMIT and pm.border == border
+        assert pm.perm[m:].tolist() == [m] * border
         r1 = rng.standard_normal(B.shape[0])
         r2 = rng.standard_normal(n)
         r3 = rng.standard_normal(n)
@@ -588,6 +658,37 @@ def eliminable_system(rng):
     return A, elim
 
 
+@pytest.mark.parametrize("dense_rows, limit, border", [
+    (1, 3, 1), (3, 3, 4), (3, 2, 4), (3, 0, 43)])
+def test_border_picks_its_rows(monkeypatch, dense_rows, limit, border):
+    # A chain of 40 rows, row i over columns i and i + 1, has half-width
+    # 1; dense rows over 41, 30 and 20 columns widen it.  The border takes
+    # the rows of most entries in linking columns, ties by row index, 1,
+    # 2, 4, ... of them, until the half-width of the rest is under the
+    # limit: the dense rows, then the chain rows of lowest index, or all
+    # rows with a limit of 0.  The rows are shuffled, and none is
+    # eliminated.
+    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    rng = np.random.default_rng(22)
+    rows = [[i, i + 1] for i in range(40)]
+    rows += [list(range(41)), list(range(30)), list(range(20))][:dense_rows]
+    order = rng.permutation(len(rows))
+    A = np.zeros((len(rows), 41))
+    for r, i in enumerate(order):
+        A[r, rows[i]] = rng.uniform(0.5, 2.0, len(rows[i]))
+    degree = (A != 0).sum(axis=1)
+    # Most entries first, ties by index: sort on (-degree, index).
+    rank = sorted(range(len(rows)), key=lambda r: (-degree[r], r))
+    pm = lp_of(A).product_map
+    assert pm.elim is None and pm.m == len(rows)
+    assert pm.border == border
+    assert pm.perm[pm.m - border:].tolist() == rank[:border]
+    assert pm.kd < limit or border == pm.m
+    band_rows = A[pm.perm[:pm.m - border]]
+    assert pm.kd == scipy_half_width(sp.csr_array(band_rows.T),
+                                     np.arange(pm.m - border))
+
+
 def test_elimination_picks_its_rows():
     # The rows eliminated are exactly the qualifying ones, one twin of the
     # pair that shares a column; the rest are the map's kept rows.
@@ -615,8 +716,8 @@ def test_elimination_picks_its_rows():
 
 
 class TestOnBothFactorPaths:
-    """Kernel oracles run on the banded Cholesky path and on the sparse
-    LU path (see ``kernel_path``)."""
+    """Kernel oracles run on the band alone and with a border (see
+    ``kernel_path``)."""
 
     def test_nonfinite_data_is_a_numerical_error(self, kernel_path):
         # An overflowing iterate ends a solve; it is not a misuse, and the
@@ -650,33 +751,26 @@ class TestOnBothFactorPaths:
         # The iterates depend on M's last bits (kb2's alg2 ends
         # NumericalError instead of Optimal when only they change), so the
         # map must round as scipy's A1.multiply(dt) @ A1.T does on the rows
-        # A1 it keeps, at any scaling.  A band map assembles only the lower
-        # triangle, which is all that Cholesky reads, and holds zeros
-        # outside it.
+        # A1 it keeps, at any scaling.  The map assembles only the lower
+        # triangle, which is all that Cholesky reads: the band rows' block
+        # and the border rows up to the diagonal, with zeros outside it.
         lp = presolved(name)
-        product_map = arclp.linalg.map_products(lp.At)
-        layout = "band" if product_map.kd is not None else "sparse"
+        pm = arclp.linalg.map_products(lp.At)
+        nb = pm.m - pm.border
         # st5x20x10 has half-width 57 in its band order, under the limit.
-        assert layout == kernel_path
-        perm = product_map.perm
-        A1 = lp.A[perm]
-        if layout == "band":
-            # The band is as narrow as the kept rows allow in that order.
-            assert product_map.kd == scipy_half_width(
-                sp.csr_array(A1.T), np.arange(product_map.m))
+        assert {"band": nb == pm.m, "sparse": nb == 0,
+                "band+border": 0 < nb < pm.m}[kernel_path]
+        A1 = lp.A[pm.perm]
+        # The band is as narrow as its rows allow in that order.
+        assert pm.kd == scipy_half_width(sp.csr_array(A1[:nb].T),
+                                         np.arange(nb))
         rng = np.random.default_rng(12)
         for k in (0, 1, 4, 8, 12):
             d = 10.0 ** rng.uniform(-k, k, lp.n)
             dt = reduced(lp, d)[1]
-            want = (A1.multiply(dt) @ A1.T).toarray()
-            M, diagonal = product_map.assemble(dt)
-            if layout == "sparse":
-                got = M.toarray()
-            else:
-                want = np.tril(want)
-                assert M.shape == (product_map.kd + 1, product_map.m), k
-                got = lower_of_band(M)
-            assert got.tobytes() == want.tobytes(), k
+            want = np.tril((A1.multiply(dt) @ A1.T).toarray())
+            values, diagonal = pm.assemble(dt)
+            assert lower_of(pm, values).tobytes() == want.tobytes(), k
             assert diagonal.tobytes() == np.diag(want).tobytes(), k
 
     def test_cancelling_terms_keep_their_slot(self, kernel_path):
@@ -691,12 +785,13 @@ class TestOnBothFactorPaths:
         for rhs in np.eye(2):
             assert_allclose(fac.solve(rhs),
                             np.linalg.solve((A * d) @ A.T, rhs), rtol=1e-14)
-        M, _ = lp.product_map.assemble(d)
+        pm = lp.product_map
+        band, border = pm.blocks(pm.assemble(d)[0])
         if kernel_path == "sparse":
-            assert M.nnz == 4 and M[0, 1] == 0.0 and M[1, 0] == 0.0
+            assert border.shape == (2, 2) and border[1, 0] == 0.0
         else:
             # The half-width counts the cancelled entry.
-            assert lp.product_map.kd == 1 and M[1, 0] == 0.0
+            assert pm.kd == 1 and band[1, 0] == 0.0
 
     def test_random_systems_match_brute_force(self, kernel_path):
         rng = np.random.default_rng(42)
@@ -711,8 +806,12 @@ class TestOnBothFactorPaths:
             r1 = rng.standard_normal(m)
             r2 = rng.standard_normal(n)
             r3 = rng.standard_normal(n)
-            fac = factor(lp_of(A), p, q)
-            assert fac.dense == (kernel_path == "band")
+            lp = lp_of(A)
+            fac = factor(lp, p, q)
+            # Up to 7 rows have a half-width under 8; one row of private
+            # columns is eliminated and leaves no row for a border.
+            assert fac.dense == (kernel_path != "sparse"
+                                 or lp.product_map.m == 0)
             dx, dlam, ds = solve_block(fac, r1, r2, r3)
             bx, blam, bs = brute_force(A, p, q, r1, r2, r3)
             assert_allclose(dx, bx, rtol=1e-6, atol=1e-9)
@@ -721,8 +820,8 @@ class TestOnBothFactorPaths:
 
     def test_elimination_matches_brute_force(self, kernel_path):
         # NewtonFactor.solve solves the full M @ y = w, eliminated rows
-        # included, on the band and on the sparse LU side of the kept
-        # rows; so does the block solve.
+        # included, with and without a border on the kept rows; so does
+        # the block solve.
         rng = np.random.default_rng(21)
         for _ in range(10):
             A, elim = eliminable_system(rng)
@@ -733,7 +832,8 @@ class TestOnBothFactorPaths:
                 p = 10.0 ** rng.uniform(-k, k, n)
                 q = 10.0 ** rng.uniform(-k, k, n)
                 fac = factor(lp, p, q)
-                assert fac.dense == (kernel_path == "band")
+                # The four kept rows have a half-width under 8.
+                assert fac.dense == (kernel_path != "sparse")
                 w = rng.standard_normal(m)
                 assert_allclose(
                     fac.solve(w),

@@ -56,6 +56,19 @@ def test_comments_and_blank_lines_skipped():
     assert parse_mps(text) == parse_mps(FIX1_MPS)
 
 
+def test_column_met_again_keeps_its_first_number():
+    # A column's lines need not come together: one met again later keeps
+    # the number of its first appearance, and the next new column gets
+    # the next number.
+    lp = parse_mps("NAME T\nROWS\n N COST\n L R1\n L R2\nCOLUMNS\n"
+                   "    X COST 1 R1 1\n    Y R1 2\n    X R2 3\n"
+                   "    Z COST 5 R2 4\nBOUNDS\n UP BND Z 3\nENDATA\n")
+    assert lp.col_names == ["X", "Y", "Z"]
+    assert_array_equal(lp.c, [1.0, 0.0, 5.0])
+    assert_array_equal(lp.A_le.toarray(), [[1.0, 2.0, 0.0], [3.0, 0.0, 4.0]])
+    assert_array_equal(lp.upper, [np.inf, np.inf, 3.0])
+
+
 def test_objective_constant_from_rhs():
     text = FIX2_MPS.replace("    RHS       R1        2.0\n",
                             "    RHS       R1        2.0\n"
@@ -228,6 +241,11 @@ class TestErrors:
         with pytest.raises(MpsParseError,
                            match="line 4: duplicate row name 'R1'"):
             parse_mps(text)
+
+    def test_data_lines_and_no_header(self):
+        with pytest.raises(MpsParseError,
+                           match="line 2: data line outside any section"):
+            parse_mps("* comment\n    X1        R1        5.0\n")
 
     def test_data_line_after_endata(self):
         text = FIX2_MPS + "    X1        R1        5.0\n"

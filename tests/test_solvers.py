@@ -545,11 +545,11 @@ class TestPracticalSolvers:
         def reassociated(pm, d):
             terms = np.repeat(pm.val, pm.lead) * pm.coef
             terms *= np.repeat(d.take(pm.col), pm.lead)
-            M = np.bincount(pm.slot, weights=terms,
-                            minlength=(pm.kd + 1) * pm.m)
-            M = M.reshape((pm.kd + 1, pm.m), order="F")
-            changed.append(M.tobytes() != real_assemble(pm, d)[0].tobytes())
-            return M, M.reshape(-1, order="F")[pm.diag]
+            values = np.bincount(pm.slot, weights=terms,
+                                 minlength=(pm.kd + 1) * pm.m)
+            changed.append(values.tobytes()
+                           != real_assemble(pm, d)[0].tobytes())
+            return values, values[pm.diag]
 
         lp = load_netlib(netlib_dir, "kb2")
         monkeypatch.setattr(arclp.linalg.ProductMap, "assemble",

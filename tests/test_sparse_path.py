@@ -1,21 +1,23 @@
-"""End to end above ``DENSE_LIMIT`` rows, on the band and on the sparse
-LU path.
+"""End to end above ``DENSE_LIMIT`` rows, on the band alone and on the
+band with a dense border.
 
 The factor first eliminates the rows whose entries all lie in private
 columns but at most one (a staircase's bound rows); the half-width of
 the normal matrix of the rows it keeps, in reverse Cuthill-McKee order
-with each component started at a pseudo-peripheral row, picks the path.
-The bundled netlib instances and the benchmark's transport plans have
-fewer than ``DENSE_LIMIT`` rows, so their half-width is under the limit
-and they take the band whatever their pattern.  A staircase production
+with each component started at a pseudo-peripheral row, decides whether
+the rows of most entries in linking columns go to a border.  The
+bundled netlib instances and the benchmark's transport plans have fewer
+than ``DENSE_LIMIT`` rows, so their half-width is under the limit and
+they take the band alone whatever their pattern.  A staircase production
 plan from the benchmark's generator (``perfbench/workloads.py``, loaded
 read-only) has more rows: it is solved through the whole pipeline by
 every algorithm and checked against scipy's HiGHS.  With five periods
 its normal matrix has half-width 77, and 57 on the 150 rows kept, under
 the limit, so it is factored in band storage.  A ten-period plan with
 one more row over all columns couples every two kept rows, which makes
-the kept rows' half-width 299 (498 before the elimination): that plan
-is factored by sparse LU.
+the kept rows' half-width 299 (498 before the elimination): that row
+goes to the border, and the other 300 kept rows form a band of
+half-width 57.
 """
 import dataclasses
 
@@ -87,43 +89,53 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
     assert (lp.m, lp.n, linked.m, linked.n) == (250, 450, 501, 901)
     assert half_widths(lp) == (77, 57)
     assert half_widths(linked) == (498, 299)
-    assert lp.product_map.kd == 57 and lp.product_map.indptr is None
-    assert (lp.product_map.m, lp.product_map.elim.rows.size) == (150, 100)
-    assert linked.product_map.kd is None
-    assert linked.product_map.indptr is not None
+    pm = lp.product_map
+    assert (pm.kd, pm.border) == (57, 0)
+    assert (pm.m, pm.elim.rows.size) == (150, 100)
+    # The linking row, the row of A with the most entries, is the
+    # border's one row.
     pm = linked.product_map
+    assert (pm.kd, pm.border) == (57, 1)
+    assert pm.perm[-1] == np.diff(linked.A.indptr).argmax()
     assert (pm.m, pm.elim.rows.size) == (301, 200)
-    # Every netlib instance and the largest transport plan take the band.
+    # Every netlib instance and every size of the benchmark's transport
+    # and staircase generators takes the band alone.
+    workloads = perfbench_module("workloads")
+    rng = np.random.default_rng(1)
     narrow = [presolved(path) for path in sorted(NETLIB_DIR.glob("*.mps"))]
-    narrow.append(presolve(to_standard_form(
-        perfbench_module("workloads").transport_lp(
-            arclp, 16, 176, np.random.default_rng(1), "tr16x176")))[0])
-    assert len(narrow) == 9
+    narrow += [presolve(to_standard_form(workloads.transport_lp(
+        arclp, *size, rng, "tr%dx%d" % size)))[0]
+        for size in workloads.TRANSPORT_SIZES]
+    narrow += [presolve(to_standard_form(workloads.staircase_lp(
+        arclp, *size, rng, "st%dx%dx%d" % size)))[0]
+        for size in workloads.STAIRCASE_SIZES]
+    assert len(narrow) == 15
     for lp in narrow:
         pm = lp.product_map
         rows = pm.perm.tolist()
         if pm.elim is not None:
             rows += pm.elim.rows.tolist()
         assert pm.kd == half_widths(lp)[1] < DENSE_LIMIT
-        assert pm.indptr is None and sorted(rows) == list(range(lp.m))
+        assert pm.border == 0 and sorted(rows) == list(range(lp.m))
 
 
-def solve_on(path, ref, algorithm, layout, monkeypatch):
+def solve_on(path, ref, algorithm, border, monkeypatch):
     """Solve the plan at ``path`` with ``algorithm``, check the answer
-    against ``ref`` and that every factorization took ``layout``'s path;
-    return the record."""
-    calls = {}
-    for name, key in (("_band_cholesky", "band"),
-                      ("_splu_in_order", "sparse")):
-        def counted(M, real=getattr(arclp.linalg, name), key=key):
-            calls[key] = calls.get(key, 0) + 1
-            return real(M)
-        monkeypatch.setattr(arclp.linalg, name, counted)
+    against ``ref`` and that every factorization had a border of
+    ``border`` rows; return the record."""
+    borders = []
+    real_cholesky = arclp.linalg._cholesky
+
+    def cholesky(pm, values):
+        borders.append(pm.border)
+        return real_cholesky(pm, values)
+
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
     config = arclp.SolverConfig(algorithm=algorithm)
     record, _, _ = arclp.solve_mps_file(path, config)
     assert record.m > DENSE_LIMIT
-    assert list(calls) == [layout]
-    assert calls[layout] >= record.iterations
+    assert set(borders) == {border}
+    assert len(borders) >= record.iterations
     assert record.status == Status.OPTIMAL
     # The gap the relative stopping rule allows.
     tol = record.n * config.epsilon * max(1.0, abs(ref))
@@ -132,14 +144,13 @@ def solve_on(path, ref, algorithm, layout, monkeypatch):
 
 
 @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line", "alg1"])
-def test_staircase_solves_on_the_sparse_path(staircase, algorithm,
-                                             monkeypatch):
-    record = solve_on(*staircase, algorithm, "band", monkeypatch)
+def test_staircase_solves_on_the_band(staircase, algorithm, monkeypatch):
+    record = solve_on(*staircase, algorithm, 0, monkeypatch)
     assert (record.m, record.n) == (250, 450)
 
 
 @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line", "alg1"])
-def test_linked_staircase_solves_by_sparse_lu(linked_staircase, algorithm,
+def test_linked_staircase_solves_with_a_border(linked_staircase, algorithm,
                                               monkeypatch):
-    record = solve_on(*linked_staircase, algorithm, "sparse", monkeypatch)
+    record = solve_on(*linked_staircase, algorithm, 1, monkeypatch)
     assert (record.m, record.n) == (501, 901)
