@@ -36,18 +36,21 @@ assembly is a gather of ``dt``, a repeat and one ``np.bincount`` of
 ``j``, as scipy's sparse product sums them, so every entry the map
 assembles is bit for bit that of scipy's ``A1.multiply(dt) @ A1.T``.
 
-The map orders the rows of ``A1`` in reverse Cuthill-McKee order and
-lays ``S`` out as a band in LAPACK's band storage, which ``pbtrf``
-factors in place and ``pbtrs`` solves with.  A band as wide as
-``DENSE_LIMIT`` comes from a few dense rows (one linking row makes it
-nearly ``m``), and a dense row ordered last causes no fill (the bordered
-form of A. George and J. W. H. Liu, Computer Solution of Large Sparse
-Positive Definite Systems, Prentice-Hall 1981).  Such rows then form a
-border after the band ``B``: with ``S = [[B, C], [C.T, E]]``, ``pbtrf``
-factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @ C`` and ``U =
-L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve is one
-``pbtrs`` and one ``potrs``.  A failed factorization is retried once, on
-the same layout, with a small diagonal regularization.
+The map orders the rows of ``A1`` in reverse Cuthill-McKee order,
+refines that order by a few averaging sweeps of the row positions over
+the linking columns (a cheap stand-in for the spectral envelope
+reduction of S. T. Barnard, A. Pothen and H. Simon, Numer. Linear
+Algebra Appl. 2(4), 1995), and lays ``S`` out as a band in LAPACK's band
+storage, which ``pbtrf`` factors in place and ``pbtrs`` solves with.  A
+band as wide as ``DENSE_LIMIT`` comes from a few dense rows (one linking
+row makes it nearly ``m``), and a dense row ordered last causes no fill
+(the bordered form of A. George and J. W. H. Liu, Computer Solution of
+Large Sparse Positive Definite Systems, Prentice-Hall 1981).  Such rows
+then form a border after the band ``B``: with ``S = [[B, C], [C.T,
+E]]``, ``pbtrf`` factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @
+C`` and ``U = L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve
+is one ``pbtrs`` and one ``potrs``.  A failed factorization is retried
+once, on the same layout, with a small diagonal regularization.
 """
 
 from __future__ import annotations
@@ -119,7 +122,9 @@ def _check_scaling(A, p, q):
     if p.shape != (n,) or q.shape != (n,):
         raise ValueError("scaling vectors must have length %d" % n)
     # A nonfinite entry passes: it makes M or the block residual nonfinite.
-    if (p <= 0).any() or (q <= 0).any():
+    # fmin skips nan, so the least entry is nan only when all are.
+    if (np.fmin.reduce(p, initial=np.inf) <= 0
+            or np.fmin.reduce(q, initial=np.inf) <= 0):
         raise ValueError("scaling vectors must be strictly positive")
     return p, q
 
@@ -390,6 +395,53 @@ def _rcm_order(At):
     return order[::-1], int(kd), (m - 1) - at
 
 
+def _refine(At, perm, kd, at):
+    # The order perm of the rows of A (At is a _Columns), its half-width kd
+    # and each row's position at, refined by averaging sweeps (see
+    # map_products): the narrowest order seen and its half-width.  An
+    # order is kept only if it is narrower, so with no sweep that narrows,
+    # perm itself is returned.
+    m = At.shape[1]
+    count = At.count
+    linking = count > 1
+    # The entries of the linking columns, rows numbered by position in
+    # perm, so that a stable sort breaks ties by that position.
+    rows = at.take(At.indices[linking.repeat(count)])
+    count = count[linking]
+    n = count.size
+    col = np.arange(n).repeat(count)
+    degree = np.bincount(rows, minlength=m)
+    lone = (degree == 0).nonzero()[0]
+    degree[lone] = 1
+    position = np.arange(m, dtype=float)
+    best = order = np.arange(m)
+    stale = 0
+    while stale < 2 and kd:
+        mean = np.bincount(col, position.take(rows), n)
+        mean /= count
+        value = np.bincount(rows, mean.take(col), m)
+        value /= degree
+        value[lone] = position[lone]
+        position = value
+        last, order = order, value.argsort(kind="stable")
+        stale += 1
+        if (order == last).all():
+            # The same order has the same half-width.
+            continue
+        new = np.empty(m, np.intp)
+        new[order] = np.arange(m)
+        # The widest spread of positions within one linking column.
+        new = new.take(rows)
+        high = np.zeros(n, np.intp)
+        np.maximum.at(high, col, new)
+        low = np.full(n, m, np.intp)
+        np.minimum.at(low, col, new)
+        width = int((high - low).max())
+        if width < kd:
+            best, kd, stale = order, width, 0
+    return perm.take(best), kd
+
+
 def _eliminate(At):
     # The rows that the factor eliminates (see Elimination), or None if no
     # row qualifies.  Returns the _Columns of At without their entries, the
@@ -469,8 +521,25 @@ def map_products(At):
     is then the widest spread of new row numbers within one column of
     ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never formed.  If ``kd
     >= DENSE_LIMIT``, the rows ranked first by degree, ties by row index,
-    1, then 2, 4, ... of them, form the border, until the other rows' own
-    order has a half-width under ``DENSE_LIMIT`` or no row is left.
+    form the border: 1, then 2, 4, ... of them until the other rows' own
+    order has a half-width under ``DENSE_LIMIT`` or no row is left, then
+    as many as a bisection between the last size that did not fit and
+    the first that did settles on (a transport plan's border is its
+    supply rows).
+
+    Once the border is settled, the order of the band rows is refined by
+    averaging sweeps, starting from their positions in that order.  In a
+    sweep, each linking column takes the mean position of its rows, each
+    row takes the mean over its linking columns (a row with none keeps
+    its position), and the rows are sorted by that mean, ties by their
+    reverse Cuthill-McKee position; the means are the next sweep's
+    positions, and the half-width is read off the linking columns again.
+    The narrowest order seen is kept, so the band is never wider than in
+    reverse Cuthill-McKee order, and unchanged where no sweep narrows it;
+    two sweeps in a row that do not narrow it end the refinement.  Each
+    breadth-first level of a staircase's kept rows holds one period (30
+    rows), so a level-by-level order stays near two periods wide (57);
+    the sweeps bring the band to 32.
     """
     if not At.has_canonical_format:
         At = sp.csr_array(At, copy=True)
@@ -494,15 +563,35 @@ def _map(At, elim=None, keep=None):
         degree = np.bincount(At.indices[(count > 1).repeat(count)],
                              minlength=m)
         rank = (-degree).argsort(kind="stable")
-        while kd >= DENSE_LIMIT and border < m:
-            border = min(2 * border or 1, m)
+
+        def band(size):
+            # The rows left without the first `size` by rank: their
+            # _Columns, their rows of At and their order, which fits with a
+            # half-width under the limit or with no row left.
             out = np.zeros(m, bool)
-            out[rank[:border]] = True
-            rest, rest_rows = _drop(At, out)
-            order, kd, _ = _rcm_order(rest)
-        perm = np.concatenate([rest_rows.take(order), rank[:border]])
-        at = np.empty(m, np.intp)
-        at[perm] = np.arange(m)
+            out[rank[:size]] = True
+            rest, rows = _drop(At, out)
+            order, kd, at = _rcm_order(rest)
+            return (rest, rows, order, kd, at), kd < DENSE_LIMIT or size == m
+
+        # Double the border until the rest fits, then bisect between the
+        # last size that did not fit and the first that did: doubling alone
+        # can take up to twice the rows needed.
+        low, border, found = 0, m + 1, None
+        while border - low > 1:
+            size = (low + border) // 2 if found else min(2 * low or 1, m)
+            trial, fits = band(size)
+            if fits:
+                border, found = size, trial
+            else:
+                low = size
+        rest, rows, order, kd, at = found
+        order, kd = _refine(rest, order, kd, at)
+        perm = np.concatenate([rows.take(order), rank[:border]])
+    else:
+        perm, kd = _refine(At, perm, kd, at)
+    at = np.empty(m, np.intp)
+    at[perm] = np.arange(m)
     col = np.arange(At.shape[0], dtype=np.int32).repeat(count)
     # With the rows of A renumbered in the order perm, each column's
     # entries up to its own row give the lower triangle in that order, so

@@ -246,6 +246,49 @@ def test_half_width_is_that_of_scipys_product(presolved, name):
     assert kd == {"scalar": 0, "blocks": 2}.get(name, kd)
 
 
+@st.composite
+def patterns(draw):
+    """A random ``A`` (CSR) for the ordering: up to 12 rows over up to 15
+    columns, with empty rows, rows alone in their columns, explicit zeros
+    and, at times, one row over every column."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 15))
+    kept = draw(hnp.arrays(bool, (m, n), elements=st.booleans()))
+    if draw(st.booleans()):
+        kept[draw(st.integers(0, m - 1))] = True
+    zero = draw(hnp.arrays(bool, (m, n), elements=st.booleans()))
+    rows, cols = kept.nonzero()
+    return sp.csr_array((np.where(zero[rows, cols], 0.0, 1.0), (rows, cols)),
+                        shape=(m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=patterns())
+def test_refined_order_is_a_narrower_band(A):
+    # The averaging sweeps start from the reverse Cuthill-McKee order and
+    # keep an order only if it is narrower: the refined order must be a
+    # permutation of the rows, its half-width that of scipy's product in
+    # that order and never wider than the start, and the start itself
+    # where no sweep narrows it.  Explicit zeros count as entries.  A row
+    # with no entry in a linking column keeps its position, which the
+    # start makes one of the last.
+    At = sp.csr_array(A.T)
+    linalg = arclp.linalg
+    columns = linalg._columns(At)
+    start = linalg._rcm_order(columns)
+    perm, kd = linalg._refine(columns, *start)
+    assert sorted(perm.tolist()) == list(range(A.shape[0]))
+    position = np.argsort(perm)
+    assert kd == scipy_half_width(At, perm) <= start[1]
+    unit = sp.csr_array((np.ones(At.nnz), At.indices, At.indptr),
+                        shape=At.shape)
+    degree = unit[np.diff(At.indptr) > 1].sum(axis=0)
+    lone = (degree == 0).nonzero()[0]
+    assert position[lone].tolist() == start[2][lone].tolist()
+    if kd == start[1]:
+        assert perm.tobytes() == start[0].tobytes()
+
+
 def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
     # scipy's reverse Cuthill-McKee starts each component at a row of
     # least degree; on the staircase plan a pseudo-peripheral start must
@@ -258,7 +301,7 @@ def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
     assert rcm_order(At)[1] < scipy_half_width(At, theirs)
 
 
-def test_sparse_retry_keeps_the_pattern(monkeypatch):
+def test_border_retry_keeps_the_layout(monkeypatch):
     # Rows 1 and 2 are equal, so M is singular, and with a band limit of 0
     # or 1 both are border rows, on which potrf fails after pbtrf
     # overwrote the band.  The regularized retry must factor the same band
@@ -537,6 +580,30 @@ def test_norm_is_numpys_bit_for_bit(v):
     assert outcome(norm, v) == outcome(np.linalg.norm, v)
 
 
+def positive_rule(v):
+    """The positivity test of the scaling vectors as an elementwise
+    comparison: any entry <= 0 fails, and nan or inf alone pass."""
+    return not (np.asarray(v) <= 0).any()
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=hnp.arrays(float, st.integers(0, 6), elements=st.one_of(
+           EDGE_FLOATS, st.sampled_from([-1.0, -1e-300, 1e-300, 1.0]))),
+       q_sign=st.sampled_from([-1.0, 1.0]))
+def test_scaling_check_is_the_elementwise_rule(p, q_sign):
+    # _check_scaling reduces with fmin, which skips nan; it must accept and
+    # reject exactly what the elementwise rule does, on p and on q.
+    A = sp.csr_array((1, p.size))
+    for pair in ((p, np.ones(p.size)), (np.ones(p.size), q_sign * p)):
+        want = all(positive_rule(v) for v in pair)
+        try:
+            arclp.linalg._check_scaling(A, *pair)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+
+
 def test_nonpositive_scaling_rejected():
     lp = lp_of([[1.0, 2.0]])
     with pytest.raises(ValueError):
@@ -579,7 +646,7 @@ def test_common_scaling_leaves_dual_unchanged():
     assert_allclose(scaled, base, rtol=1e-12)
 
 
-def test_sparse_path_above_dense_limit():
+def test_border_above_dense_limit():
     # The half-width alone decides on a border, not the row count: with
     # more than DENSE_LIMIT rows, a banded pattern takes the band alone,
     # and the same pattern plus one dense row, which gives M a half-width
@@ -658,14 +725,15 @@ def eliminable_system(rng):
     return A, elim
 
 
-@pytest.mark.parametrize("dense_rows, limit, border", [
+@pytest.mark.parametrize("dense_rows, limit, doubled", [
     (1, 3, 1), (3, 3, 4), (3, 2, 4), (3, 0, 43)])
-def test_border_picks_its_rows(monkeypatch, dense_rows, limit, border):
+def test_border_picks_its_rows(monkeypatch, dense_rows, limit, doubled):
     # A chain of 40 rows, row i over columns i and i + 1, has half-width
     # 1; dense rows over 41, 30 and 20 columns widen it.  The border takes
     # the rows of most entries in linking columns, ties by row index, 1,
-    # 2, 4, ... of them, until the half-width of the rest is under the
-    # limit: the dense rows, then the chain rows of lowest index, or all
+    # 2, 4, ... of them until the half-width of the rest is under the
+    # limit (`doubled` rows, at most all), and then the fewest that a
+    # bisection between the last two sizes finds: the dense rows, or all
     # rows with a limit of 0.  The rows are shuffled, and none is
     # eliminated.
     monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
@@ -681,12 +749,21 @@ def test_border_picks_its_rows(monkeypatch, dense_rows, limit, border):
     rank = sorted(range(len(rows)), key=lambda r: (-degree[r], r))
     pm = lp_of(A).product_map
     assert pm.elim is None and pm.m == len(rows)
-    assert pm.border == border
+    border = pm.border
+    assert border == (dense_rows if limit else len(rows))
+    assert doubled // 2 < border <= doubled
     assert pm.perm[pm.m - border:].tolist() == rank[:border]
     assert pm.kd < limit or border == pm.m
     band_rows = A[pm.perm[:pm.m - border]]
     assert pm.kd == scipy_half_width(sp.csr_array(band_rows.T),
                                      np.arange(pm.m - border))
+    # One row fewer in the border leaves the rest, in its reverse
+    # Cuthill-McKee order, at a half-width of at least the limit.
+    out = np.zeros(pm.m, bool)
+    out[rank[:border - 1]] = True
+    rest, _ = arclp.linalg._drop(
+        arclp.linalg._columns(sp.csr_array(A.T)), out)
+    assert arclp.linalg._rcm_order(rest)[1] >= limit
 
 
 def test_elimination_picks_its_rows():
@@ -757,7 +834,7 @@ class TestOnBothFactorPaths:
         lp = presolved(name)
         pm = arclp.linalg.map_products(lp.At)
         nb = pm.m - pm.border
-        # st5x20x10 has half-width 57 in its band order, under the limit.
+        # st5x20x10 has half-width 32 in its band order, under the limit.
         assert {"band": nb == pm.m, "sparse": nb == 0,
                 "band+border": 0 < nb < pm.m}[kernel_path]
         A1 = lp.A[pm.perm]

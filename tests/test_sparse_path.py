@@ -13,11 +13,13 @@ plan from the benchmark's generator (``perfbench/workloads.py``, loaded
 read-only) has more rows: it is solved through the whole pipeline by
 every algorithm and checked against scipy's HiGHS.  With five periods
 its normal matrix has half-width 77, and 57 on the 150 rows kept, under
-the limit, so it is factored in band storage.  A ten-period plan with
-one more row over all columns couples every two kept rows, which makes
-the kept rows' half-width 299 (498 before the elimination): that row
-goes to the border, and the other 300 kept rows form a band of
-half-width 57.
+the limit, so it is factored in band storage; the averaging sweeps that
+refine the order narrow the band to 32.  A ten-period plan with one more
+row over all columns couples every two kept rows, which makes the kept
+rows' half-width 299 (498 before the elimination): that row goes to the
+border, and the other 300 kept rows form a band of half-width 57, 32
+once refined.  On transport plans past ``DENSE_LIMIT`` rows the border
+is exactly the supply rows.
 """
 import dataclasses
 
@@ -60,7 +62,7 @@ def plan_file(raw, tmp_path_factory):
 @pytest.fixture(scope="module")
 def staircase(tmp_path_factory):
     """Five periods, 20 products, 10 resources: m = 250 and n = 450 after
-    presolve, half-width 77, and 57 on the 150 rows kept."""
+    presolve, half-width 77, and 57 on the 150 rows kept (32 refined)."""
     return plan_file(staircase_raw(), tmp_path_factory)
 
 
@@ -75,13 +77,24 @@ def presolved(path):
     return presolve(to_standard_form(parse_mps(path.read_text())))[0]
 
 
+def kept_columns(lp):
+    """``lp.At`` as a ``_Columns`` of the rows the factor keeps."""
+    At = linalg._columns(lp.At)
+    found = linalg._eliminate(At)
+    return At if found is None else found[0]
+
+
 def half_widths(lp):
     """The half-width of ``lp``'s normal matrix in reverse Cuthill-McKee
     order, and that of the rows the factor keeps, in theirs."""
-    At = linalg._columns(lp.At)
-    found = linalg._eliminate(At)
-    At1 = At if found is None else found[0]
-    return tuple(linalg._rcm_order(B)[1] for B in (At, At1))
+    return tuple(linalg._rcm_order(B)[1]
+                 for B in (linalg._columns(lp.At), kept_columns(lp)))
+
+
+def refined_half_width(lp):
+    """The half-width of the kept rows in their refined order."""
+    At1 = kept_columns(lp)
+    return linalg._refine(At1, *linalg._rcm_order(At1))[1]
 
 
 def test_half_width_picks_the_path(staircase, linked_staircase):
@@ -90,12 +103,12 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
     assert half_widths(lp) == (77, 57)
     assert half_widths(linked) == (498, 299)
     pm = lp.product_map
-    assert (pm.kd, pm.border) == (57, 0)
+    assert (pm.kd, pm.border) == (32, 0)
     assert (pm.m, pm.elim.rows.size) == (150, 100)
     # The linking row, the row of A with the most entries, is the
     # border's one row.
     pm = linked.product_map
-    assert (pm.kd, pm.border) == (57, 1)
+    assert (pm.kd, pm.border) == (32, 1)
     assert pm.perm[-1] == np.diff(linked.A.indptr).argmax()
     assert (pm.m, pm.elim.rows.size) == (301, 200)
     # Every netlib instance and every size of the benchmark's transport
@@ -115,8 +128,28 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
         rows = pm.perm.tolist()
         if pm.elim is not None:
             rows += pm.elim.rows.tolist()
-        assert pm.kd == half_widths(lp)[1] < DENSE_LIMIT
+        assert pm.kd == refined_half_width(lp) <= half_widths(lp)[1]
+        assert pm.kd < DENSE_LIMIT
         assert pm.border == 0 and sorted(rows) == list(range(lp.m))
+
+
+@pytest.mark.parametrize("supply, demand", [(20, 300), (40, 400)])
+def test_transport_border_is_the_supply_rows(supply, demand):
+    # A supply row has an entry in each of its plan's demand columns, a
+    # demand row one per supply row.  Without all supply rows the rest is
+    # a band as wide as the demand rows (one supply row links them all);
+    # without them it has half-width 0.  Doubling stops at 32 or 64
+    # rows, and the bisection between the last two sizes finds exactly
+    # the supply rows.
+    workloads = perfbench_module("workloads")
+    lp = presolve(to_standard_form(workloads.transport_lp(
+        arclp, supply, demand, np.random.default_rng(1),
+        "tr%dx%d" % (supply, demand))))[0]
+    assert lp.m == supply + demand > DENSE_LIMIT
+    pm = lp.product_map
+    assert pm.elim is None and (pm.kd, pm.border) == (0, supply)
+    supply_rows = (np.diff(lp.A.indptr) > supply + 1).nonzero()[0]
+    assert sorted(pm.perm[-supply:]) == supply_rows.tolist()
 
 
 def solve_on(path, ref, algorithm, border, monkeypatch):
