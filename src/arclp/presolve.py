@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 from .standardize import StandardLP
 
@@ -70,22 +71,8 @@ class PresolveReport:
         return "\n".join([head] + ["  " + e for e in self.events])
 
 
-def _drop(A, b, c, row_ids, col_ids, rows=None, cols=None):
-    if rows is not None and len(rows):
-        keep = np.setdiff1d(np.arange(A.shape[0]), rows)
-        A = A[keep]
-        b = b[keep]
-        row_ids = row_ids[keep]
-    if cols is not None and len(cols):
-        keep = np.setdiff1d(np.arange(A.shape[1]), cols)
-        A = A[:, keep]
-        c = c[keep]
-        col_ids = col_ids[keep]
-    return A.tocsc(), b, c, row_ids, col_ids
-
-
 def _core_rows(A):
-    """Rows of the CSC matrix ``A`` that may take part in a dependency.
+    """Rows of the CSR matrix ``A`` that may take part in a dependency.
 
     A row that holds the only live entry of some column has coefficient
     zero in every linear dependency among the live rows, so it is peeled
@@ -93,8 +80,8 @@ def _core_rows(A):
     ``_QR_CAP // nnz``, the QR's budget; rows still live when it runs out
     stay in the core, so the core never misses a dependent row.
     """
-    rows = A.indices
-    cols = np.repeat(np.arange(A.shape[1]), np.diff(A.indptr))
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    cols = A.indices
     live = np.ones(A.shape[0], dtype=bool)
     for _ in range(_QR_CAP // max(A.nnz, 1)):
         on = live[rows]
@@ -145,6 +132,10 @@ def _rank_guard(A, b, row_ids):
 def presolve(lp):
     """Reduce a :class:`~arclp.standardize.StandardLP`.
 
+    The cascade runs on the entries of ``lp.A`` with masks of the live
+    rows and columns, and the reduced matrix is built once at the end
+    (it is ``lp.A`` itself when nothing is removed).
+
     Returns
     -------
     reduced : StandardLP or None
@@ -152,112 +143,119 @@ def presolve(lp):
         ``infeasible`` / ``unbounded`` verdict.
     report : PresolveReport
     """
-    A = lp.A.tocsc()
-    A.eliminate_zeros()
+    m, n = lp.shape
+    rows = np.repeat(np.arange(m), np.diff(lp.A.indptr))
+    cols, vals = lp.A.indices, lp.A.data
+    on = vals != 0      # the live entries; explicit zeros take no part
+    row_live = np.ones(m, dtype=bool)
+    col_live = np.ones(n, dtype=bool)
     b = lp.b.copy()
-    c = lp.c.copy()
-    row_ids = np.arange(lp.m)
-    col_ids = np.arange(lp.n)
     shift = lp.objective_shift
-    report = PresolveReport(m_before=lp.m, n_before=lp.n)
+    report = PresolveReport(m_before=m, n_before=n)
     b_scale = 1.0 + np.abs(lp.b).max(initial=0.0)
 
     def verdict(kind, reason):
         report.verdict = kind
         report.reason = reason
-        report.m_after, report.n_after = A.shape
-        report.kept_rows, report.kept_cols = row_ids, col_ids
+        report.kept_rows = np.flatnonzero(row_live)
+        report.kept_cols = np.flatnonzero(col_live)
+        report.m_after = report.kept_rows.size
+        report.n_after = report.kept_cols.size
         return None, report
 
     # Columns the standardizer pinned at zero (zero-width bounds).
     if lp.fixed_cols:
-        fixed = list(lp.fixed_cols)
-        for j in lp.fixed_cols:
-            report.fixed_values[j] = 0.0
-        A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                          cols=fixed)
-        report.events.append("dropped %d fixed columns" % len(fixed))
+        report.fixed_values.update(dict.fromkeys(lp.fixed_cols, 0.0))
+        col_live[list(lp.fixed_cols)] = False
+        report.events.append("dropped %d fixed columns" % len(lp.fixed_cols))
 
     while True:
-        A.eliminate_zeros()
-        csr = A.tocsr()
-        row_nnz = np.diff(csr.indptr)
+        on &= row_live[rows] & col_live[cols]
+        row_nnz = np.bincount(rows[on], minlength=m)
 
         # Empty rows: 0 = b must hold.
-        empty = np.nonzero(row_nnz == 0)[0]
+        empty = np.flatnonzero(row_live & (row_nnz == 0))
         if empty.size:
             off = np.abs(b[empty]) > _ZERO_TOL * b_scale
             if np.any(off):
-                i = empty[np.nonzero(off)[0][0]]
                 return verdict("infeasible",
                                "empty row %d has nonzero right-hand side"
-                               % row_ids[i])
-            A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                              rows=empty)
+                               % empty[np.argmax(off)])
+            row_live[empty] = False
             report.events.append("dropped %d empty rows" % empty.size)
             continue
 
-        # Singleton rows fix their variable.
-        singles = np.nonzero(row_nnz == 1)[0]
-        if singles.size:
-            fixed_cols, fixed_rows = [], []
-            for i in singles:
-                j = csr.indices[csr.indptr[i]]
-                if j in fixed_cols:
-                    continue    # second fix of the same column waits a pass
-                v = b[i] / csr.data[csr.indptr[i]]
-                if v < -_ZERO_TOL * b_scale:
-                    return verdict(
-                        "infeasible",
-                        "singleton row %d forces a negative value"
-                        % row_ids[i])
-                v = max(v, 0.0)
-                lo, hi = A.indptr[j], A.indptr[j + 1]
-                b[A.indices[lo:hi]] -= A.data[lo:hi] * v
-                shift += c[j] * v
-                report.fixed_values[int(col_ids[j])] = v
-                fixed_cols.append(j)
-                fixed_rows.append(i)
-            A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                              rows=fixed_rows,
-                                              cols=fixed_cols)
+        # Singleton rows fix their variable; a second row on the same
+        # column waits a pass, so the fixes are the first row of each.
+        if (row_nnz == 1).any():
+            single = np.flatnonzero(on & (row_nnz[rows] == 1))
+            first = np.sort(np.unique(cols[single], return_index=True)[1])
+            single = single[first]
+            i, j = rows[single], cols[single]
+            v = b[i] / vals[single]
+            bad = v < -_ZERO_TOL * b_scale
+            v = np.where(v < 0.0, 0.0, v)
+            if bad.any():
+                k = np.argmax(bad)
+                report.fixed_values.update(zip(j[:k].tolist(), v[:k].tolist()))
+                return verdict("infeasible",
+                               "singleton row %d forces a negative value"
+                               % i[k])
+            # Each fixed column leaves its live rows in the loop's order,
+            # and the objective gains c[j] * v one fix at a time.
+            fix_pos = np.full(n, -1)
+            fix_pos[j] = np.arange(j.size)
+            hit = np.flatnonzero(on & (fix_pos[cols] >= 0))
+            hit = hit[np.argsort(fix_pos[cols[hit]], kind="stable")]
+            np.subtract.at(b, rows[hit], vals[hit] * v[fix_pos[cols[hit]]])
+            shift = np.cumsum(np.concatenate([[shift], lp.c[j] * v]))[-1]
+            report.fixed_values.update(zip(j.tolist(), v.tolist()))
+            row_live[i] = False
+            col_live[j] = False
             report.events.append("fixed %d variables from singleton rows"
-                                 % len(fixed_cols))
+                                 % j.size)
             continue
 
         # Empty columns: optimal at 0 when the cost is nonnegative.
-        col_nnz = np.diff(A.indptr)
-        empty_cols = np.nonzero(col_nnz == 0)[0]
+        col_nnz = np.bincount(cols[on], minlength=n)
+        empty_cols = np.flatnonzero(col_live & (col_nnz == 0))
         if empty_cols.size:
-            neg = c[empty_cols] < -1e-12
+            neg = lp.c[empty_cols] < -1e-12
             if np.any(neg):
-                j = empty_cols[np.nonzero(neg)[0][0]]
                 return verdict(
                     "unbounded",
                     "empty column %d has negative objective coefficient"
-                    % col_ids[j])
-            for j in empty_cols:
-                report.fixed_values[int(col_ids[j])] = 0.0
-            A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                              cols=empty_cols)
+                    % empty_cols[np.argmax(neg)])
+            report.fixed_values.update(dict.fromkeys(empty_cols.tolist(),
+                                                     0.0))
+            col_live[empty_cols] = False
             report.events.append("dropped %d empty columns"
                                  % empty_cols.size)
             continue
         break
 
-    if A.shape[0]:
+    # The reduced matrix, its columns renumbered in their order.
+    row_ids, col_ids = np.flatnonzero(row_live), np.flatnonzero(col_live)
+    if row_ids.size == m and col_ids.size == n and on.all():
+        A = lp.A
+    else:
+        indptr = np.concatenate([[0], np.cumsum(row_nnz[row_ids])])
+        A = sp.csr_array((vals[on], (np.cumsum(col_live) - 1)[cols[on]],
+                          indptr), shape=(row_ids.size, col_ids.size))
+    b = b[row_ids]
+    if row_ids.size:
         dep, reason = _rank_guard(A, b, row_ids)
         if reason is not None:
             return verdict("infeasible", reason)
         if dep:
-            A, b, c, row_ids, col_ids = _drop(A, b, c, row_ids, col_ids,
-                                              rows=dep)
+            keep = np.setdiff1d(np.arange(row_ids.size), dep)
+            A, b, row_ids = A[keep], b[keep], row_ids[keep]
             report.events.append("dropped %d linearly dependent rows"
                                  % len(dep))
 
     report.m_after, report.n_after = A.shape
     report.kept_rows, report.kept_cols = row_ids, col_ids
-    reduced = StandardLP(name=lp.name, A=A, b=b, c=c,
+    reduced = StandardLP(name=lp.name, A=A, b=b, c=lp.c[col_ids],
                          objective_shift=shift, var_map=lp.var_map,
                          fixed_cols=())
     return reduced, report

@@ -84,7 +84,8 @@ class StandardLP:
     fixed_cols: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "A", sp.csr_array(self.A))
+        if not isinstance(self.A, sp.csr_array):
+            object.__setattr__(self, "A", sp.csr_array(self.A))
 
     @cached_property
     def At(self):
@@ -153,35 +154,47 @@ def to_standard_form(raw):
     fixed = ~split & (upper == lower)
     bounded = np.nonzero(np.isfinite(upper) & (upper != lower))[0]
 
-    blocks = list(raw.blocks())
-    m_eq, n_ge, n_le = (A_blk.shape[0] for _, A_blk, _, _ in blocks)
+    # The raw rows, then the bound rows (bound row k holds a 1 in column
+    # bounded[k]), as one CSR over the raw variables; a block in another
+    # format, or with unsorted or duplicate entries, is read canonically.
+    blocks = [(A_blk if A_blk.format == "csr" and A_blk.has_canonical_format
+               else A_blk.tocoo().tocsr(), b_blk)
+              for _, A_blk, b_blk, _ in raw.blocks()]
+    m_eq, n_ge, n_le = (A_blk.shape[0] for A_blk, _ in blocks)
     n_b = bounded.size
     m = m_eq + n_ge + n_le + n_b
     n = n_vars + n_ge + n_le + n_b
     if m == 0:
         raise ValueError("problem has no constraints")
+    per_row = np.concatenate([np.diff(A_blk.indptr) for A_blk, _ in blocks]
+                             + [np.ones(n_b, dtype=np.int64)])
+    j = np.concatenate([A_blk.indices for A_blk, _ in blocks] + [bounded])
+    v = np.concatenate([A_blk.data for A_blk, _ in blocks] + [np.ones(n_b)])
+    row = np.repeat(np.arange(m), per_row)
 
-    # (rows, cols, values) of each part of the docstring's block matrix.
-    coo = sp.vstack([A_blk for _, A_blk, _, _ in blocks]).tocoo()
-    neg = split[coo.col]
-    ge, le, k = np.arange(n_ge), np.arange(n_le), np.arange(n_b)
-    row_b = m_eq + n_ge + n_le + k
-    b_neg = split[bounded]
-    parts = [
-        (coo.row, col[coo.col], coo.data),
-        (coo.row[neg], col[coo.col[neg]] + 1, -coo.data[neg]),
-        (m_eq + ge, n_vars + ge, np.full(n_ge, -1.0)),
-        (m_eq + n_ge + le, n_vars + n_ge + le, np.ones(n_le)),
-        (row_b, col[bounded], np.ones(n_b)),
-        (row_b[b_neg], col[bounded[b_neg]] + 1, np.full(b_neg.sum(), -1.0)),
-        (row_b, n_vars + n_ge + n_le + k, np.ones(n_b)),
-    ]
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    A = sp.csr_array((vals, (rows, cols)), shape=(m, n))
-    # Bound rows: x'_i + s_B = upper - lower (split columns keep their
-    # +/- pair on the left side and are not shifted).
-    b = np.concatenate([b_blk - A_blk @ shift for _, A_blk, b_blk, _ in blocks]
-                       + [upper[bounded] - shift[bounded]])
+    # Each entry takes its variable's width of slots in its row (a split
+    # variable's negative half copies it with the opposite sign), and every
+    # row past the equalities ends with its slack, column n_vars + r - m_eq.
+    slacks = np.maximum(np.arange(m + 1) - m_eq, 0)
+    slots = np.concatenate([[0], np.cumsum(width[j])])
+    indptr = slots[np.concatenate([[0], np.cumsum(per_row)])] + slacks
+    at = slots[:-1] + slacks[row]
+    neg = split[j]
+    tail = indptr[m_eq + 1:] - 1
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    indices[at], data[at] = col[j], v
+    indices[at[neg] + 1], data[at[neg] + 1] = col[j[neg]] + 1, -v[neg]
+    indices[tail] = n_vars + np.arange(m - m_eq)
+    data[tail] = np.repeat([-1.0, 1.0], [n_ge, n_le + n_b])
+    A = sp.csr_array((data, indices, indptr), shape=(m, n))
+    # b_blk - A_blk @ shift, the product summed in entry order as scipy's
+    # is.  Bound rows: x'_i + s_B = upper - lower (split columns keep their
+    # +/- pair on the left side and are not shifted); the sum turns a shift
+    # of -0.0 into 0.0, which changes upper - shift only where upper is
+    # +-0.0, and such a column is fixed, not bounded.
+    b = (np.concatenate([b_blk for _, b_blk in blocks] + [upper[bounded]])
+         - np.bincount(row, weights=v * shift[j], minlength=m))
 
     c = np.zeros(n)
     c[col] += raw.c

@@ -28,6 +28,13 @@ from arclp.standardize import StandardLP, VarMap
 # as the parser's whitespace oracle: ``--hypothesis-profile=ci``.
 settings.register_profile("ci", max_examples=1000, deadline=None)
 
+
+def examples(floor):
+    """``floor`` examples, or the loaded profile's count where it asks for
+    more, for oracles that run with ``floor`` in the default suite."""
+    return max(floor, settings.default.max_examples)
+
+
 ROOT = Path(__file__).resolve().parents[1]
 NETLIB_DIR = ROOT / "data" / "netlib"
 

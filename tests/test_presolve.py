@@ -7,6 +7,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import linprog
 
@@ -14,7 +15,7 @@ from arclp.mps import parse_mps
 from arclp.presolve import _core_rows, _rank_guard, presolve
 from arclp.standardize import to_standard_form
 
-from conftest import FIX_INFEASIBLE_MPS, make_standard_lp
+from conftest import FIX_INFEASIBLE_MPS, examples, make_standard_lp
 
 
 def test_empty_row_with_zero_rhs_removed():
@@ -152,7 +153,7 @@ def full_qr_guard(A, b):
     return rank, bool(np.all(gap <= 1e-8 * (1 + np.abs(b[dropped]))))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(n_base=st.integers(1, 5), n_shared=st.integers(1, 6),
        n_dep=st.integers(0, 3), n_private=st.integers(0, 5),
        perturb=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -171,7 +172,7 @@ def test_rank_guard_matches_a_full_qr(n_base, n_shared, n_dep, n_private,
     dense[n_base + n_dep:] = private
     dense = dense[rng.permutation(dense.shape[0])]
     dense = dense[:, rng.permutation(dense.shape[1])]
-    A = sp.csc_array(dense)
+    A = sp.csr_array(dense)
     b = A @ rng.uniform(0.5, 2.0, A.shape[1])
     if perturb:
         b[rng.integers(A.shape[0])] += 1.0
@@ -184,6 +185,176 @@ def test_rank_guard_matches_a_full_qr(n_base, n_shared, n_dep, n_private,
         kept = np.setdiff1d(np.arange(A.shape[0]), drop)
         assert kept.size == rank
         assert np.linalg.matrix_rank(dense[kept]) == rank
+
+
+def dense_cascade(dense, b, c, shift, fixed_cols):
+    """The module docstring's cascade, one rule and one row at a time on a
+    dense matrix, up to the rank guard.  Returns the verdict, the reason,
+    the events, the fixed values, the rows and columns left, and ``b`` and
+    the objective shift after the fixes."""
+    m, n = dense.shape
+    rows = list(range(m))
+    cols = [j for j in range(n) if j not in fixed_cols]
+    b = b.copy()
+    b_scale = 1.0 + np.abs(b).max(initial=0.0)
+    fixed = dict.fromkeys(fixed_cols, 0.0)
+    events = []
+    if fixed_cols:
+        events.append("dropped %d fixed columns" % len(fixed_cols))
+
+    def out(verdict=None, reason=""):
+        return dict(verdict=verdict, reason=reason, events=events,
+                    fixed=fixed, rows=rows, cols=cols, b=b, shift=shift)
+
+    while True:
+        live = {i: [j for j in cols if dense[i, j] != 0] for i in rows}
+        empty = [i for i in rows if not live[i]]
+        if empty:
+            for i in empty:
+                if abs(b[i]) > 1e-10 * b_scale:
+                    return out("infeasible", "empty row %d has nonzero "
+                               "right-hand side" % i)
+            rows = [i for i in rows if live[i]]
+            events.append("dropped %d empty rows" % len(empty))
+            continue
+        single = [i for i in rows if len(live[i]) == 1]
+        if single:
+            done = {}
+            for i in single:
+                j, = live[i]
+                if j in done:
+                    continue
+                v = b[i] / dense[i, j]
+                if v < -1e-10 * b_scale:
+                    return out("infeasible", "singleton row %d forces a "
+                               "negative value" % i)
+                v = max(v, 0.0)
+                for r in rows:
+                    if dense[r, j] != 0:
+                        b[r] -= dense[r, j] * v
+                shift += c[j] * v
+                fixed[j] = v
+                done[j] = i
+            rows = [i for i in rows if i not in done.values()]
+            cols = [j for j in cols if j not in done]
+            events.append("fixed %d variables from singleton rows"
+                          % len(done))
+            continue
+        empty_cols = [j for j in cols if not dense[rows, j].any()]
+        if empty_cols:
+            neg = [j for j in empty_cols if c[j] < -1e-12]
+            if neg:
+                return out("unbounded", "empty column %d has negative "
+                           "objective coefficient" % neg[0])
+            fixed.update(dict.fromkeys(empty_cols, 0.0))
+            cols = [j for j in cols if j not in empty_cols]
+            events.append("dropped %d empty columns" % len(empty_cols))
+            continue
+        return out()
+
+
+# Mostly zeros, so that rows and columns empty out as the cascade runs;
+# 0.7 and 0.3 make the fixes round, so their order shows in b.
+ENTRY = st.sampled_from([0.0] * 5 + [1.0, -1.0, 2.0, -3.0, 0.7])
+
+
+@st.composite
+def cascade_lps(draw):
+    """A StandardLP with empty rows and columns, stored zeros, fixed
+    columns, singleton rows (two on one column at times) and dependent
+    rows; ``b = A @ x`` for a planted ``x >= 0`` that is 0 on the fixed
+    columns, unless one entry of ``b`` is moved."""
+    n = draw(st.integers(1, 6))
+    base = draw(hnp.arrays(float, (draw(st.integers(1, 4)), n),
+                           elements=ENTRY))
+    pins = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                   st.sampled_from([1.0, -1.0, 2.0, -3.0])),
+                         max_size=4))
+    single = np.zeros((len(pins), n))
+    for k, (j, a) in enumerate(pins):
+        single[k, j] = a
+    rows = np.vstack([base, single])
+    mix = draw(hnp.arrays(float, (draw(st.integers(0, 2)), rows.shape[0]),
+                          elements=st.sampled_from([0.0, 1.0, -1.0, 2.0])))
+    dense = np.vstack([rows, mix @ rows])
+    m = dense.shape[0]
+    fixed_cols = tuple(draw(st.lists(st.integers(0, n - 1), unique=True,
+                                     max_size=2)))
+    x = draw(hnp.arrays(float, n, elements=st.sampled_from([0.0, 0.3, 1.0,
+                                                            2.0])))
+    x[list(fixed_cols)] = 0.0
+    b = dense @ x
+    moved = draw(st.booleans())
+    if moved:
+        # Often a singleton row's, so that its fix may turn negative.
+        pinned = range(len(base), len(base) + len(pins))
+        k = draw(st.sampled_from(pinned) if pins and draw(st.booleans())
+                 else st.integers(0, m - 1))
+        b[k] += draw(st.sampled_from([-1.0, 1.0]))
+    order = draw(st.permutations(range(m)))
+    dense, b = dense[order], b[order]
+    stored = (dense != 0) | draw(hnp.arrays(bool, (m, n)))
+    r, k = np.nonzero(stored)
+    A = sp.csr_array((dense[r, k], (r, k)), shape=(m, n))
+    c = draw(hnp.arrays(float, n, elements=st.sampled_from([-1.0, 0.0, 1.0,
+                                                            2.5])))
+    lp = make_standard_lp(A, b, c, shift=draw(st.sampled_from([0.0, 1.5])))
+    lp = dataclasses.replace(lp, fixed_cols=fixed_cols)
+    return lp, dense, x, moved
+
+
+def float_bytes(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(case=cascade_lps())
+def test_cascade_matches_a_dense_reference(case):
+    lp, dense, x, moved = case
+    ref = dense_cascade(dense, lp.b, lp.c, lp.objective_shift, lp.fixed_cols)
+    rows, cols, b = ref["rows"], ref["cols"], ref["b"]
+    if ref["verdict"] is None and rows:
+        # The rank guard, which test_rank_guard_matches_a_full_qr checks,
+        # on the matrix the cascade leaves.
+        dep, reason = _rank_guard(sp.csr_array(dense[np.ix_(rows, cols)]),
+                                  b[rows], np.array(rows))
+        if reason is not None:
+            ref.update(verdict="infeasible", reason=reason)
+        elif dep:
+            rows = [i for k, i in enumerate(rows) if k not in dep]
+            ref["events"].append("dropped %d linearly dependent rows"
+                                 % len(dep))
+
+    reduced, report = presolve(lp)
+    assert report.verdict == ref["verdict"]
+    assert report.reason == ref["reason"]
+    assert report.events == ref["events"]
+    assert list(report.fixed_values) == list(ref["fixed"])
+    assert (float_bytes(list(report.fixed_values.values()))
+            == float_bytes(list(ref["fixed"].values())))
+    if ref["verdict"] is not None:
+        assert reduced is None
+        assert report.kept_rows.tolist() == ref["rows"]
+        assert report.kept_cols.tolist() == ref["cols"]
+        assert not (report.verdict == "infeasible" and not moved)
+        return
+    assert report.kept_rows.tolist() == rows
+    assert report.kept_cols.tolist() == cols
+    assert (report.m_after, report.n_after) == (len(rows), len(cols))
+    sub = dense[np.ix_(rows, cols)]
+    assert_array_equal(reduced.A.toarray(), sub)
+    assert reduced.A.nnz == np.count_nonzero(sub)
+    assert reduced.A.has_canonical_format
+    assert reduced.b.tobytes() == b[rows].tobytes()
+    assert reduced.c.tobytes() == lp.c[cols].tobytes()
+    assert float_bytes(reduced.objective_shift) == float_bytes(ref["shift"])
+    if not moved:
+        # The planted point, lifted from its kept columns, satisfies every
+        # row, the dropped ones included, to rounding.
+        lifted = report.restore(x[cols])
+        assert np.all(lifted >= 0) and not lifted[list(lp.fixed_cols)].any()
+        assert_allclose(dense @ lifted, lp.b, rtol=0, atol=1e-12 * (
+            1 + np.abs(lp.b).max()))
 
 
 def slack_rows_lp(inconsistent):
@@ -229,7 +400,7 @@ def test_peel_stops_at_its_budget():
     # the middle of the chain in the core, which is over the QR's cap.
     m = 20_000
     A = sp.diags_array([np.ones(m), np.ones(m)], offsets=[0, 1],
-                       shape=(m, m + 1)).tocsc()
+                       shape=(m, m + 1)).tocsr()
     rounds = 4_000_000 // A.nnz
     core = _core_rows(A)
     assert_array_equal(core, np.arange(rounds, m - rounds))

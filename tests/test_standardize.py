@@ -1,7 +1,10 @@
 """Standard-form transformation tests against hand-worked examples and a
 dense reference built from the module docstring's block formula."""
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,7 +15,7 @@ from arclp.mps import parse_mps
 from arclp.standardize import (InfeasibleBoundsError, recover_solution,
                                to_standard_form)
 
-from conftest import EDGE_FLOATS, outcome, raw_lps
+from conftest import EDGE_FLOATS, examples, outcome, raw_lps
 
 MINIMAL = """\
 NAME MIN1
@@ -248,7 +251,7 @@ def dense_standard_form(raw):
                 objective_shift=raw.c @ l + raw.objective_constant)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(raw=raw_lps(), seed=st.integers(0, 2**32 - 1))
 def test_matches_dense_block_formula(raw, seed):
     ref = dense_standard_form(raw)
@@ -260,7 +263,14 @@ def test_matches_dense_block_formula(raw, seed):
     assert std.shape == ref["A"].shape
     assert_array_equal(std.A.toarray(), ref["A"])
     assert std.A.nnz == ref["nnz"]
+    assert std.A.has_canonical_format
     assert_array_equal(std.b, ref["b"])
+    # Byte for byte what scipy's products give, block by block.
+    B = np.isfinite(raw.upper) & (raw.upper != raw.lower)
+    b_scipy = np.concatenate([b_blk - A_blk @ ref["l"]
+                              for _, A_blk, b_blk, _ in raw.blocks()]
+                             + [raw.upper[B] - ref["l"][B]])
+    assert std.b.tobytes() == b_scipy.tobytes()
     assert_array_equal(std.c, ref["c"])
     assert_array_equal(std.var_map.c, ref["c"])
     assert std.objective_shift == ref["objective_shift"]
@@ -276,6 +286,29 @@ def test_matches_dense_block_formula(raw, seed):
     assert objective == raw.c @ x_raw + raw.objective_constant
 
 
+def test_blocks_in_any_sparse_format(fix1_text):
+    # Blocks with unsorted or duplicate entries, or not in CSR, give the
+    # standard form of their canonical CSR (duplicates summed).
+    raw = parse_mps(fix1_text)
+    std = to_standard_form(raw)
+    A_eq = raw.A_eq.tocoo()
+    halves = sp.coo_array((np.tile(A_eq.data / 2, 2),
+                           (np.tile(A_eq.row, 2), np.tile(A_eq.col, 2))),
+                          shape=A_eq.shape)
+    A_le = raw.A_le
+    unsorted = sp.csr_array((A_le.data[::-1], A_le.indices[::-1],
+                             A_le.indptr), shape=A_le.shape)
+    assert not unsorted.has_sorted_indices
+    for blocks in (dict(A_eq=halves), dict(A_le=unsorted),
+                   dict(A_ge=raw.A_ge.tocsc())):
+        other = to_standard_form(dataclasses.replace(raw, **blocks))
+        assert other.A.has_canonical_format
+        assert_array_equal(other.A.indptr, std.A.indptr)
+        assert_array_equal(other.A.indices, std.A.indices)
+        assert_array_equal(other.A.data, std.A.data)
+        assert_array_equal(other.b, std.b)
+
+
 def recover_by_rules(x_std, var_map):
     """``x_raw`` by the rule tuples, one raw variable at a time."""
     x_raw = np.empty(len(var_map.rules))
@@ -287,7 +320,7 @@ def recover_by_rules(x_std, var_map):
     return x_raw
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(raw=raw_lps(), data=st.data())
 def test_recovery_applies_the_rules_bit_for_bit(raw, data):
     if dense_standard_form(raw)["A"].shape[0] == 0:
