@@ -42,14 +42,19 @@ the linking columns (a cheap stand-in for the spectral envelope
 reduction of S. T. Barnard, A. Pothen and H. Simon, Numer. Linear
 Algebra Appl. 2(4), 1995), and lays ``S`` out as a band in LAPACK's band
 storage, which ``pbtrf`` factors in place and ``pbtrs`` solves with.  A
-band as wide as ``DENSE_LIMIT`` comes from a few dense rows (one linking
-row makes it nearly ``m``), and a dense row ordered last causes no fill
-(the bordered form of A. George and J. W. H. Liu, Computer Solution of
-Large Sparse Positive Definite Systems, Prentice-Hall 1981).  Such rows
-then form a border after the band ``B``: with ``S = [[B, C], [C.T,
-E]]``, ``pbtrf`` factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @
-C`` and ``U = L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve
-is one ``pbtrs`` and one ``potrs``.  A failed factorization is retried
+wide band comes from a few dense rows (one linking row makes it nearly
+``m``), and a dense row ordered last causes no fill (the bordered form
+of A. George and J. W. H. Liu, Computer Solution of Large Sparse
+Positive Definite Systems, Prentice-Hall 1981).  Such rows then form a
+border after the band ``B``: with ``S = [[B, C], [C.T, E]]``, ``pbtrf``
+factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @ C`` and ``U =
+L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve is one
+``pbtrs`` and one ``potrs``.  The border takes the rows with the most
+entries in linking columns.  If so few of them, at most a quarter of
+the half-width, leave the other rows pairwise column-disjoint, ``B`` is
+diagonal (half-width 0) and the border is taken whatever the half-width:
+a transport plan's supply rows.  Otherwise a border is sought only for a
+band as wide as ``DENSE_LIMIT``.  A failed factorization is retried
 once, on the same layout, with a small diagonal regularization.
 """
 
@@ -265,14 +270,20 @@ def _terms(At, kd, nb):
     # Term (i, k) of two band rows goes to slot k * (kd + 1) + (i - k) =
     # k * kd + i of the band; slots are intp, which np.bincount takes
     # without a copy.  Term (i, k) of a border row i goes to entry (i -
-    # nb, k) of the border, which follows the band.
-    slot = (indices * kd).take(other)
-    slot += indices.repeat(lead)
-    if nb < At.shape[1]:
-        mine = indices >= nb
-        edge = mine.repeat(lead)
-        slot[edge] = (((indices[mine] - nb) * At.shape[1] + (kd + 1) * nb)
-                      .repeat(lead[mine]) + indices.take(other[edge]))
+    # nb, k) of the border, which follows the band: slot (kd + 1) * nb +
+    # (i - nb) * m + k.
+    m = At.shape[1]
+    if nb == m:
+        slot = (indices * kd).take(other)
+        slot += indices.repeat(lead)
+    else:
+        # Row i's terms go to slots base[i] + step[i] * k.
+        row = np.arange(m)
+        base = np.where(row < nb, row, (kd + 1) * nb + (row - nb) * m)
+        step = np.where(row < nb, kd, 1)
+        slot = step.take(indices).repeat(lead)
+        slot *= indices.take(other)
+        slot += base.take(indices).repeat(lead)
     return lead, slot, At.data.take(other)
 
 
@@ -519,24 +530,34 @@ def map_products(At):
     degree (entries in linking columns), moving to a row of least degree
     in the deepest level while the search deepens.  The half-width ``kd``
     is then the widest spread of new row numbers within one column of
-    ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never formed.  If ``kd
-    >= DENSE_LIMIT``, the rows ranked first by degree, ties by row index,
-    form the border: 1, then 2, 4, ... of them until the other rows' own
-    order has a half-width under ``DENSE_LIMIT`` or no row is left, then
-    as many as a bisection between the last size that did not fit and
-    the first that did settles on (a transport plan's border is its
-    supply rows).
+    ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never formed.
+
+    A border holds the rows ranked first by degree, ties by row index.
+    The fewest of them whose removal leaves each linking column at most
+    one entry among the other rows, which then share no column, is found
+    in closed form: one more than the largest rank of a column's
+    second-last row.  If that border holds at most ``kd // 4`` rows, it
+    is taken, after a band of half-width 0 whose rows come in descending
+    index (a transport plan's border is its supply rows).  A test on the
+    degrees alone rules most problems out first: the rows outside the
+    border hold at most one entry per linking column, so their degrees
+    sum to at most the number of linking columns.  Otherwise, if ``kd >=
+    DENSE_LIMIT``, the border takes 1, then 2, 4, ... rows until the
+    other rows' own order has a half-width under ``DENSE_LIMIT`` or no
+    row is left, then as many as a bisection between the last size that
+    did not fit and the first that did settles on.
 
     Once the border is settled, the order of the band rows is refined by
-    averaging sweeps, starting from their positions in that order.  In a
-    sweep, each linking column takes the mean position of its rows, each
-    row takes the mean over its linking columns (a row with none keeps
-    its position), and the rows are sorted by that mean, ties by their
-    reverse Cuthill-McKee position; the means are the next sweep's
-    positions, and the half-width is read off the linking columns again.
-    The narrowest order seen is kept, so the band is never wider than in
-    reverse Cuthill-McKee order, and unchanged where no sweep narrows it;
-    two sweeps in a row that do not narrow it end the refinement.  Each
+    averaging sweeps, starting from their positions in that order (a band
+    of half-width 0 needs none).  In a sweep, each linking column takes
+    the mean position of its rows, each row takes the mean over its
+    linking columns (a row with none keeps its position), and the rows
+    are sorted by that mean, ties by their reverse Cuthill-McKee
+    position; the means are the next sweep's positions, and the
+    half-width is read off the linking columns again.  The narrowest
+    order seen is kept, so the band is never wider than in reverse
+    Cuthill-McKee order, and unchanged where no sweep narrows it; two
+    sweeps in a row that do not narrow it end the refinement.  Each
     breadth-first level of a staircase's kept rows holds one period (30
     rows), so a level-by-level order stays near two periods wide (57);
     the sweeps bring the band to 32.
@@ -551,18 +572,53 @@ def map_products(At):
     return _map(*found)
 
 
+def _diagonal_border(At, linked, degree, rank, kd):
+    # The fewest rows first by rank whose removal leaves every linking
+    # column of At (a _Columns) at most one entry among the other rows,
+    # so that those rows are pairwise column-disjoint; 0 if that takes
+    # more than kd // 4 rows.  linked lists the row of each entry in a
+    # linking column, and degree counts them per row.
+    most = kd // 4
+    if not most:
+        return 0
+    count = At.count[At.count > 1]
+    # The rows outside the border hold at most one entry per linking
+    # column, so their degrees sum to at most the number of columns.
+    if degree.take(rank[most:]).sum() > count.size:
+        return 0
+    # A column keeps at most one entry if the border takes all but its
+    # last by rank: its second-last sets the border's size.
+    position = np.empty(rank.size, np.intp)
+    position[rank] = np.arange(rank.size)
+    position = position.take(linked)
+    col = np.arange(count.size).repeat(count)
+    last = np.zeros(count.size, np.intp)
+    np.maximum.at(last, col, position)
+    border = 1 + int(position[position < last.take(col)].max())
+    return border if border <= most else 0
+
+
 def _map(At, elim=None, keep=None):
     # The ProductMap of At's rows, which are the rows keep of A when elim
     # is given (see map_products).
     m = At.shape[1]
     count = At.count
     perm, kd, at = _rcm_order(At)
-    border = 0
-    if kd >= DENSE_LIMIT and m:
+    # The rows by rank: most entries in linking columns first.
+    linked = At.indices[(count > 1).repeat(count)]
+    degree = np.bincount(linked, minlength=m)
+    rank = (-degree).argsort(kind="stable")
+    border = _diagonal_border(At, linked, degree, rank, kd)
+    if border:
+        # A band of half-width 0, its rows in descending index, as the
+        # reverse Cuthill-McKee order numbers rows without linking
+        # columns, then the border by rank.
+        out = np.zeros(m, bool)
+        out[rank[:border]] = True
+        perm = np.concatenate([(~out).nonzero()[0][::-1], rank[:border]])
+        kd = 0
+    elif kd >= DENSE_LIMIT and m:
         # The border rows by rank, after the band rows in their own order.
-        degree = np.bincount(At.indices[(count > 1).repeat(count)],
-                             minlength=m)
-        rank = (-degree).argsort(kind="stable")
 
         def band(size):
             # The rows left without the first `size` by rank: their
@@ -654,11 +710,11 @@ def factor(lp, p, q):
     problem's :class:`ProductMap` (``lp.product_map``, built on the first
     call and kept with the problem), bit for bit as scipy's
     ``A1.multiply(dt) @ A1.T``, in the map's order ``perm``, and factored
-    as a band with, past ``DENSE_LIMIT``, a border (see the module
-    docstring).  The factor still solves the full ``M @ y = w``: the
-    eliminated rows' right-hand side is folded into the kept rows', one
-    solve with ``S`` gives their ``y`` in the order ``perm``, and
-    back-substitution gives the eliminated rows' ``y``.  With no row
+    as a band with, where its few densest rows narrow it, a border (see
+    the module docstring).  The factor still solves the full ``M @ y =
+    w``: the eliminated rows' right-hand side is folded into the kept
+    rows', one solve with ``S`` gives their ``y`` in the order ``perm``,
+    and back-substitution gives the eliminated rows' ``y``.  With no row
     eliminated, ``S`` is ``M``.
 
     The LAPACK input is not checked for finiteness: ``|S_ik| <= (S_ii +

@@ -71,7 +71,7 @@ class PresolveReport:
         return "\n".join([head] + ["  " + e for e in self.events])
 
 
-def _core_rows(A):
+def _core_rows(A, count=None):
     """Rows of the CSR matrix ``A`` that may take part in a dependency.
 
     A row that holds the only live entry of some column has coefficient
@@ -79,34 +79,42 @@ def _core_rows(A):
     off, and the peel repeats on the rows left.  The rounds are capped at
     ``_QR_CAP // nnz``, the QR's budget; rows still live when it runs out
     stay in the core, so the core never misses a dependent row.
+
+    The first round takes the column counts ``count`` when the caller
+    has them.  Each round drops the peeled rows' entries, and the next
+    counts only the entries left.
     """
     rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     cols = A.indices
+    if count is None:
+        count = np.bincount(cols, minlength=A.shape[1])
     live = np.ones(A.shape[0], dtype=bool)
     for _ in range(_QR_CAP // max(A.nnz, 1)):
-        on = live[rows]
-        count = np.bincount(cols[on], minlength=A.shape[1])
-        private = on & (count[cols] == 1)
-        if not private.any():
+        private = (count == 1).take(cols).nonzero()[0]
+        if not private.size:
             break
-        live[rows[private]] = False
+        live[rows.take(private)] = False
+        stay = live.take(rows)
+        rows, cols = rows[stay], cols[stay]
+        count = np.bincount(cols, minlength=A.shape[1])
     return np.nonzero(live)[0]
 
 
-def _rank_guard(A, b, row_ids):
+def _rank_guard(A, b, row_ids, count=None):
     """Drop linearly dependent rows (with a consistency check on b).
 
     Returns ``(rows_to_drop, reason_or_None)`` where a non-``None`` reason
     means the dependent equations contradict the kept ones.  Only the
-    core rows of :func:`_core_rows` can be dependent, so the guard runs a
-    dense pivoted QR of the core alone, which is exact where a regularized
-    Cholesky attempt could mask semidefiniteness; only ``R`` and the
-    pivots are computed, since the rank and the kept rows follow from them
-    and ``Q`` is never read.  When the core holds more than ``_QR_CAP``
-    entries the check is skipped and rank trouble surfaces through the
-    kernel's residual guard instead.
+    core rows of :func:`_core_rows` (which takes the column counts
+    ``count``) can be dependent, so the guard runs a dense pivoted QR of
+    the core alone, which is exact where a regularized Cholesky attempt
+    could mask semidefiniteness; only ``R`` and the pivots are computed,
+    since the rank and the kept rows follow from them and ``Q`` is never
+    read.  When the core holds more than ``_QR_CAP`` entries the check is
+    skipped and rank trouble surfaces through the kernel's residual guard
+    instead.
     """
-    core = _core_rows(A)
+    core = _core_rows(A, count)
     if not core.size or core.size * A.shape[1] > _QR_CAP:
         return [], None
     At = A[core].toarray().T
@@ -244,7 +252,7 @@ def presolve(lp):
                           indptr), shape=(row_ids.size, col_ids.size))
     b = b[row_ids]
     if row_ids.size:
-        dep, reason = _rank_guard(A, b, row_ids)
+        dep, reason = _rank_guard(A, b, row_ids, col_nnz.take(col_ids))
         if reason is not None:
             return verdict("infeasible", reason)
         if dep:

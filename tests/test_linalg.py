@@ -22,7 +22,7 @@ from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
 from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR, make_standard_lp,
-                      outcome, staircase_raw)
+                      outcome, perfbench_module, staircase_raw)
 
 
 def lp_of(A):
@@ -38,13 +38,19 @@ PROBLEMS = NETLIB + ["st5x20x10"]
 
 @pytest.fixture(scope="module")
 def presolved():
-    """Load a problem of ``PROBLEMS`` through presolve, once per module."""
+    """Load a problem of ``PROBLEMS``, or the benchmark generator's seeded
+    transport plan ``tr10x90``, through presolve, once per module."""
     cache = {}
 
     def load(name):
         if name not in cache:
-            raw = (staircase_raw() if name == "st5x20x10" else
-                   parse_mps((NETLIB_DIR / (name + ".mps")).read_text()))
+            if name == "tr10x90":
+                raw = perfbench_module("workloads").transport_lp(
+                    arclp, 10, 90, np.random.default_rng(1), name)
+            elif name == "st5x20x10":
+                raw = staircase_raw()
+            else:
+                raw = parse_mps((NETLIB_DIR / (name + ".mps")).read_text())
             cache[name] = presolve(to_standard_form(raw))[0]
         return cache[name]
     return load
@@ -360,6 +366,108 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     assert retry.tobytes() == shifted.tobytes()
 
 
+def test_diagonal_band_retry_keeps_the_layout(monkeypatch):
+    # Rows 0 and 1 are equal and lie over all 20 columns; row 2 + j lies
+    # over columns 2j and 2j + 1.  Without rows 0 and 1 the rows share no
+    # column, so at the default limit they form the border after a band
+    # of half-width 0.  With d = 2 every number is exact: the band is 4,
+    # W holds 2 and E - W.T @ W is 0, on which potrf fails.  The
+    # regularized retry must factor the same band and border, assembled
+    # again, plus the diagonal shift.
+    real_cholesky = arclp.linalg._cholesky
+    seen = []
+
+    def cholesky(pm, values):
+        seen.append(values.copy())
+        return real_cholesky(pm, values)
+
+    monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
+    A = np.zeros((12, 20))
+    A[:2] = 1.0
+    for j in range(10):
+        A[2 + j, 2 * j:2 * j + 2] = 1.0
+    d = np.full(20, 2.0)
+    lp = lp_of(A)
+    fac = factor(lp, d, np.ones(20))
+    pm = lp.product_map
+    assert pm.elim is None and (pm.kd, pm.border) == (0, 2)
+    assert sorted(pm.perm[-2:]) == [0, 1] and not fac.dense
+    first, retry = seen
+    M = ((A * d) @ A.T)[np.ix_(pm.perm, pm.perm)]
+    assert lower_of(pm, first).tobytes() == np.tril(M).tobytes()
+    shifted = first.copy()
+    shifted[pm.diag] += 1e-12 * np.diag(M).max()
+    assert retry.tobytes() == shifted.tobytes()
+    w = M @ np.arange(12.0)
+    assert_allclose(M @ fac.solve(w[np.argsort(pm.perm)])[pm.perm], w,
+                    rtol=1e-6)
+
+
+@st.composite
+def bordered_patterns(draw):
+    """A random ``A`` (CSR) that a border of its densest rows often leaves
+    pairwise column-disjoint: up to 4 rows over random columns, then 4 to
+    36 rows over disjoint runs of columns (some of them empty), and at
+    times a few entries anywhere, explicit zeros among them; the rows are
+    shuffled."""
+    runs = draw(st.integers(4, 36))
+    n = draw(st.integers(runs, 3 * runs))
+    dense = draw(st.integers(0, 4))
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=runs - 1,
+                                max_size=runs - 1)))
+    m = dense + runs
+    pattern = np.zeros((m, n), bool)
+    pattern[:dense] = draw(hnp.arrays(bool, (dense, n),
+                                      elements=st.booleans()))
+    for r, (lo, hi) in enumerate(zip([0] + cuts, cuts + [n])):
+        pattern[dense + r, lo:hi] = True
+    for _ in range(draw(st.integers(0, 3))):
+        r, c = draw(st.integers(0, m - 1)), draw(st.integers(0, n - 1))
+        pattern[r, c] = True
+    pattern = pattern[draw(st.permutations(range(m)))]
+    zero = draw(hnp.arrays(bool, (m, n), elements=st.booleans()))
+    rows, cols = pattern.nonzero()
+    return sp.csr_array((np.where(zero[rows, cols], 0.0, 1.0), (rows, cols)),
+                        shape=(m, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=bordered_patterns())
+def test_diagonal_border_is_the_shortest_prefix(A):
+    # Rank the rows the factor keeps by their entries in linking columns,
+    # most first, ties by row index.  The shortest prefix of the ranking
+    # whose removal leaves the other kept rows pairwise column-disjoint is
+    # the border, after a band of half-width 0, when it holds at most a
+    # quarter of the kept rows' reverse Cuthill-McKee half-width; and
+    # there is no border at all otherwise (these patterns stay below
+    # DENSE_LIMIT).  Explicit zeros count as entries.
+    linalg = arclp.linalg
+    lp = lp_of(A)
+    pm = lp.product_map
+    kept = np.setdiff1d(np.arange(A.shape[0]),
+                        [] if pm.elim is None else pm.elim.rows)
+    entries = A.tocoo()
+    pattern = np.zeros(A.shape, bool)
+    pattern[entries.row, entries.col] = True
+    pattern = pattern[kept]
+    linking = pattern.sum(axis=0) > 1
+    degree = pattern[:, linking].sum(axis=1)
+    rank = sorted(range(kept.size), key=lambda r: (-degree[r], r))
+    disjoint = [(pattern[rank[b:]].sum(axis=0) <= 1).all()
+                for b in range(kept.size + 1)]
+    shortest = disjoint.index(True)
+    At = linalg._columns(lp.At)
+    found = linalg._eliminate(At)
+    kd = linalg._rcm_order(At if found is None else found[0])[1]
+    assert kd < DENSE_LIMIT
+    if 4 * shortest <= kd and shortest:
+        assert (pm.kd, pm.border) == (0, shortest)
+        assert pm.perm[kept.size - shortest:].tolist() == \
+            kept[rank[:shortest]].tolist()
+    else:
+        assert pm.border == 0
+
+
 def reduced(lp, d, shift=0.0):
     """The kept rows ``A1`` of ``lp`` in its map's order, the scaling ``dt``
     of the Schur complement ``A1 @ diag(dt) @ A1.T`` left by eliminating
@@ -453,8 +561,9 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
         assert y[pm.perm].tobytes() == got.tobytes(), k
 
 
-@pytest.mark.parametrize("limit", BORDER_LIMITS.values())
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name, limit", [
+    (name, limit) for limit in BORDER_LIMITS.values() for name in PROBLEMS]
+    + [("tr10x90", None)])
 def test_border_factor_is_the_block_cholesky(presolved, name, limit,
                                             monkeypatch):
     # With a border [C.T, E] after the band B, the factor of what the map
@@ -462,13 +571,18 @@ def test_border_factor_is_the_block_cholesky(presolved, name, limit,
     # bit), W with L @ W = C and U with L.T @ U = W, each to the rounding
     # of a triangular solve, and scipy's Cholesky of E - W.T @ W bit for
     # bit, at any scaling and in the regularized retry too.  Its solve
-    # must solve M.
-    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    # must solve M.  A band limit of None keeps DENSE_LIMIT: the transport
+    # plan's own border, its 10 supply rows after a band of half-width 0.
+    if limit is not None:
+        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
     lp = presolved(name)
     pm = arclp.linalg.map_products(lp.At)
     monkeypatch.setitem(vars(lp), "product_map", pm)
     nb = pm.m - pm.border
-    assert pm.border and (nb > 0) == (limit > 0)
+    if limit is None:
+        assert (pm.kd, pm.border, nb) == (0, 10, 90)
+    else:
+        assert pm.border and (nb > 0) == (limit > 0)
     real_cholesky = arclp.linalg._cholesky
     calls = []
 

@@ -1,5 +1,6 @@
 """Presolve rule tests: each rule alone, the cascade, and verdicts."""
 import dataclasses
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -407,6 +408,49 @@ def test_peel_stops_at_its_budget():
     lp = make_standard_lp(A, A @ np.ones(m + 1), np.ones(m + 1))
     reduced, report = presolve(lp)
     assert report.verdict is None and reduced.m == m
+
+
+def recounted_core_rows(A, rounds):
+    """The peel of ``_core_rows`` with ``rounds`` rounds at most, each of
+    which counts the live entries of every column again."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    live = np.ones(A.shape[0], dtype=bool)
+    for _ in range(rounds):
+        on = live[rows]
+        count = np.bincount(A.indices[on], minlength=A.shape[1])
+        private = on & (count[A.indices] == 1)
+        if not private.any():
+            break
+        live[rows[private]] = False
+    return np.nonzero(live)[0]
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(data=st.data(), m=st.integers(1, 14), n=st.integers(1, 16),
+       chain=st.booleans(), rounds=st.integers(0, 8),
+       given_count=st.booleans())
+def test_peel_matches_a_recount(data, m, n, chain, rounds, given_count):
+    # _core_rows starts from the caller's column counts, or its own, and
+    # drops the peeled rows' entries each round; its core must be the one
+    # that counting every live entry again in each round leaves, within
+    # any budget of rounds.  The patterns hold explicit zeros, which
+    # count as entries, and at times a permuted chain, which peels two
+    # rows a round.
+    pattern = data.draw(hnp.arrays(bool, (m, n), elements=st.booleans()))
+    if chain:
+        k = min(m, n - 1)
+        pattern[np.arange(k), np.arange(k)] = True
+        pattern[np.arange(k), np.arange(1, k + 1)] = True
+        pattern = pattern[data.draw(st.permutations(range(m)))]
+    zero = data.draw(hnp.arrays(bool, (m, n), elements=st.booleans()))
+    r, c = pattern.nonzero()
+    A = sp.csr_array((np.where(zero[r, c], 0.0, 1.0), (r, c)), shape=(m, n))
+    count = np.bincount(A.indices, minlength=n) if given_count else None
+    cap = rounds * A.nnz + data.draw(st.integers(0, max(A.nnz - 1, 0)))
+    with unittest.mock.patch("arclp.presolve._QR_CAP", cap):
+        core = _core_rows(A, count)
+    assert core.tobytes() == recounted_core_rows(
+        A, cap // max(A.nnz, 1)).tobytes()
 
 
 def test_bound_contradiction_detected(netlib_dir):

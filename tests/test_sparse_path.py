@@ -5,21 +5,23 @@ The factor first eliminates the rows whose entries all lie in private
 columns but at most one (a staircase's bound rows); the half-width of
 the normal matrix of the rows it keeps, in reverse Cuthill-McKee order
 with each component started at a pseudo-peripheral row, decides whether
-the rows of most entries in linking columns go to a border.  The
-bundled netlib instances and the benchmark's transport plans have fewer
-than ``DENSE_LIMIT`` rows, so their half-width is under the limit and
-they take the band alone whatever their pattern.  A staircase production
-plan from the benchmark's generator (``perfbench/workloads.py``, loaded
-read-only) has more rows: it is solved through the whole pipeline by
-every algorithm and checked against scipy's HiGHS.  With five periods
-its normal matrix has half-width 77, and 57 on the 150 rows kept, under
-the limit, so it is factored in band storage; the averaging sweeps that
-refine the order narrow the band to 32.  A ten-period plan with one more
-row over all columns couples every two kept rows, which makes the kept
-rows' half-width 299 (498 before the elimination): that row goes to the
+the rows of most entries in linking columns go to a border.  If a
+border of at most a quarter of that half-width leaves the other rows
+pairwise column-disjoint, it is taken with a band of half-width 0: on a
+transport plan, of any size, the border is exactly the supply rows.
+The bundled netlib instances need a border of nearly all their rows for
+that, and have fewer than ``DENSE_LIMIT`` rows, so they take the band
+alone.  A staircase production plan from the benchmark's generator
+(``perfbench/workloads.py``, loaded read-only) has more rows: it is
+solved through the whole pipeline by every algorithm and checked
+against scipy's HiGHS.  With five periods its normal matrix has
+half-width 77, and 57 on the 150 rows kept, under the limit, so it is
+factored in band storage; the averaging sweeps that refine the order
+narrow the band to 32.  A ten-period plan with one more row over all
+columns couples every two kept rows, which makes the kept rows'
+half-width 299 (498 before the elimination): that row goes to the
 border, and the other 300 kept rows form a band of half-width 57, 32
-once refined.  On transport plans past ``DENSE_LIMIT`` rows the border
-is exactly the supply rows.
+once refined.
 """
 import dataclasses
 
@@ -97,6 +99,16 @@ def refined_half_width(lp):
     return linalg._refine(At1, *linalg._rcm_order(At1))[1]
 
 
+def assert_supply_border(lp, supply):
+    """``lp``, a transport plan of ``supply`` supply rows, has a map of
+    half-width 0 whose border is the supply rows: the rows of more
+    entries than a demand row's ``supply`` plus its surplus column."""
+    pm = lp.product_map
+    assert pm.elim is None and (pm.kd, pm.border) == (0, supply)
+    supply_rows = (np.diff(lp.A.indptr) > supply + 1).nonzero()[0]
+    assert sorted(pm.perm[-supply:]) == supply_rows.tolist()
+
+
 def test_half_width_picks_the_path(staircase, linked_staircase):
     lp, linked = presolved(staircase[0]), presolved(linked_staircase[0])
     assert (lp.m, lp.n, linked.m, linked.n) == (250, 450, 501, 901)
@@ -111,18 +123,22 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
     assert (pm.kd, pm.border) == (32, 1)
     assert pm.perm[-1] == np.diff(linked.A.indptr).argmax()
     assert (pm.m, pm.elim.rows.size) == (301, 200)
-    # Every netlib instance and every size of the benchmark's transport
-    # and staircase generators takes the band alone.
+    # Every netlib instance and every size of the benchmark's staircase
+    # generator takes the band alone, and every size of its transport
+    # generator a band of half-width 0 with the supply rows as border.
     workloads = perfbench_module("workloads")
     rng = np.random.default_rng(1)
     narrow = [presolved(path) for path in sorted(NETLIB_DIR.glob("*.mps"))]
-    narrow += [presolve(to_standard_form(workloads.transport_lp(
+    transport = [presolve(to_standard_form(workloads.transport_lp(
         arclp, *size, rng, "tr%dx%d" % size)))[0]
         for size in workloads.TRANSPORT_SIZES]
     narrow += [presolve(to_standard_form(workloads.staircase_lp(
         arclp, *size, rng, "st%dx%dx%d" % size)))[0]
         for size in workloads.STAIRCASE_SIZES]
-    assert len(narrow) == 15
+    assert len(narrow) + len(transport) == 15
+    for lp, (supply, _) in zip(transport, workloads.TRANSPORT_SIZES):
+        assert lp.m < DENSE_LIMIT
+        assert_supply_border(lp, supply)
     for lp in narrow:
         pm = lp.product_map
         rows = pm.perm.tolist()
@@ -146,10 +162,7 @@ def test_transport_border_is_the_supply_rows(supply, demand):
         arclp, supply, demand, np.random.default_rng(1),
         "tr%dx%d" % (supply, demand))))[0]
     assert lp.m == supply + demand > DENSE_LIMIT
-    pm = lp.product_map
-    assert pm.elim is None and (pm.kd, pm.border) == (0, supply)
-    supply_rows = (np.diff(lp.A.indptr) > supply + 1).nonzero()[0]
-    assert sorted(pm.perm[-supply:]) == supply_rows.tolist()
+    assert_supply_border(lp, supply)
 
 
 def solve_on(path, ref, algorithm, border, monkeypatch):
