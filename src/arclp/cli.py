@@ -19,7 +19,7 @@ from pathlib import Path
 from .bench import (average_time_report, performance_profile,
                     profile_to_csv, records_from_csv, records_to_csv,
                     run_benchmark, solve_mps_file)
-from .solvers import SolverConfig, Status
+from .solvers import _STEP_RULES, SolverConfig, Status
 
 _EXIT_BY_STATUS = {
     Status.OPTIMAL: 0,
@@ -45,19 +45,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_solver_flags(parser, with_algorithm=True):
+    # The defaults and the methods are the solver's own.
+    default = SolverConfig()
     if with_algorithm:
-        parser.add_argument("--algorithm", default="alg2",
-                            choices=["alg1", "alg2", "arc", "line"],
-                            help="solver driver (default alg2)")
-    parser.add_argument("--beta", type=float, default=0.9,
+        parser.add_argument("--algorithm", default=default.algorithm,
+                            choices=list(_STEP_RULES),
+                            help="solver driver (default %(default)s)")
+    parser.add_argument("--beta", type=float, default=default.beta,
                         help="momentum restart scale in (0, 1]")
-    parser.add_argument("--theta", type=float, default=0.25,
+    parser.add_argument("--theta", type=float, default=default.theta,
                         help="neighborhood radius for alg1")
-    parser.add_argument("--epsilon", type=float, default=1e-7,
+    parser.add_argument("--epsilon", type=float, default=default.epsilon,
                         help="relative stopping tolerance")
-    parser.add_argument("--max-iter", type=int, default=100,
+    parser.add_argument("--max-iter", type=int, default=default.max_iter,
                         help="iteration cap")
-    parser.add_argument("--gamma", type=float, default=0.9,
+    parser.add_argument("--gamma", type=float, default=default.gamma,
                         help="step damping factor in (0, 1)")
 
 

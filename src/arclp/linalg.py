@@ -333,38 +333,48 @@ def _columns(At):
                     At.indptr[1:] - At.indptr[:-1])
 
 
+class _Links(NamedTuple):
+    # The entries of the linking columns of the rows of A (the columns of
+    # two or more entries, the only ones that link rows), column by
+    # column: each one's row and its column's rank among the linking
+    # columns.  Then each linking column's entry count, and each row's
+    # degree, its entries in linking columns.
+    rows: np.ndarray
+    col: np.ndarray
+    count: np.ndarray
+    degree: np.ndarray
+
+
+def _links(At):
+    # The _Links of At, a _Columns.
+    linking = At.count > 1
+    rows = At.indices[linking.repeat(At.count)]
+    count = At.count[linking]
+    return _Links(rows, np.arange(count.size).repeat(count), count,
+                  np.bincount(rows, minlength=At.shape[1]))
+
+
 def _drop(At, out):
-    # At (a _Columns) without the rows marked `out`, and the rows it keeps,
-    # which keep their order, so every column stays sorted.
+    # At (a _Columns) without the rows marked `out`, its _Links and the
+    # rows it keeps, which keep their order, so every column stays sorted.
     stay = ~out
     new = stay.cumsum(dtype=At.indices.dtype) - 1
     kept = stay.take(At.indices)
     indptr = np.concatenate([[0], kept.cumsum()]).take(At.indptr)
     keep = stay.nonzero()[0]
-    return _Columns(At.data[kept], new.take(At.indices[kept]), indptr,
-                    (At.shape[0], keep.size), indptr[1:] - indptr[:-1]), keep
+    rest = _Columns(At.data[kept], new.take(At.indices[kept]), indptr,
+                    (At.shape[0], keep.size), indptr[1:] - indptr[:-1])
+    return rest, _links(rest), keep
 
 
-def _rcm_order(At):
-    # Reverse Cuthill-McKee order of the rows of A (At is a _Columns), the
-    # half-width of M in that order and each row's position in it, without
-    # forming |A| @ |A|.T.  The search runs on the bipartite graph of the
-    # rows of A and its columns of two or more entries, the only ones that
-    # link rows: node r < m is row r, node m + c the linking column of rank
-    # c in ascending entry count, so every row lists its columns, as the
-    # search visits them, fewest entries first.
-    m = At.shape[1]
-    count = At.count
-    col_of = (count > 1).nonzero()[0]
-    col_of = col_of.take(count.take(col_of).argsort(kind="stable"))
-    count = count.take(col_of)
-    n = count.size
-    ptr = np.zeros(n + 1, count.dtype)
-    count.cumsum(out=ptr[1:])
-    rows = At.indices.take((At.indptr.take(col_of) - ptr[:-1]).repeat(count)
-                           + np.arange(ptr[-1]))
-    # A row's degree: its entries in linking columns.
-    degree = np.bincount(rows, minlength=m)
+def _rcm_order(links):
+    # Reverse Cuthill-McKee order of the rows of A (links is its _Links),
+    # the half-width of M in that order and each row's position in it,
+    # without forming |A| @ |A|.T.  The search runs on the bipartite graph
+    # of the rows of A and its linking columns: node r < m is row r, node
+    # m + c the linking column of rank c.
+    rows, col, count, degree = links
+    m, n = degree.size, count.size
     # A row of degree 0 is a component of its own, which the loop below
     # would start first, in index order: number them so without a search.
     parts = [(degree == 0).nonzero()[0]]
@@ -378,9 +388,8 @@ def _rcm_order(At):
     # takes the arrays as they are.
     graph = sp.csr_array(
         (np.ones(2 * rows.size),
-         np.concatenate([np.arange(m, m + n, dtype=np.intc).repeat(count)
-                         .take(by_row), rows], dtype=np.intc),
-         np.concatenate([[0], degree.cumsum(), ptr[1:] + rows.size],
+         np.concatenate([col.take(by_row) + m, rows], dtype=np.intc),
+         np.concatenate([[0], degree.cumsum(), count.cumsum() + rows.size],
                         dtype=np.intc)),
         shape=(m + n, m + n))
     # One start per connected component, at its row of least degree;
@@ -406,22 +415,17 @@ def _rcm_order(At):
     return order[::-1], int(kd), (m - 1) - at
 
 
-def _refine(At, perm, kd, at):
-    # The order perm of the rows of A (At is a _Columns), its half-width kd
-    # and each row's position at, refined by averaging sweeps (see
-    # map_products): the narrowest order seen and its half-width.  An
-    # order is kept only if it is narrower, so with no sweep that narrows,
-    # perm itself is returned.
-    m = At.shape[1]
-    count = At.count
-    linking = count > 1
-    # The entries of the linking columns, rows numbered by position in
-    # perm, so that a stable sort breaks ties by that position.
-    rows = at.take(At.indices[linking.repeat(count)])
-    count = count[linking]
-    n = count.size
-    col = np.arange(n).repeat(count)
-    degree = np.bincount(rows, minlength=m)
+def _refine(links, perm, kd, at):
+    # The order perm of the rows of A (links is its _Links), its
+    # half-width kd and each row's position at, refined by averaging
+    # sweeps (see map_products): the narrowest order seen and its
+    # half-width.  An order is kept only if it is narrower, so with no
+    # sweep that narrows, perm itself is returned.
+    m, n = perm.size, links.count.size
+    # The linking entries' rows and the degrees, rows numbered by position
+    # in perm, so that a stable sort breaks ties by that position.
+    rows, col = at.take(links.rows), links.col
+    degree = links.degree.take(perm)
     lone = (degree == 0).nonzero()[0]
     degree[lone] = 1
     position = np.arange(m, dtype=float)
@@ -429,7 +433,7 @@ def _refine(At, perm, kd, at):
     stale = 0
     while stale < 2 and kd:
         mean = np.bincount(col, position.take(rows), n)
-        mean /= count
+        mean /= links.count
         value = np.bincount(rows, mean.take(col), m)
         value /= degree
         value[lone] = position[lone]
@@ -453,21 +457,16 @@ def _refine(At, perm, kd, at):
     return perm.take(best), kd
 
 
-def _eliminate(At):
+def _eliminate(At, links):
     # The rows that the factor eliminates (see Elimination), or None if no
-    # row qualifies.  Returns the _Columns of At without their entries, the
-    # kept rows renumbered in index order, their Elimination, and the row
-    # of A of each kept row.  Until the kept rows are ordered, link_pos
-    # holds each link's row among the kept rows, and gather only the
-    # eliminated row of each link.
+    # row qualifies; links is the _Links of At.  Returns the _Columns of At
+    # without their entries (the kept rows, renumbered in index order) and
+    # its _Links, their Elimination, and the row of A of each kept row.
+    # Until the kept rows are ordered, link_pos holds each link's row among
+    # the kept rows, and gather only the eliminated row of each link.
     m = At.shape[1]
-    indptr, indices, data = At.indptr, At.indices, At.data
-    count = At.count
-    # Each entry of At: is it in a linking column?  A row's degree counts
-    # its entries that are.
-    linking = (count > 1).repeat(count)
-    degree = np.bincount(indices[linking], minlength=m)
-    out = degree <= 1
+    indptr, indices, data, count = At.indptr, At.indices, At.data, At.count
+    out = links.degree <= 1
     if not out.any():
         return None
     # Private entries: the one entry of a column.
@@ -478,16 +477,15 @@ def _eliminate(At):
     live = np.zeros(m, bool)
     live[indices[data != 0]] = True
     out &= live
-    # Candidates of degree one, by their linking entry: the first in its
+    # Candidates of degree one, by their linking entry e: the first in its
     # column (in index order) is eliminated, and the others are kept.
-    at_shared = (linking & out.take(indices)).nonzero()[0]
-    shared = indptr.searchsorted(at_shared, side="right") - 1
-    first = np.ones(at_shared.size, bool)
-    first[1:] = shared[1:] != shared[:-1]
-    r = indices.take(at_shared)
+    e = out.take(links.rows).nonzero()[0]
+    rank = links.col.take(e)
+    first = np.diff(rank, prepend=-1) != 0
+    r = links.rows.take(e)
     out[r] = first
-    at_shared, shared = at_shared[first], shared[first]
-    elim = np.concatenate([r[first], (out & (degree == 0)).nonzero()[0]])
+    e, rank = e[first], rank[first]
+    elim = np.concatenate([r[first], (out & (links.degree == 0)).nonzero()[0]])
     if not elim.size:
         return None
     index = np.empty(m, np.intp)
@@ -495,14 +493,16 @@ def _eliminate(At):
     # The private entries of the eliminated rows.
     mine = out.take(owner)
     own_col, at, owner = own_col[mine], at[mine], owner[mine]
-    At1, keep = _drop(At, out)
-    # Links: the entries of the shared columns in At1.
+    At1, links1, keep = _drop(At, out)
+    # The shared columns, and the links: their entries in At1.
+    linking = count > 1
+    shared = linking.nonzero()[0].take(rank)
     length = At1.count.take(shared)
     at_link = ((At1.indptr.take(shared) - length.cumsum() + length)
                .repeat(length) + np.arange(length.sum()))
     link_row = np.arange(shared.size).repeat(length)
-    return At1, Elimination(
-        rows=elim, shared=shared, a=data.take(at_shared),
+    return At1, links1, Elimination(
+        rows=elim, shared=shared, a=data[linking.repeat(count)].take(e),
         own_row=index.take(owner), own_col=own_col,
         own_sq=data.take(at) ** 2, link_row=link_row,
         link_pos=At1.indices.take(at_link), link_val=At1.data.take(at_link),
@@ -523,29 +523,27 @@ def map_products(At):
     of ``A1`` are in reverse Cuthill-McKee order (E. Cuthill and J. McKee,
     Proc. 24th ACM National Conference, 1969): a breadth-first search of
     the bipartite graph of its rows and its linking columns (columns of
-    two or more entries), each row's columns visited in ascending entry
-    count, from one start per connected component: a pseudo-peripheral
-    row, found by George and Liu's sweep (A. George and J. W. H. Liu, ACM
-    Trans. Math. Software 5(3), 1979) from the component's row of least
-    degree (entries in linking columns), moving to a row of least degree
-    in the deepest level while the search deepens.  The half-width ``kd``
-    is then the widest spread of new row numbers within one column of
-    ``A1``, so the pattern of ``|A1| @ |A1|.T`` is never formed.
+    two or more entries), each row's columns visited in index order, from
+    one start per connected component: a pseudo-peripheral row, found by
+    George and Liu's sweep (A. George and J. W. H. Liu, ACM Trans. Math.
+    Software 5(3), 1979) from the component's row of least degree (entries
+    in linking columns), moving to a row of least degree in the deepest
+    level while the search deepens.  The half-width ``kd`` is then the
+    widest spread of new row numbers within one column of ``A1``, so the
+    pattern of ``|A1| @ |A1|.T`` is never formed.
 
-    A border holds the rows ranked first by degree, ties by row index.
-    The fewest of them whose removal leaves each linking column at most
-    one entry among the other rows, which then share no column, is found
-    in closed form: one more than the largest rank of a column's
-    second-last row.  If that border holds at most ``kd // 4`` rows, it
-    is taken, after a band of half-width 0 whose rows come in descending
-    index (a transport plan's border is its supply rows).  A test on the
+    The border (see the module docstring) holds the rows ranked first by
+    degree, ties by row index.  The fewest of them that leave the other
+    rows sharing no column are found in closed form: one more than the
+    largest rank of a linking column's second-last row.  A test on the
     degrees alone rules most problems out first: the rows outside the
-    border hold at most one entry per linking column, so their degrees
-    sum to at most the number of linking columns.  Otherwise, if ``kd >=
-    DENSE_LIMIT``, the border takes 1, then 2, 4, ... rows until the
-    other rows' own order has a half-width under ``DENSE_LIMIT`` or no
-    row is left, then as many as a bisection between the last size that
-    did not fit and the first that did settles on.
+    border hold at most one entry per linking column, so their degrees sum
+    to at most the number of linking columns.  Where that border is taken,
+    the band of half-width 0 holds the other rows in descending index.
+    Otherwise, if ``kd >= DENSE_LIMIT``, the border takes 1, then 2, 4,
+    ... rows until the other rows' own order has a half-width under
+    ``DENSE_LIMIT`` or no row is left, then as many as a bisection between
+    the last size that did not fit and the first that did settles on.
 
     Once the border is settled, the order of the band rows is refined by
     averaging sweeps, starting from their positions in that order (a band
@@ -566,67 +564,60 @@ def map_products(At):
         At = sp.csr_array(At, copy=True)
         At.sum_duplicates()
     At = _columns(At)
-    found = _eliminate(At)
-    if found is None:
-        return _map(At)
-    return _map(*found)
+    links = _links(At)
+    found = _eliminate(At, links)
+    return _map(*found) if found else _map(At, links)
 
 
-def _diagonal_border(At, linked, degree, rank, kd):
+def _diagonal_border(links, rank, kd):
     # The fewest rows first by rank whose removal leaves every linking
-    # column of At (a _Columns) at most one entry among the other rows,
-    # so that those rows are pairwise column-disjoint; 0 if that takes
-    # more than kd // 4 rows.  linked lists the row of each entry in a
-    # linking column, and degree counts them per row.
+    # column (links is the _Links of A) at most one entry among the other
+    # rows, so that those rows are pairwise column-disjoint; 0 if that
+    # takes more than kd // 4 rows.
     most = kd // 4
     if not most:
         return 0
-    count = At.count[At.count > 1]
+    n, col = links.count.size, links.col
     # The rows outside the border hold at most one entry per linking
     # column, so their degrees sum to at most the number of columns.
-    if degree.take(rank[most:]).sum() > count.size:
+    if links.degree.take(rank[most:]).sum() > n:
         return 0
     # A column keeps at most one entry if the border takes all but its
     # last by rank: its second-last sets the border's size.
     position = np.empty(rank.size, np.intp)
     position[rank] = np.arange(rank.size)
-    position = position.take(linked)
-    col = np.arange(count.size).repeat(count)
-    last = np.zeros(count.size, np.intp)
+    position = position.take(links.rows)
+    last = np.zeros(n, np.intp)
     np.maximum.at(last, col, position)
     border = 1 + int(position[position < last.take(col)].max())
     return border if border <= most else 0
 
 
-def _map(At, elim=None, keep=None):
+def _map(At, links, elim=None, keep=None):
     # The ProductMap of At's rows, which are the rows keep of A when elim
-    # is given (see map_products).
+    # is given (see map_products); links is the _Links of At.
     m = At.shape[1]
     count = At.count
-    perm, kd, at = _rcm_order(At)
+    perm, kd, at = _rcm_order(links)
     # The rows by rank: most entries in linking columns first.
-    linked = At.indices[(count > 1).repeat(count)]
-    degree = np.bincount(linked, minlength=m)
-    rank = (-degree).argsort(kind="stable")
-    border = _diagonal_border(At, linked, degree, rank, kd)
+    rank = (-links.degree).argsort(kind="stable")
+    border = _diagonal_border(links, rank, kd)
     if border:
         # A band of half-width 0, its rows in descending index, as the
         # reverse Cuthill-McKee order numbers rows without linking
         # columns, then the border by rank.
-        out = np.zeros(m, bool)
-        out[rank[:border]] = True
-        perm = np.concatenate([(~out).nonzero()[0][::-1], rank[:border]])
+        perm = np.concatenate([np.sort(rank[border:])[::-1], rank[:border]])
         kd = 0
     elif kd >= DENSE_LIMIT and m:
         # The border rows by rank, after the band rows in their own order.
 
         def band(size):
             # The rows left without the first `size` by rank: their
-            # _Columns, their rows of At and their order, which fits with a
+            # _Links, their rows of At and their order, which fits with a
             # half-width under the limit or with no row left.
             out = np.zeros(m, bool)
             out[rank[:size]] = True
-            rest, rows = _drop(At, out)
+            rest, rows = _drop(At, out)[1:]
             order, kd, at = _rcm_order(rest)
             return (rest, rows, order, kd, at), kd < DENSE_LIMIT or size == m
 
@@ -645,7 +636,7 @@ def _map(At, elim=None, keep=None):
         order, kd = _refine(rest, order, kd, at)
         perm = np.concatenate([rows.take(order), rank[:border]])
     else:
-        perm, kd = _refine(At, perm, kd, at)
+        perm, kd = _refine(links, perm, kd, at)
     at = np.empty(m, np.intp)
     at[perm] = np.arange(m)
     col = np.arange(At.shape[0], dtype=np.int32).repeat(count)

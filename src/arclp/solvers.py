@@ -95,7 +95,7 @@ class SolverConfig:
     time_limit: float = None
 
     def validate(self):
-        if self.algorithm not in ("alg1", "alg2", "arc", "line"):
+        if self.algorithm not in _STEP_RULES:
             raise ValueError("unknown algorithm %r" % self.algorithm)
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")

@@ -99,8 +99,8 @@ class StandardLP:
         factor eliminates first (all their entries but at most one in
         columns of one entry, such as the bound rows
         ``x_j + s_B = u_j - l_j`` of the standard form).  The rest are
-        mapped in their order ``perm``: a band, and past ``DENSE_LIMIT`` a
-        border of the densest rows after it."""
+        mapped in their order ``perm``: a band, then a border of the
+        densest rows where they widen it (see :func:`map_products`)."""
         return map_products(self.At)
 
     @property

@@ -22,6 +22,10 @@ from conftest import NETLIB_DIR, random_feasible_lp
 from test_linalg import brute_force, lp_of, residual_norms
 from arclp.linalg import factor, solve_block
 
+# The published table must hold on any BLAS thread count: CI runs the
+# suite on two threads as well.
+pytestmark = pytest.mark.two_blas_threads
+
 # Published iteration counts for the three practical methods
 # (momentum / plain arc / line search) on the desk-scale subset.
 REFERENCE_ITERATIONS = {

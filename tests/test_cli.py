@@ -1,11 +1,13 @@
 """Command-line surface tests: flags, exit codes, output schemas."""
+import argparse
 import csv
 import json
 
 import pytest
 from numpy.testing import assert_allclose
 
-from arclp.cli import main
+import arclp.solvers
+from arclp.cli import _config_from, build_parser, main
 
 from conftest import FIX1_MPS, FIX2_MPS, FIX_INFEASIBLE_MPS, NETLIB_DIR
 
@@ -22,6 +24,21 @@ def problem_dir(tmp_path):
     (tmp_path / "fix1.mps").write_text(FIX1_MPS)
     (tmp_path / "fix2.mps").write_text(FIX2_MPS)
     return tmp_path
+
+
+def test_flags_are_the_solvers_settings():
+    # The solve and bench parsers' defaults make the default SolverConfig,
+    # and --algorithm offers exactly the solver's methods.
+    parser = build_parser()
+    config = arclp.solvers.SolverConfig()
+    assert _config_from(parser.parse_args(["solve", "x.mps"])) == config
+    assert _config_from(parser.parse_args(["bench", "dir"]),
+                        config.algorithm) == config
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    algorithm = next(action for action in commands.choices["solve"]._actions
+                     if action.dest == "algorithm")
+    assert sorted(algorithm.choices) == sorted(arclp.solvers._STEP_RULES)
 
 
 class TestSolve:

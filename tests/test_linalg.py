@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -211,7 +211,7 @@ def rcm_order(At):
     """``_rcm_order`` of the rows of ``A`` from ``At``: the order, its
     half-width and each row's position in it."""
     linalg = arclp.linalg
-    return linalg._rcm_order(linalg._columns(At))
+    return linalg._rcm_order(linalg._links(linalg._columns(At)))
 
 
 def scipy_half_width(At, perm):
@@ -268,6 +268,34 @@ def patterns(draw):
                         shape=(m, n))
 
 
+# Column 0 is empty, column 1 holds one entry, columns 2 and 3 link rows
+# 0 and 2, and column 3's entry in row 2 is an explicit zero.
+@settings(max_examples=300, deadline=None)
+@example(A=sp.csr_array(([1.0, 1.0, 1.0, 2.0, 0.0],
+                         ([0, 0, 1, 2, 2], [2, 3, 1, 2, 3])), shape=(3, 4)))
+@given(A=patterns())
+def test_links_are_the_linking_entries(A):
+    # The linking columns are those of two or more entries, explicit zeros
+    # counted: empty and single-entry columns link nothing.  Column by
+    # column, the links hold the rows of each linking column's entries and
+    # the column's rank among the linking columns; then each linking
+    # column's entry count and each row's degree, its entries in linking
+    # columns.  Checked against a dense pattern.
+    linalg = arclp.linalg
+    links = linalg._links(linalg._columns(sp.csr_array(A.T)))
+    entries = A.tocoo()
+    pattern = np.zeros(A.shape, bool)
+    pattern[entries.row, entries.col] = True
+    linking = pattern.sum(axis=0) > 1
+    rows = [pattern[:, j].nonzero()[0].tolist() for j in linking.nonzero()[0]]
+    assert links.rows.tolist() == sum(rows, [])
+    assert links.col.tolist() == sum(([c] * len(r) for c, r in
+                                      enumerate(rows)), [])
+    assert links.count.tolist() == [len(r) for r in rows]
+    assert links.degree.tolist() == \
+        pattern[:, linking].sum(axis=1).tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(A=patterns())
 def test_refined_order_is_a_narrower_band(A):
@@ -280,9 +308,9 @@ def test_refined_order_is_a_narrower_band(A):
     # start makes one of the last.
     At = sp.csr_array(A.T)
     linalg = arclp.linalg
-    columns = linalg._columns(At)
-    start = linalg._rcm_order(columns)
-    perm, kd = linalg._refine(columns, *start)
+    links = linalg._links(linalg._columns(At))
+    start = linalg._rcm_order(links)
+    perm, kd = linalg._refine(links, *start)
     assert sorted(perm.tolist()) == list(range(A.shape[0]))
     position = np.argsort(perm)
     assert kd == scipy_half_width(At, perm) <= start[1]
@@ -307,6 +335,9 @@ def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
     assert rcm_order(At)[1] < scipy_half_width(At, theirs)
 
 
+# The retry factors a border with level-3 BLAS (W.T @ W and potrf): CI
+# runs it on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 def test_border_retry_keeps_the_layout(monkeypatch):
     # Rows 1 and 2 are equal, so M is singular, and with a band limit of 0
     # or 1 both are border rows, on which potrf fails after pbtrf
@@ -339,6 +370,9 @@ def test_border_retry_keeps_the_layout(monkeypatch):
         assert_allclose(M @ fac.solve(w)[pm.perm], w[pm.perm], rtol=1e-6)
 
 
+# The retry runs pbtrf again on the band it overwrote: CI runs it on two
+# BLAS threads as well.
+@pytest.mark.two_blas_threads
 def test_band_retry_factors_the_band_again(monkeypatch):
     # Rows 1 and 2 are equal, so M is singular and pbtrf fails, after it
     # has overwritten the leading columns of the band in place.  The
@@ -366,6 +400,9 @@ def test_band_retry_factors_the_band_again(monkeypatch):
     assert retry.tobytes() == shifted.tobytes()
 
 
+# The retry on a band of half-width 0 factors its border with level-3
+# BLAS: CI runs it on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 def test_diagonal_band_retry_keeps_the_layout(monkeypatch):
     # Rows 0 and 1 are equal and lie over all 20 columns; row 2 + j lies
     # over columns 2j and 2j + 1.  Without rows 0 and 1 the rows share no
@@ -431,6 +468,9 @@ def bordered_patterns(draw):
                         shape=(m, n))
 
 
+# The border rule's oracle on random patterns, whose borders are factored
+# with level-3 BLAS: CI runs it on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 @settings(max_examples=300, deadline=None)
 @given(A=bordered_patterns())
 def test_diagonal_border_is_the_shortest_prefix(A):
@@ -457,8 +497,9 @@ def test_diagonal_border_is_the_shortest_prefix(A):
                 for b in range(kept.size + 1)]
     shortest = disjoint.index(True)
     At = linalg._columns(lp.At)
-    found = linalg._eliminate(At)
-    kd = linalg._rcm_order(At if found is None else found[0])[1]
+    links = linalg._links(At)
+    found = linalg._eliminate(At, links)
+    kd = linalg._rcm_order(links if found is None else found[1])[1]
     assert kd < DENSE_LIMIT
     if 4 * shortest <= kd and shortest:
         assert (pm.kd, pm.border) == (0, shortest)
@@ -499,6 +540,10 @@ def reduced(lp, d, shift=0.0):
     return A1, dt, np.array(pivots)
 
 
+# pbtrf works in level-3 BLAS blocks once the half-width reaches its block
+# size, 32 (share2b and beaconfd): CI runs these oracles on two BLAS
+# threads as well.
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("name", NETLIB)
 def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
                                                            monkeypatch):
@@ -512,8 +557,7 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
     lp = presolved(name)
     pm = lp.product_map
     assert pm.kd < DENSE_LIMIT
-    # pbtrf works in level-3 BLAS blocks from a half-width of 32 on; CI
-    # runs these oracles on two BLAS threads to keep that path covered.
+    # Some band must reach pbtrf's blocked path (see above).
     assert max(presolved(other).product_map.kd for other in NETLIB) >= 32
     real_cholesky = arclp.linalg._cholesky
     real_pbtrs = arclp.linalg._pbtrs
@@ -561,6 +605,10 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
         assert y[pm.perm].tobytes() == got.tobytes(), k
 
 
+# A border is factored with level-3 BLAS (W.T @ W and potrf), and the
+# transport plan's after a band of half-width 0: CI runs these oracles on
+# two BLAS threads as well.
+@pytest.mark.two_blas_threads
 @pytest.mark.parametrize("name, limit", [
     (name, limit) for limit in BORDER_LIMITS.values() for name in PROBLEMS]
     + [("tr10x90", None)])
@@ -875,11 +923,14 @@ def test_border_picks_its_rows(monkeypatch, dense_rows, limit, doubled):
     # Cuthill-McKee order, at a half-width of at least the limit.
     out = np.zeros(pm.m, bool)
     out[rank[:border - 1]] = True
-    rest, _ = arclp.linalg._drop(
-        arclp.linalg._columns(sp.csr_array(A.T)), out)
+    rest = arclp.linalg._drop(
+        arclp.linalg._columns(sp.csr_array(A.T)), out)[1]
     assert arclp.linalg._rcm_order(rest)[1] >= limit
 
 
+# It picks the rows whose elimination TestOnBothFactorPaths checks: CI
+# runs it with those oracles, on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 def test_elimination_picks_its_rows():
     # The rows eliminated are exactly the qualifying ones, one twin of the
     # pair that shares a column; the rest are the map's kept rows.
@@ -906,6 +957,9 @@ def test_elimination_picks_its_rows():
         assert pm.elim.rows.tolist() == [0] and pm.perm.tolist() == [1]
 
 
+# The kernel oracles on the band and on a border, both factored in BLAS:
+# CI runs them on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 class TestOnBothFactorPaths:
     """Kernel oracles run on the band alone and with a border (see
     ``kernel_path``)."""

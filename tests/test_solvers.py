@@ -370,6 +370,9 @@ class TestExactRewrites:
                                      given_norms) == expected
 
 
+# The angle's polynomial coefficients come from matrix products (BLAS):
+# CI checks it on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 class TestGuardedAngle:
     """``alg1``'s angle is the largest ``alpha`` such that every angle in
     ``[0, alpha]`` is admissible."""
@@ -482,6 +485,9 @@ class TestGuardedSolver:
         assert res.invariant_violations == []
         assert_allclose(res.objective, -4.6475314286e2, rtol=1e-5)
 
+    # alg1's iteration total turns on its angles and factors: CI checks it
+    # on two BLAS threads as well.
+    @pytest.mark.two_blas_threads
     def test_netlib_set_in_fewer_iterations(self, netlib_dir):
         # The exact guarded angle takes 171 iterations over the set; a
         # 0.8x backtracking search checked at alpha, alpha/2 and alpha/4
@@ -502,6 +508,9 @@ class TestGuardedSolver:
         assert total <= 180
 
 
+# kb2's beta grid has statuses that turn on the last bits of the normal
+# matrix: CI checks them on two BLAS threads as well.
+@pytest.mark.two_blas_threads
 class TestPracticalSolvers:
     @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line"])
     def test_random_lps_reach_optimal(self, algorithm):

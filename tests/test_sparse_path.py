@@ -15,11 +15,11 @@ alone.  A staircase production plan from the benchmark's generator
 (``perfbench/workloads.py``, loaded read-only) has more rows: it is
 solved through the whole pipeline by every algorithm and checked
 against scipy's HiGHS.  With five periods its normal matrix has
-half-width 77, and 57 on the 150 rows kept, under the limit, so it is
+half-width 78, and 57 on the 150 rows kept, under the limit, so it is
 factored in band storage; the averaging sweeps that refine the order
 narrow the band to 32.  A ten-period plan with one more row over all
 columns couples every two kept rows, which makes the kept rows'
-half-width 299 (498 before the elimination): that row goes to the
+half-width 291 (498 before the elimination): that row goes to the
 border, and the other 300 kept rows form a band of half-width 57, 32
 once refined.
 """
@@ -40,6 +40,12 @@ from arclp.standardize import to_standard_form
 from conftest import NETLIB_DIR, perfbench_module, staircase_raw
 
 linalg = arclp.linalg
+
+# pbtrf works in level-3 BLAS blocks once the half-width reaches its block
+# size, 32, the staircase's; a border's W.T @ W and potrf are level-3 BLAS
+# too.  CI runs the staircase solves, on the band alone and with the
+# linking row's border, and the layouts on two BLAS threads as well.
+pytestmark = pytest.mark.two_blas_threads
 
 
 def with_linking_row(raw):
@@ -64,14 +70,14 @@ def plan_file(raw, tmp_path_factory):
 @pytest.fixture(scope="module")
 def staircase(tmp_path_factory):
     """Five periods, 20 products, 10 resources: m = 250 and n = 450 after
-    presolve, half-width 77, and 57 on the 150 rows kept (32 refined)."""
+    presolve, half-width 78, and 57 on the 150 rows kept (32 refined)."""
     return plan_file(staircase_raw(), tmp_path_factory)
 
 
 @pytest.fixture(scope="module")
 def linked_staircase(tmp_path_factory):
     """Ten periods with the linking row: m = 501 and n = 901 after
-    presolve, half-width 498, and 299 on the 301 rows kept."""
+    presolve, half-width 498, and 291 on the 301 rows kept."""
     return plan_file(with_linking_row(staircase_raw(10)), tmp_path_factory)
 
 
@@ -79,24 +85,24 @@ def presolved(path):
     return presolve(to_standard_form(parse_mps(path.read_text())))[0]
 
 
-def kept_columns(lp):
-    """``lp.At`` as a ``_Columns`` of the rows the factor keeps."""
+def links(lp):
+    """The ``_Links`` of ``lp``'s rows, and of the rows the factor keeps."""
     At = linalg._columns(lp.At)
-    found = linalg._eliminate(At)
-    return At if found is None else found[0]
+    every = linalg._links(At)
+    found = linalg._eliminate(At, every)
+    return every, every if found is None else found[1]
 
 
 def half_widths(lp):
     """The half-width of ``lp``'s normal matrix in reverse Cuthill-McKee
     order, and that of the rows the factor keeps, in theirs."""
-    return tuple(linalg._rcm_order(B)[1]
-                 for B in (linalg._columns(lp.At), kept_columns(lp)))
+    return tuple(linalg._rcm_order(B)[1] for B in links(lp))
 
 
 def refined_half_width(lp):
     """The half-width of the kept rows in their refined order."""
-    At1 = kept_columns(lp)
-    return linalg._refine(At1, *linalg._rcm_order(At1))[1]
+    kept = links(lp)[1]
+    return linalg._refine(kept, *linalg._rcm_order(kept))[1]
 
 
 def assert_supply_border(lp, supply):
@@ -112,8 +118,8 @@ def assert_supply_border(lp, supply):
 def test_half_width_picks_the_path(staircase, linked_staircase):
     lp, linked = presolved(staircase[0]), presolved(linked_staircase[0])
     assert (lp.m, lp.n, linked.m, linked.n) == (250, 450, 501, 901)
-    assert half_widths(lp) == (77, 57)
-    assert half_widths(linked) == (498, 299)
+    assert half_widths(lp) == (78, 57)
+    assert half_widths(linked) == (498, 291)
     pm = lp.product_map
     assert (pm.kd, pm.border) == (32, 0)
     assert (pm.m, pm.elim.rows.size) == (150, 100)
@@ -139,6 +145,12 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
     for lp, (supply, _) in zip(transport, workloads.TRANSPORT_SIZES):
         assert lp.m < DENSE_LIMIT
         assert_supply_border(lp, supply)
+    # The refined half-widths are pinned: an order that widens a band
+    # fails here.
+    assert {lp.name: lp.product_map.kd for lp in narrow} == {
+        "ADLITTLE": 30, "AFIRO": 12, "BEACONFD": 68, "KB2": 26, "SC50A": 12,
+        "SC50B": 12, "SCAGR7": 15, "SHARE2B": 32, "st42x20x10": 32,
+        "st50x20x10": 32}
     for lp in narrow:
         pm = lp.product_map
         rows = pm.perm.tolist()
@@ -152,11 +164,11 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
 @pytest.mark.parametrize("supply, demand", [(20, 300), (40, 400)])
 def test_transport_border_is_the_supply_rows(supply, demand):
     # A supply row has an entry in each of its plan's demand columns, a
-    # demand row one per supply row.  Without all supply rows the rest is
-    # a band as wide as the demand rows (one supply row links them all);
-    # without them it has half-width 0.  Doubling stops at 32 or 64
-    # rows, and the bisection between the last two sizes finds exactly
-    # the supply rows.
+    # demand row one per supply row.  Without the supply rows the demand
+    # rows are pairwise column-disjoint, and the supply rows are the rows
+    # of most entries in linking columns: the diagonal rule takes them as
+    # the border of a band of half-width 0, though the plan has more than
+    # DENSE_LIMIT rows, so doubling and bisection never run.
     workloads = perfbench_module("workloads")
     lp = presolve(to_standard_form(workloads.transport_lp(
         arclp, supply, demand, np.random.default_rng(1),
