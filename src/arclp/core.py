@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import norm, solve_block
+from .linalg import matvec, norm, solve_block
 
 __all__ = ["residuals", "duality_measure", "in_neighborhood", "arc_point",
            "momentum_weight_full", "momentum_weight_simple",
@@ -30,8 +30,8 @@ _DEGENERATE_SHIFT = 1e-14
 
 def residuals(lp, x, lam, s):
     """Primal and dual residuals ``(A @ x - b, A.T @ lam + s - c)``."""
-    rb = lp.A @ x - lp.b
-    rc = lp.At @ lam + s - lp.c
+    rb = matvec(lp.A, x) - lp.b
+    rc = matvec(lp.At, lam) + s - lp.c
     return rb, rc
 
 

@@ -56,6 +56,16 @@ diagonal (half-width 0) and the border is taken whatever the half-width:
 a transport plan's supply rows.  Otherwise a border is sought only for a
 band as wide as ``DENSE_LIMIT``.  A failed factorization is retried
 once, on the same layout, with a small diagonal regularization.
+
+Every product of a solve with ``A`` or ``A.T`` (:func:`solve_block`, the
+residuals, the restart and the starting point) goes through
+:func:`matvec`, which calls scipy's CSR kernel ``csr_matvec`` itself:
+the routine that ``A @ v`` reaches for a 1-D ``v``, so each result is
+byte for byte scipy's, without the Python dispatch of the ``@``
+operator, which on small problems costs more than the kernel itself.
+The kernel checks no length: against a short operand it reads past its
+end and raises nothing, so :func:`matvec` checks the operand's shape
+first.
 """
 
 from __future__ import annotations
@@ -67,13 +77,14 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
 _pbtrf, _pbtrs, _tbtrs, _potrf, _potrs = scipy.linalg.get_lapack_funcs(
     ("pbtrf", "pbtrs", "tbtrs", "potrf", "potrs"), dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
-           "factor", "solve_block", "norm", "DENSE_LIMIT"]
+           "factor", "solve_block", "matvec", "norm", "DENSE_LIMIT"]
 
 DENSE_LIMIT = 200
 
@@ -93,6 +104,25 @@ def norm(v):
     """Euclidean norm of a real vector, ``sqrt(v @ v)``: what
     ``np.linalg.norm`` computes for one, without its dispatch."""
     return math.sqrt(v @ v)
+
+
+def matvec(M, v):
+    """``M @ v`` for a float CSR matrix ``M`` and a 1-D array ``v``, byte
+    for byte, by scipy's own CSR kernel without its operator dispatch.
+
+    Raises
+    ------
+    ValueError
+        If ``v`` is not 1-D of length ``M.shape[1]``: the kernel itself
+        checks no length, and would read past the end of a short ``v``.
+    """
+    m, n = M.shape
+    if v.shape != (n,):
+        raise ValueError("operand of shape %s does not match a matrix of "
+                         "shape %s" % (v.shape, (m, n)))
+    out = np.zeros(m)
+    _csr_matvec(m, n, M.indptr, M.indices, M.data, v, out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -849,9 +879,9 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
-    w = r1 - A @ ((r3 - p * r2) / q)
+    w = r1 - matvec(A, (r3 - p * r2) / q)
     dlam = fac.solve(w)
-    At_dlam = At @ dlam
+    At_dlam = matvec(At, dlam)
     ds = r2 - At_dlam
     dx = (r3 - p * ds) / q
 
@@ -859,7 +889,7 @@ def solve_block(fac, r1, r2, r3):
     tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
     def worst_residual(dx_, At_dlam_, ds_):
-        norms = (norm(A @ dx_ - r1), norm(At_dlam_ + ds_ - r2),
+        norms = (norm(matvec(A, dx_) - r1), norm(At_dlam_ + ds_ - r2),
                  norm(q * dx_ + p * ds_ - r3))
         # nan when any of the three is (max alone keeps its first argument
         # when a later one is nan); norms are not negative, so their sum
@@ -877,12 +907,12 @@ def solve_block(fac, r1, r2, r3):
     for _ in range(_MAX_REFINEMENTS):
         if worst <= tol or not worst < last:
             break
-        dl = fac.solve(r1 - A @ dx)
-        At_dl = At @ dl
+        dl = fac.solve(r1 - matvec(A, dx))
+        At_dl = matvec(At, dl)
         dlam = dlam + dl
         ds = ds - At_dl
         dx = dx + (p / q) * At_dl
-        last, worst = worst, worst_residual(dx, At @ dlam, ds)
+        last, worst = worst, worst_residual(dx, matvec(At, dlam), ds)
     if not worst <= tol < np.inf:
         raise NumericalError(
             "block solve residual %.3e exceeds tolerance %.3e"

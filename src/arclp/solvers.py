@@ -43,7 +43,7 @@ import numpy as np
 from .core import (arc_point, duality_measure, first_derivatives,
                    momentum_weight_full, momentum_weight_simple, residuals,
                    restart_point, second_derivatives)
-from .linalg import NumericalError, factor, norm, solve_block
+from .linalg import NumericalError, factor, matvec, norm, solve_block
 
 __all__ = ["Status", "SolverConfig", "SolveResult", "solve",
            "initial_point_alg1", "initial_point_mehrotra",
@@ -207,9 +207,9 @@ def initial_point_mehrotra(lp):
     try:
         fac = factor(lp, ones, ones)
         y = fac.solve(lp.b)
-        x = lp.At @ y
-        lam = fac.solve(lp.A @ lp.c)
-        s = lp.c - lp.At @ lam
+        x = matvec(lp.At, y)
+        lam = fac.solve(matvec(lp.A, lp.c))
+        s = lp.c - matvec(lp.At, lam)
     except NumericalError:
         return initial_point_alg1(lp)
 
@@ -348,7 +348,7 @@ def solve(lp, config=None):
     rb, rc = residuals(lp, x, lam, s)
     mu = duality_measure(x, s)
     init = (mu, norm(rb), norm(rc))
-    rb0 = rb
+    origin = _residual_origin(rb) if config.algorithm == "alg1" else None
 
     def stop(x, lam, s, rb, rc):
         return _stop(lp, x, lam, s, rb, rc, config, norms, init)
@@ -367,7 +367,7 @@ def solve(lp, config=None):
                            rc, trace, violations, note)
 
         beta_k, z = _restart(config, x, prev_x, rb, prev_rb, s)
-        rb_z = rb if z is x else lp.A @ z - lp.b
+        rb_z = rb if z is x else matvec(lp.A, z) - lp.b
         mu_z = duality_measure(z, s)
         try:
             step = rule(lp, config, z, lam, s, mu_z, mu, rb_z, rc, stop)
@@ -395,7 +395,7 @@ def solve(lp, config=None):
         if config.algorithm == "alg1":
             _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc,
                              rc_new, step.fields["sin_alpha"], x_new, s_new,
-                             rb0, x, z, beta_k, config)
+                             origin, x, z, beta_k, config)
         prev_x, prev_rb = x, rb
         x, lam, s = x_new, lam_new, s_new
         rb, rc, mu = rb_new, rc_new, mu_new
@@ -639,14 +639,24 @@ def _guarded_step(lp, config, z, lam, s, mu_z, mu, rb, rc, stop):
     return _Step((x_new, lam_new, s_new), _arc_fields(alpha, alpha))
 
 
+def _residual_origin(rb0):
+    """What ``alg1``'s invariant checks read of the starting primal
+    residual ``rb0``, derived once per solve: the floor below which a
+    component counts as zero, the components above it, and the signs."""
+    size = np.abs(rb0)
+    floor = 1e-12 * (1.0 + size.max(initial=0.0))
+    return floor, size > floor, np.sign(rb0)
+
+
 def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
-                     sin_a, x_new, s_new, rb0, x, z, beta_k, config):
+                     sin_a, x_new, s_new, origin, x, z, beta_k, config):
     """Record breaches of the guarded method's contraction guarantees.
 
     The corrector recentered toward ``(1 - sin a) * mu``, so the
-    contraction identity reads ``mu_new = (1 - sin a) * mu``.
+    contraction identity reads ``mu_new = (1 - sin a) * mu``.  ``origin``
+    is :func:`_residual_origin` of the starting residual.
     """
-    rb_floor = 1e-12 * (1.0 + np.abs(rb0).max(initial=0.0))
+    rb_floor, live0, sign0 = origin
     shrink = 1.0 - sin_a
     expected = shrink * mu
     if abs(mu_new - expected) > 1e-8 * max(expected, 1e-300):
@@ -660,8 +670,8 @@ def _alg1_invariants(k, violations, mu, mu_new, rb, rb_new, rc, rc_new,
     excess = np.abs(rb_new[live]) - bound
     if excess.size and excess.max() > 0:
         violations.append((k, "rb_contraction", float(excess.max())))
-    flipped = (np.abs(rb_new) > rb_floor) & (np.abs(rb0) > rb_floor) \
-        & (np.sign(rb_new) != np.sign(rb0))
+    flipped = (np.abs(rb_new) > rb_floor) & live0 \
+        & (np.sign(rb_new) != sign0)
     if flipped.any():
         violations.append((k, "rb_sign_flip", int(flipped.sum())))
     dev = norm(x_new * s_new - mu_new)

@@ -103,17 +103,19 @@ class StandardLP:
         densest rows where they widen it (see :func:`map_products`)."""
         return map_products(self.At)
 
-    @property
+    @cached_property
     def shape(self):
+        """``A.shape``, read once: the loop reads ``m`` and ``n`` on every
+        iteration, and scipy's ``shape`` is a Python property."""
         return self.A.shape
 
-    @property
+    @cached_property
     def m(self):
-        return self.A.shape[0]
+        return self.shape[0]
 
-    @property
+    @cached_property
     def n(self):
-        return self.A.shape[1]
+        return self.shape[1]
 
 
 def to_standard_form(raw):

@@ -1,6 +1,7 @@
 """Harness tests: pipeline records, CSV round trip, profiles, timing."""
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import arclp.bench
@@ -111,6 +112,20 @@ class TestSolveMpsFile:
         rec, _, _ = solve_mps_file(problem_dir / "fix2.mps", cfg)
         assert rec.algorithm == "line"
         assert rec.beta == 0.5
+
+    @pytest.mark.parametrize("algorithm", ["alg2", "arc", "line", "alg1"])
+    def test_requests_make_no_product_through_scipys_dispatch(
+            self, netlib_dir, monkeypatch, algorithm):
+        # Every product with A and A.T on the request path calls scipy's
+        # CSR kernel through linalg.matvec, which skips the operator's
+        # Python dispatch.
+        def refused(self, other):
+            raise AssertionError("a product went through csr_array's @")
+        monkeypatch.setattr(sp.csr_array, "__matmul__", refused)
+        config = SolverConfig(algorithm=algorithm)
+        for path in sorted(netlib_dir.glob("*.mps")):
+            rec, _, _ = solve_mps_file(path, config)
+            assert rec.status == Status.OPTIMAL, path.stem
 
 
 class TestRunBenchmark:

@@ -14,15 +14,16 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import arclp.linalg
 import arclp.standardize
-from arclp.linalg import (DENSE_LIMIT, NumericalError, factor, norm,
-                          solve_block)
+from arclp.linalg import (DENSE_LIMIT, NumericalError, factor, matvec,
+                          norm, solve_block)
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
 from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
-from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR, make_standard_lp,
-                      outcome, perfbench_module, staircase_raw)
+from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR, examples,
+                      make_standard_lp, outcome, perfbench_module,
+                      staircase_raw)
 
 
 def lp_of(A):
@@ -740,6 +741,57 @@ def test_homogeneous_rhs_gives_zero():
                     elements=st.one_of(EDGE_FLOATS, st.floats(-1e3, 1e3))))
 def test_norm_is_numpys_bit_for_bit(v):
     assert outcome(norm, v) == outcome(np.linalg.norm, v)
+
+
+@st.composite
+def products(draw):
+    """A CSR matrix with explicit zeros, of 0-8 rows and columns, with
+    int32 or int64 indices, and an operand of its width: float, int32 or
+    int64, and contiguous or strided."""
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    stored = draw(hnp.arrays(bool, (m, n)))
+    rows, cols = np.nonzero(stored)
+    values = draw(hnp.arrays(float, rows.size, elements=st.one_of(
+        EDGE_FLOATS, st.just(0.0))))
+    M = sp.csr_array((values, (rows, cols)), shape=(m, n))
+    if draw(st.booleans()):
+        M.indices = M.indices.astype(np.int64)
+        M.indptr = M.indptr.astype(np.int64)
+    dtype = draw(st.sampled_from([float, np.int32, np.int64]))
+    step = draw(st.sampled_from([1, 2, -1, -3]))
+    elements = EDGE_FLOATS if dtype is float else None
+    v = draw(hnp.arrays(dtype, n * abs(step), elements=elements))[::step]
+    return M, v
+
+
+@settings(max_examples=examples(300), deadline=None)
+@example(product=(sp.csr_array((0, 3)), np.ones(3)))
+@example(product=(sp.csr_array((3, 0)), np.ones(0)))
+@example(product=(sp.csr_array(([0.0, 2.0], ([0, 2], [1, 1])),
+                               shape=(4, 2)), np.arange(4)[::2]))
+@given(product=products())
+def test_matvec_is_scipys_product(product):
+    M, v = product
+    assert outcome(matvec, M, v) == outcome(M.__matmul__, v)
+
+
+@pytest.mark.parametrize("name", NETLIB)
+def test_matvec_is_scipys_product_on_netlib(presolved, name):
+    lp = presolved(name)
+    rng = np.random.default_rng(0)
+    for M in (lp.A, lp.At):
+        v = rng.standard_normal(M.shape[1])
+        assert outcome(matvec, M, v) == outcome(M.__matmul__, v)
+
+
+@pytest.mark.parametrize("shape", [(6,), (8,), (7, 1), (1, 7), ()],
+                         ids=["short", "long", "column", "row", "scalar"])
+def test_matvec_rejects_an_operand_of_another_shape(shape):
+    # csr_matvec itself checks no length: it reads past the end of a
+    # short operand and raises nothing.
+    M = sp.random_array((5, 7), density=0.5, format="csr", rng=1)
+    with pytest.raises(ValueError):
+        matvec(M, np.ones(shape))
 
 
 def positive_rule(v):
