@@ -29,11 +29,15 @@ factor still solves the full ``M @ y = w``.  With no such row (every
 transport plan) ``S`` is ``M``.
 
 ``S`` is assembled from one product map per problem
-(:func:`map_products`, cached as ``StandardLP.product_map``): every term
-``A_ij * A_kj`` with the slot of ``(i, k)`` in a fixed layout, so each
-assembly is a gather of ``dt``, a repeat and one ``np.bincount`` of
-``(A_ij * dt_j) * A_kj``.  The terms of a slot are summed in ascending
-``j``, as scipy's sparse product sums them, so every entry the map
+(:func:`map_products`, cached as ``StandardLP.product_map``): a sparse
+matrix ``T`` with one row per slot of a fixed layout and one column per
+entry ``A_ij`` of ``A1``, which holds the coefficient ``A_kj`` of each
+term ``(A_ij * dt_j) * A_kj`` of the slot of ``(i, k)``.  Each assembly
+is a gather of ``dt`` and one product of ``T`` with the vector of
+``A_ij * dt_j``.  ``T`` is built once per map by scipy's COO-to-CSR
+conversion, a stable counting sort, so each slot keeps its terms in
+ascending ``j``, and scipy's CSR product sums them from zero in that
+order, as scipy's sparse matrix product does: every entry the map
 assembles is bit for bit that of scipy's ``A1.multiply(dt) @ A1.T``.
 
 The map orders the rows of ``A1`` in reverse Cuthill-McKee order,
@@ -77,6 +81,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import coo_tocsr as _coo_tocsr
 from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
 from scipy.sparse.csgraph import breadth_first_order
 
@@ -123,6 +128,25 @@ def matvec(M, v):
     out = np.zeros(m)
     _csr_matvec(m, n, M.indptr, M.indices, M.data, v, out)
     return out
+
+
+def _csr(data, row, col, shape):
+    # sp.csr_array((data, (row, col)), shape=shape), in the index type that
+    # scipy picks, by the COO-to-CSR conversion that scipy itself calls,
+    # for distinct (row, col) pairs that come in ascending col within each
+    # row: the conversion is a stable counting sort, so scipy would then
+    # neither sort nor sum anything.
+    idx = np.int32
+    if (max(*shape, data.size) > np.iinfo(idx).max
+            or not np.can_cast(row.dtype, idx)
+            or not np.can_cast(col.dtype, idx)):
+        idx = np.int64
+    indptr = np.empty(shape[0] + 1, idx)
+    indices = np.empty(data.size, idx)
+    values = np.empty_like(data)
+    _coo_tocsr(shape[0], shape[1], data.size, row.astype(idx, copy=False),
+               col.astype(idx, copy=False), data, indptr, indices, values)
+    return sp.csr_array((values, indices, indptr), shape=shape)
 
 
 @dataclass(frozen=True)
@@ -238,11 +262,11 @@ class ProductMap(NamedTuple):
     A1.T`` that the elimination leaves, with ``dt`` from
     :meth:`Elimination.reduce`, and its solve still solves the full ``M``.
     The entries of ``A1`` are taken column by column: entry ``e`` holds
-    ``A_ij = val[e]`` with ``j = col[e]`` and leads the next ``lead[e]``
-    terms, one per entry ``A_kj`` of its column.  Term ``t`` is
-    ``(A_ij * d_j) * coef[t]`` with ``coef[t] = A_kj``, and it is summed
-    into slot ``slot[t]`` of ``(i, k)``; the terms of a slot come in
-    ascending ``j``.  ``diag`` holds the slot of each diagonal entry, in
+    ``A_ij = val[e]`` with ``j = col[e]``.  ``T`` (CSR) has one row per
+    slot and one column per entry: row ``s`` holds ``A_kj`` in column
+    ``e`` for each term ``(A_ij * d_j) * A_kj`` of the slot ``s`` of
+    ``(i, k)``, in ascending ``j``, so the slots are ``T @ (val *
+    d[col])``.  ``diag`` holds the slot of each diagonal entry, in
     the assembled matrix's row order ``perm`` (its row ``r`` is row
     ``perm[r]`` of ``A``): the ``m - border`` band rows, then the border.
     Only the lower triangle (``k <= i``) is mapped, in one array of two
@@ -256,9 +280,7 @@ class ProductMap(NamedTuple):
     m: int
     col: np.ndarray
     val: np.ndarray
-    lead: np.ndarray
-    coef: np.ndarray
-    slot: np.ndarray
+    T: sp.csr_array
     diag: np.ndarray
     perm: np.ndarray
     kd: int
@@ -271,12 +293,7 @@ class ProductMap(NamedTuple):
         with the roundings of scipy's ``A1.multiply(d) @ A1.T``."""
         ad = d.take(self.col)
         ad *= self.val
-        terms = np.repeat(ad, self.lead)
-        terms *= self.coef
-        values = np.bincount(
-            self.slot, weights=terms,
-            minlength=((self.kd + 1) * (self.m - self.border)
-                       + self.border * self.m))
+        values = matvec(self.T, ad)
         return values, values[self.diag]
 
     def blocks(self, values):
@@ -289,20 +306,27 @@ class ProductMap(NamedTuple):
 
 def _terms(At, kd, nb):
     # Entry e of At (a _Columns, each column's rows ascending) leads the
-    # terms that pair it with entries first[e], ..., e of its column: its
-    # lead, and each term's slot (see ProductMap) and coefficient A_kj.
+    # terms that pair it with entries first[e], ..., e of its column: each
+    # term's slot (see ProductMap), its entry e and its coefficient A_kj.
+    # The slots and entries are int32 where every slot and term fits, the
+    # index type scipy picks for T.
     indptr, indices, count = At.indptr, At.indices, At.count
+    m = At.shape[1]
     first = indptr[:-1].repeat(count)
     lead = np.arange(1, indices.size + 1) - first
     start = lead.cumsum() - lead
-    other = np.arange(int(lead.sum()), dtype=np.int32)
-    other -= (start - first).astype(np.int32).repeat(lead)
+    size = int(lead.sum())
+    idx = np.int32
+    if max((kd + 1) * nb + (m - nb) * m, size) > np.iinfo(idx).max:
+        idx = np.int64
+    indices = indices.astype(idx, copy=False)
+    term = np.arange(indices.size, dtype=idx).repeat(lead)
+    other = np.arange(size, dtype=idx)
+    other -= (start - first).astype(idx).repeat(lead)
     # Term (i, k) of two band rows goes to slot k * (kd + 1) + (i - k) =
-    # k * kd + i of the band; slots are intp, which np.bincount takes
-    # without a copy.  Term (i, k) of a border row i goes to entry (i -
-    # nb, k) of the border, which follows the band: slot (kd + 1) * nb +
-    # (i - nb) * m + k.
-    m = At.shape[1]
+    # k * kd + i of the band.  Term (i, k) of a border row i goes to entry
+    # (i - nb, k) of the border, which follows the band: slot (kd + 1) *
+    # nb + (i - nb) * m + k.
     if nb == m:
         slot = (indices * kd).take(other)
         slot += indices.repeat(lead)
@@ -310,11 +334,11 @@ def _terms(At, kd, nb):
         # Row i's terms go to slots base[i] + step[i] * k.
         row = np.arange(m)
         base = np.where(row < nb, row, (kd + 1) * nb + (row - nb) * m)
-        step = np.where(row < nb, kd, 1)
+        step = np.where(row < nb, kd, 1).astype(idx)
         slot = step.take(indices).repeat(lead)
         slot *= indices.take(other)
-        slot += base.take(indices).repeat(lead)
-    return lead, slot, At.data.take(other)
+        slot += base.astype(idx).take(indices).repeat(lead)
+    return slot, term, At.data.take(other)
 
 
 def _search(graph, root, m):
@@ -570,10 +594,16 @@ def map_products(At):
     border hold at most one entry per linking column, so their degrees sum
     to at most the number of linking columns.  Where that border is taken,
     the band of half-width 0 holds the other rows in descending index.
-    Otherwise, if ``kd >= DENSE_LIMIT``, the border takes 1, then 2, 4,
-    ... rows until the other rows' own order has a half-width under
-    ``DENSE_LIMIT`` or no row is left, then as many as a bisection between
-    the last size that did not fit and the first that did settles on.
+    The rule is tried first at a bound that ``kd`` meets in any order: the
+    ``k`` neighbours of a row (the other rows in its linking columns) lie
+    within ``kd`` of it, so ``kd >= ceil(k / 2)``, here for the top-ranked
+    row.  A larger ``kd`` only relaxes the rule's two tests, so a border
+    found at the bound is the one found at the search's ``kd``, and the
+    search runs only where none is found.  Otherwise, if ``kd >=
+    DENSE_LIMIT``, the border takes 1, then 2, 4, ... rows until the other
+    rows' own order has a half-width under ``DENSE_LIMIT`` or no row is
+    left, then as many as a bisection between the last size that did not
+    fit and the first that did settles on.
 
     Once the border is settled, the order of the band rows is refined by
     averaging sweeps, starting from their positions in that order (a band
@@ -623,15 +653,31 @@ def _diagonal_border(links, rank, kd):
     return border if border <= most else 0
 
 
+def _neighbours(links, row):
+    # The number of other rows that share a linking column with `row`
+    # (links is the _Links of A).
+    mine = np.zeros(links.count.size, bool)
+    mine[links.col[links.rows == row]] = True
+    near = np.zeros(links.degree.size, bool)
+    near[links.rows[mine.take(links.col)]] = True
+    near[row] = False
+    return int(near.sum())
+
+
 def _map(At, links, elim=None, keep=None):
     # The ProductMap of At's rows, which are the rows keep of A when elim
     # is given (see map_products); links is the _Links of At.
     m = At.shape[1]
     count = At.count
-    perm, kd, at = _rcm_order(links)
     # The rows by rank: most entries in linking columns first.
     rank = (-links.degree).argsort(kind="stable")
-    border = _diagonal_border(links, rank, kd)
+    # The diagonal border first at a bound on kd in any order (see
+    # map_products), so that the search runs only where it finds none.
+    bound = (_neighbours(links, rank[0]) + 1) // 2 if m else 0
+    border = _diagonal_border(links, rank, bound)
+    if not border:
+        perm, kd, at = _rcm_order(links)
+        border = _diagonal_border(links, rank, kd)
     if border:
         # A band of half-width 0, its rows in descending index, as the
         # reverse Cuthill-McKee order numbers rows without linking
@@ -682,7 +728,7 @@ def _map(At, links, elim=None, keep=None):
     At = _Columns(At.data.take(order), pos.take(order), At.indptr,
                   At.shape, count)
     nb = m - border
-    lead, slot, coef = _terms(At, kd, nb)
+    slot, term, coef = _terms(At, kd, nb)
     base = (kd + 1) * nb
     diag = np.concatenate([np.arange(0, base, kd + 1),
                            np.arange(border) * (m + 1) + (base + nb)])
@@ -692,9 +738,9 @@ def _map(At, links, elim=None, keep=None):
         elim = elim._replace(
             link_pos=at.take(elim.link_pos),
             gather=np.concatenate([perm, elim.rows, elim.gather]))
-    return ProductMap(m=m, col=col, val=At.data, lead=lead, coef=coef,
-                      slot=slot, diag=diag, perm=perm, kd=kd, border=border,
-                      elim=elim)
+    return ProductMap(m=m, col=col, val=At.data,
+                      T=_csr(coef, slot, term, (base + border * m, col.size)),
+                      diag=diag, perm=perm, kd=kd, border=border, elim=elim)
 
 
 def _cholesky(pm, values):
@@ -879,18 +925,33 @@ def solve_block(fac, r1, r2, r3):
     if r1.shape != (m,) or r2.shape != (n,) or r3.shape != (n,):
         raise ValueError("right-hand side shapes do not match A")
 
-    w = r1 - matvec(A, (r3 - p * r2) / q)
+    # In place, with the operations of w = r1 - A @ ((r3 - p * r2) / q)
+    # and dx = (r3 - p * ds) / q in their order.
+    v = p * r2
+    np.subtract(r3, v, out=v)
+    v /= q
+    w = matvec(A, v)
+    np.subtract(r1, w, out=w)
     dlam = fac.solve(w)
     At_dlam = matvec(At, dlam)
     ds = r2 - At_dlam
-    dx = (r3 - p * ds) / q
+    dx = np.multiply(p, ds, out=v)
+    np.subtract(r3, dx, out=dx)
+    dx /= q
 
     rhs_norm = math.sqrt(r1 @ r1 + r2 @ r2 + r3 @ r3)
     tol = _RESIDUAL_TOL * (1.0 + rhs_norm)
 
     def worst_residual(dx_, At_dlam_, ds_):
-        norms = (norm(matvec(A, dx_) - r1), norm(At_dlam_ + ds_ - r2),
-                 norm(q * dx_ + p * ds_ - r3))
+        # A @ dx - r1, At_dlam + ds - r2 and q * dx + p * ds - r3, in place.
+        res1 = matvec(A, dx_)
+        res1 -= r1
+        res2 = At_dlam_ + ds_
+        res2 -= r2
+        res3 = q * dx_
+        res3 += p * ds_
+        res3 -= r3
+        norms = (norm(res1), norm(res2), norm(res3))
         # nan when any of the three is (max alone keeps its first argument
         # when a later one is nan); norms are not negative, so their sum
         # is nan only then.

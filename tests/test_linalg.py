@@ -1,6 +1,7 @@
 """Newton-kernel tests: hand oracles, brute-force cross-checks, guards."""
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -281,7 +282,8 @@ def test_links_are_the_linking_entries(A):
     # column, the links hold the rows of each linking column's entries and
     # the column's rank among the linking columns; then each linking
     # column's entry count and each row's degree, its entries in linking
-    # columns.  Checked against a dense pattern.
+    # columns.  Checked against a dense pattern, with each row's count of
+    # neighbours, the other rows that share a column with it.
     linalg = arclp.linalg
     links = linalg._links(linalg._columns(sp.csr_array(A.T)))
     entries = A.tocoo()
@@ -295,6 +297,10 @@ def test_links_are_the_linking_entries(A):
     assert links.count.tolist() == [len(r) for r in rows]
     assert links.degree.tolist() == \
         pattern[:, linking].sum(axis=1).tolist()
+    shared = pattern.astype(int) @ pattern.T.astype(int) > 0
+    np.fill_diagonal(shared, False)
+    assert [linalg._neighbours(links, r) for r in range(A.shape[0])] == \
+        shared.sum(axis=1).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -508,6 +514,52 @@ def test_diagonal_border_is_the_shortest_prefix(A):
             kept[rank[:shortest]].tolist()
     else:
         assert pm.border == 0
+
+
+def map_bytes(pm):
+    """Every field of a product map, arrays as their dtype and bytes."""
+    def raw(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tobytes()
+        if isinstance(value, sp.csr_array):
+            return csr_bytes(value)
+        if isinstance(value, tuple):
+            return [raw(v) for v in value]
+        return value
+    return raw(pm)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_diagonal_border_spares_the_search(seed, monkeypatch):
+    # The benchmark's transport plans take a diagonal border under the
+    # bound that their top-ranked row's neighbours set, so their maps
+    # need no reverse Cuthill-McKee search; they are the maps of the
+    # search first, whose half-width then sets the bound.
+    linalg = arclp.linalg
+    real_border, real_rcm = linalg._diagonal_border, linalg._rcm_order
+    searches, calls = [], []
+
+    def rcm_order(links):
+        searches.append(links)
+        return real_rcm(links)
+
+    def search_first(links, rank, kd):
+        calls.append(kd)
+        return real_border(links, rank, kd) if len(calls) > 1 else 0
+
+    monkeypatch.setattr(linalg, "_rcm_order", rcm_order)
+    plans = perfbench_module("workloads").generate(arclp, "transport", seed)
+    for raw in plans:
+        lp = presolve(to_standard_form(raw))[0]
+        pm = linalg.map_products(lp.At)
+        assert not searches and pm.kd == 0 and pm.border, raw.name
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_diagonal_border", search_first)
+            first = linalg.map_products(lp.At)
+        assert len(searches) == 1 and len(calls) == 2, raw.name
+        assert map_bytes(first) == map_bytes(pm), raw.name
+        searches.clear()
 
 
 def reduced(lp, d, shift=0.0):
@@ -792,6 +844,142 @@ def test_matvec_rejects_an_operand_of_another_shape(shape):
     M = sp.random_array((5, 7), density=0.5, format="csr", rng=1)
     with pytest.raises(ValueError):
         matvec(M, np.ones(shape))
+
+
+def csr_bytes(M):
+    """The shape of a CSR matrix and the dtype and bytes of its arrays."""
+    return M.shape, [(a.dtype.str, a.tobytes())
+                     for a in (M.data, M.indices, M.indptr)]
+
+
+@st.composite
+def coordinates(draw):
+    """Distinct ``(row, col)`` pairs, as a product map's terms give them to
+    its conversion to CSR: in ascending col, rows in any order within a
+    col.  The matrix has 0-8 rows and 0-8 columns, or 3 rows and more
+    columns than int32 numbers; the values hold explicit zeros and IEEE
+    special values, and each index array is int32 or int64 where its
+    numbers allow."""
+    if draw(st.booleans()):
+        m, n = 3, 2 ** 31 + 5
+        cols = [0, 7, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 4]
+    else:
+        m, n = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        cols = list(range(n))
+    stored = draw(hnp.arrays(bool, (m, len(cols))))
+    pairs = np.argwhere(stored)
+    pairs = pairs[draw(st.permutations(range(len(pairs))))]
+    pairs = pairs[np.argsort(pairs[:, 1], kind="stable")]
+    row = pairs[:, 0].astype(draw(st.sampled_from([np.int32, np.int64])))
+    col = np.array(cols, np.int64).take(pairs[:, 1])
+    if n <= np.iinfo(np.int32).max:
+        col = col.astype(draw(st.sampled_from([np.int32, np.int64])))
+    data = draw(hnp.arrays(float, len(pairs), elements=st.one_of(
+        EDGE_FLOATS, st.just(0.0))))
+    return data, row, col, (m, n)
+
+
+# The map's conversion to CSR calls scipy's private coo_tocsr: CI runs
+# this oracle with more examples on each scipy it installs.
+@settings(max_examples=examples(300), deadline=None)
+@example(coo=(np.zeros(0), np.zeros(0, np.int64), np.zeros(0, np.int32),
+              (0, 0)))
+@given(coo=coordinates())
+def test_slot_matrix_is_scipys_csr_array(coo):
+    data, row, col, shape = coo
+    T = arclp.linalg._csr(data, row, col, shape)
+    want = sp.csr_array((data, (row, col)), shape=shape)
+    assert type(T) is type(want)
+    assert csr_bytes(T) == csr_bytes(want)
+
+
+# Every row sits alone in its column, so the factor eliminates them all
+# and the map of the kept rows is empty.
+@settings(max_examples=examples(300), deadline=None)
+@example(A=sp.csr_array(np.eye(3)), limit=DENSE_LIMIT)
+@given(A=st.one_of(patterns(), bordered_patterns()),
+       limit=st.sampled_from([DENSE_LIMIT, 2, 0]))
+def test_product_map_holds_its_terms_in_scipys_csr_array(A, limit):
+    # T must be scipy's CSR matrix of the terms, with its index type:
+    # the slots as rows, the entries they pair as columns, their
+    # coefficients as values.  Band limits of 2 and 0 give the doubled
+    # border, next to the diagonal border of the bordered patterns.
+    linalg = arclp.linalg
+    real_terms, terms = linalg._terms, []
+
+    def spy(*args):
+        terms.append(real_terms(*args))
+        return terms[-1]
+
+    with (mock.patch.object(linalg, "_terms", spy),
+          mock.patch.object(linalg, "DENSE_LIMIT", limit)):
+        pm = linalg.map_products(sp.csr_array(A.T))
+    (slot, term, coef), = terms
+    nb = pm.m - pm.border
+    assert pm.T.shape == ((pm.kd + 1) * nb + pm.border * pm.m, pm.col.size)
+    want = sp.csr_array((coef, (slot, term)), shape=pm.T.shape)
+    assert csr_bytes(pm.T) == csr_bytes(want)
+
+
+@st.composite
+def block_systems(draw):
+    """A block system of 0-5 rows and 0-6 columns, explicit zeros in
+    ``A``, right-hand sides with signed zeros, and the ``dlam`` that a
+    stub factor returns, with nan, inf and -0.0 among its entries."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows, cols = np.nonzero(draw(hnp.arrays(bool, (m, n))))
+    values = draw(hnp.arrays(float, rows.size, elements=st.one_of(
+        st.just(0.0), st.floats(-1e3, 1e3))))
+    A = sp.csr_array((values, (rows, cols)), shape=(m, n))
+    scaling = st.floats(1e-8, 1e8)
+    finite = st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1e100, 1e100))
+    p, q, r2, r3 = (draw(hnp.arrays(float, n, elements=elements))
+                    for elements in (scaling, scaling, finite, finite))
+    r1 = draw(hnp.arrays(float, m, elements=finite))
+    dlam = draw(hnp.arrays(float, m, elements=EDGE_FLOATS))
+    return A, p, q, r1, r2, r3, dlam
+
+
+@settings(max_examples=examples(300), deadline=None)
+@given(system=block_systems())
+def test_block_solve_computes_the_written_expressions(system):
+    # solve_block works in place; it must give what the expressions of
+    # its comments give with scipy's products, byte for byte: the
+    # right-hand side it solves with, dx, dlam and ds, and the residuals
+    # it takes the norms of (a norm of 0 stops the refinement).  Its
+    # arguments stay as they were.
+    A, p, q, r1, r2, r3, dlam = system
+    given = [v.copy() for v in (p, q, r1, r2, r3)]
+    At = sp.csr_array(A.T)
+    solved, residuals = [], []
+
+    def stub(rhs):
+        solved.append(rhs.copy())
+        return dlam.copy()
+
+    def record(v):
+        residuals.append(v.copy())
+        return 0.0
+
+    fac = arclp.linalg.NewtonFactor(dense=True, A=A, At=At, p=p, q=q,
+                                    _solve=stub)
+    with mock.patch.object(arclp.linalg, "norm", record):
+        got = solve_block(fac, r1, r2, r3)
+    with np.errstate(all="ignore"):
+        w = r1 - A @ ((r3 - p * r2) / q)
+        At_dlam = At @ dlam
+        ds = r2 - At_dlam
+        dx = (r3 - p * ds) / q
+        want = [A @ dx - r1, At_dlam + ds - r2, q * dx + p * ds - r3]
+
+    def raw(vectors):
+        return [(v.dtype.str, v.tobytes()) for v in vectors]
+
+    assert raw(given) == raw([p, q, r1, r2, r3])
+    assert raw(solved) == raw([w])
+    assert raw(got) == raw([dx, dlam, ds])
+    assert raw(residuals) == raw(want)
 
 
 def positive_rule(v):

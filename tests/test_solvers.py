@@ -546,16 +546,16 @@ class TestPracticalSolvers:
 
     def test_kb2_alg2_with_last_bit_changes_in_m(self, netlib_dir,
                                                  monkeypatch):
-        # Summing the terms as (A_ij * A_kj) * d_j changes the band of M
+        # Summing the terms as (A_kj * A_ij) * d_j changes the band of M
         # only in its last bits; the block solves must absorb that.
         real_assemble = arclp.linalg.ProductMap.assemble
         changed = []
 
         def reassociated(pm, d):
-            terms = np.repeat(pm.val, pm.lead) * pm.coef
-            terms *= np.repeat(d.take(pm.col), pm.lead)
-            values = np.bincount(pm.slot, weights=terms,
-                                 minlength=(pm.kd + 1) * pm.m)
+            # Each of T's coefficients A_kj times its entry A_ij first.
+            T = pm.T.copy()
+            T.data *= pm.val.take(T.indices)
+            values = T @ d.take(pm.col)
             changed.append(values.tobytes()
                            != real_assemble(pm, d)[0].tobytes())
             return values, values[pm.diag]
