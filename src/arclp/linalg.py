@@ -53,13 +53,12 @@ Positive Definite Systems, Prentice-Hall 1981).  Such rows then form a
 border after the band ``B``: with ``S = [[B, C], [C.T, E]]``, ``pbtrf``
 factors ``B = L @ L.T``, ``tbtrs`` forms ``W = L^-1 @ C`` and ``U =
 L^-T @ W``, ``potrf`` factors ``E - W.T @ W``, and a solve is one
-``pbtrs`` and one ``potrs``.  The border takes the rows with the most
-entries in linking columns.  If so few of them, at most a quarter of
-the half-width, leave the other rows pairwise column-disjoint, ``B`` is
-diagonal (half-width 0) and the border is taken whatever the half-width:
-a transport plan's supply rows.  Otherwise a border is sought only for a
-band as wide as ``DENSE_LIMIT``.  A failed factorization is retried
-once, on the same layout, with a small diagonal regularization.
+``pbtrs`` and one ``potrs``.  The border is read off the rows ranked by
+degree, their entries in linking columns: the fewest leading rows of
+the ranking of which each has at least four times the degree of every
+row after them and at least four times their number.  A failed
+factorization is retried once, on the same layout, with a small diagonal
+regularization.
 
 Every product of a solve with ``A`` or ``A.T`` (:func:`solve_block`, the
 residuals, the restart and the starting point) goes through
@@ -89,9 +88,7 @@ _pbtrf, _pbtrs, _tbtrs, _potrf, _potrs = scipy.linalg.get_lapack_funcs(
     ("pbtrf", "pbtrs", "tbtrs", "potrf", "potrs"), dtype=np.float64)
 
 __all__ = ["NumericalError", "NewtonFactor", "ProductMap", "map_products",
-           "factor", "solve_block", "matvec", "norm", "DENSE_LIMIT"]
-
-DENSE_LIMIT = 200
+           "factor", "solve_block", "matvec", "norm"]
 
 # Residual tolerance of solve_block: absolute floor 1, relative in the
 # stacked right-hand side.
@@ -414,9 +411,15 @@ def _drop(At, out):
     stay = ~out
     new = stay.cumsum(dtype=At.indices.dtype) - 1
     kept = stay.take(At.indices)
-    indptr = np.concatenate([[0], kept.cumsum()]).take(At.indptr)
+    # Each column's kept entries start at the count of kept entries before
+    # it; the positions of the kept entries gather them, as numpy gathers
+    # by index faster than by mask.
+    before = np.zeros(kept.size + 1, np.intp)
+    np.cumsum(kept, out=before[1:])
+    indptr = before.take(At.indptr)
+    at = kept.nonzero()[0]
     keep = stay.nonzero()[0]
-    rest = _Columns(At.data[kept], new.take(At.indices[kept]), indptr,
+    rest = _Columns(At.data.take(at), new.take(At.indices.take(at)), indptr,
                     (At.shape[0], keep.size), indptr[1:] - indptr[:-1])
     return rest, _links(rest), keep
 
@@ -475,6 +478,8 @@ def _refine(links, perm, kd, at):
     # sweeps (see map_products): the narrowest order seen and its
     # half-width.  An order is kept only if it is narrower, so with no
     # sweep that narrows, perm itself is returned.
+    if not kd:
+        return perm, kd
     m, n = perm.size, links.count.size
     # The linking entries' rows and the degrees, rows numbered by position
     # in perm, so that a stable sort breaks ties by that position.
@@ -485,7 +490,7 @@ def _refine(links, perm, kd, at):
     position = np.arange(m, dtype=float)
     best = order = np.arange(m)
     stale = 0
-    while stale < 2 and kd:
+    while stale < 2:
         mean = np.bincount(col, position.take(rows), n)
         mean /= links.count
         value = np.bincount(rows, mean.take(col), m)
@@ -587,38 +592,25 @@ def map_products(At):
     pattern of ``|A1| @ |A1|.T`` is never formed.
 
     The border (see the module docstring) holds the rows ranked first by
-    degree, ties by row index.  The fewest of them that leave the other
-    rows sharing no column are found in closed form: one more than the
-    largest rank of a linking column's second-last row.  A test on the
-    degrees alone rules most problems out first: the rows outside the
-    border hold at most one entry per linking column, so their degrees sum
-    to at most the number of linking columns.  Where that border is taken,
-    the band of half-width 0 holds the other rows in descending index.
-    The rule is tried first at a bound that ``kd`` meets in any order: the
-    ``k`` neighbours of a row (the other rows in its linking columns) lie
-    within ``kd`` of it, so ``kd >= ceil(k / 2)``, here for the top-ranked
-    row.  A larger ``kd`` only relaxes the rule's two tests, so a border
-    found at the bound is the one found at the search's ``kd``, and the
-    search runs only where none is found.  Otherwise, if ``kd >=
-    DENSE_LIMIT``, the border takes 1, then 2, 4, ... rows until the other
-    rows' own order has a half-width under ``DENSE_LIMIT`` or no row is
-    left, then as many as a bisection between the last size that did not
-    fit and the first that did settles on.
+    degree, ties by row index, as many as :func:`_border` reads off their
+    degrees.  The other rows are ordered as above on their own, and the
+    border follows them in rank order.  On a transport plan the border is
+    the supply rows; the demand rows left share no linking column, so
+    their band has half-width 0 and holds them in descending index.
 
-    Once the border is settled, the order of the band rows is refined by
-    averaging sweeps, starting from their positions in that order (a band
-    of half-width 0 needs none).  In a sweep, each linking column takes
-    the mean position of its rows, each row takes the mean over its
-    linking columns (a row with none keeps its position), and the rows
-    are sorted by that mean, ties by their reverse Cuthill-McKee
-    position; the means are the next sweep's positions, and the
-    half-width is read off the linking columns again.  The narrowest
-    order seen is kept, so the band is never wider than in reverse
-    Cuthill-McKee order, and unchanged where no sweep narrows it; two
-    sweeps in a row that do not narrow it end the refinement.  Each
-    breadth-first level of a staircase's kept rows holds one period (30
-    rows), so a level-by-level order stays near two periods wide (57);
-    the sweeps bring the band to 32.
+    The order of the band rows is then refined by averaging sweeps,
+    starting from their positions in that order (a band of half-width 0
+    needs none).  In a sweep, each linking column takes the mean position
+    of its rows, each row takes the mean over its linking columns (a row
+    with none keeps its position), and the rows are sorted by that mean,
+    ties by their reverse Cuthill-McKee position; the means are the next
+    sweep's positions, and the half-width is read off the linking columns
+    again.  The narrowest order seen is kept, so the band is never wider
+    than in reverse Cuthill-McKee order, and unchanged where no sweep
+    narrows it; two sweeps in a row that do not narrow it end the
+    refinement.  Each breadth-first level of a staircase's kept rows holds
+    one period (30 rows), so a level-by-level order stays near two periods
+    wide (57); the sweeps bring the band to 32.
     """
     if not At.has_canonical_format:
         At = sp.csr_array(At, copy=True)
@@ -629,39 +621,13 @@ def map_products(At):
     return _map(*found) if found else _map(At, links)
 
 
-def _diagonal_border(links, rank, kd):
-    # The fewest rows first by rank whose removal leaves every linking
-    # column (links is the _Links of A) at most one entry among the other
-    # rows, so that those rows are pairwise column-disjoint; 0 if that
-    # takes more than kd // 4 rows.
-    most = kd // 4
-    if not most:
-        return 0
-    n, col = links.count.size, links.col
-    # The rows outside the border hold at most one entry per linking
-    # column, so their degrees sum to at most the number of columns.
-    if links.degree.take(rank[most:]).sum() > n:
-        return 0
-    # A column keeps at most one entry if the border takes all but its
-    # last by rank: its second-last sets the border's size.
-    position = np.empty(rank.size, np.intp)
-    position[rank] = np.arange(rank.size)
-    position = position.take(links.rows)
-    last = np.zeros(n, np.intp)
-    np.maximum.at(last, col, position)
-    border = 1 + int(position[position < last.take(col)].max())
-    return border if border <= most else 0
-
-
-def _neighbours(links, row):
-    # The number of other rows that share a linking column with `row`
-    # (links is the _Links of A).
-    mine = np.zeros(links.count.size, bool)
-    mine[links.col[links.rows == row]] = True
-    near = np.zeros(links.degree.size, bool)
-    near[links.rows[mine.take(links.col)]] = True
-    near[row] = False
-    return int(near.sum())
+def _border(degree):
+    # The size of the border, from the degrees of the rows in rank order
+    # (most first): i + 1 for the first i whose degree is at least four
+    # times both the next row's and i + 1, or 0 where no i is.
+    ahead = np.maximum(degree[1:], np.arange(1, degree.size))
+    first = (degree[:-1] >= 4 * ahead).nonzero()[0]
+    return int(first[0]) + 1 if first.size else 0
 
 
 def _map(At, links, elim=None, keep=None):
@@ -671,48 +637,17 @@ def _map(At, links, elim=None, keep=None):
     count = At.count
     # The rows by rank: most entries in linking columns first.
     rank = (-links.degree).argsort(kind="stable")
-    # The diagonal border first at a bound on kd in any order (see
-    # map_products), so that the search runs only where it finds none.
-    bound = (_neighbours(links, rank[0]) + 1) // 2 if m else 0
-    border = _diagonal_border(links, rank, bound)
-    if not border:
-        perm, kd, at = _rcm_order(links)
-        border = _diagonal_border(links, rank, kd)
+    border = _border(links.degree.take(rank))
+    band = links
     if border:
-        # A band of half-width 0, its rows in descending index, as the
-        # reverse Cuthill-McKee order numbers rows without linking
-        # columns, then the border by rank.
-        perm = np.concatenate([np.sort(rank[border:])[::-1], rank[:border]])
-        kd = 0
-    elif kd >= DENSE_LIMIT and m:
-        # The border rows by rank, after the band rows in their own order.
-
-        def band(size):
-            # The rows left without the first `size` by rank: their
-            # _Links, their rows of At and their order, which fits with a
-            # half-width under the limit or with no row left.
-            out = np.zeros(m, bool)
-            out[rank[:size]] = True
-            rest, rows = _drop(At, out)[1:]
-            order, kd, at = _rcm_order(rest)
-            return (rest, rows, order, kd, at), kd < DENSE_LIMIT or size == m
-
-        # Double the border until the rest fits, then bisect between the
-        # last size that did not fit and the first that did: doubling alone
-        # can take up to twice the rows needed.
-        low, border, found = 0, m + 1, None
-        while border - low > 1:
-            size = (low + border) // 2 if found else min(2 * low or 1, m)
-            trial, fits = band(size)
-            if fits:
-                border, found = size, trial
-            else:
-                low = size
-        rest, rows, order, kd, at = found
-        order, kd = _refine(rest, order, kd, at)
-        perm = np.concatenate([rows.take(order), rank[:border]])
-    else:
-        perm, kd = _refine(links, perm, kd, at)
+        out = np.zeros(m, bool)
+        out[rank[:border]] = True
+        band, rows = _drop(At, out)[1:]
+    perm, kd, at = _rcm_order(band)
+    perm, kd = _refine(band, perm, kd, at)
+    if border:
+        # The band rows in their own order, then the border by rank.
+        perm = np.concatenate([rows.take(perm), rank[:border]])
     at = np.empty(m, np.intp)
     at[perm] = np.arange(m)
     col = np.arange(At.shape[0], dtype=np.int32).repeat(count)
@@ -777,12 +712,12 @@ def factor(lp, p, q):
     problem's :class:`ProductMap` (``lp.product_map``, built on the first
     call and kept with the problem), bit for bit as scipy's
     ``A1.multiply(dt) @ A1.T``, in the map's order ``perm``, and factored
-    as a band with, where its few densest rows narrow it, a border (see
-    the module docstring).  The factor still solves the full ``M @ y =
-    w``: the eliminated rows' right-hand side is folded into the kept
-    rows', one solve with ``S`` gives their ``y`` in the order ``perm``,
-    and back-substitution gives the eliminated rows' ``y``.  With no row
-    eliminated, ``S`` is ``M``.
+    as a band with, where a few rows are much denser than the others, a
+    border (see the module docstring).  The factor still solves the full
+    ``M @ y = w``: the eliminated rows' right-hand side is folded into the
+    kept rows', one solve with ``S`` gives their ``y`` in the order
+    ``perm``, and back-substitution gives the eliminated rows' ``y``.
+    With no row eliminated, ``S`` is ``M``.
 
     The LAPACK input is not checked for finiteness: ``|S_ik| <= (S_ii +
     S_kk) / 2``, so the guard on the diagonal and the pivots, which raises

@@ -100,7 +100,8 @@ class StandardLP:
         columns of one entry, such as the bound rows
         ``x_j + s_B = u_j - l_j`` of the standard form).  The rest are
         mapped in their order ``perm``: a band, then a border of the
-        densest rows where they widen it (see :func:`map_products`)."""
+        rows much denser than the others, if any (see
+        :func:`map_products`)."""
         return map_products(self.At)
 
     @cached_property

@@ -167,13 +167,22 @@ def perfbench_module(name):
 
 def staircase_raw(periods=5):
     """The benchmark generator's staircase production plan with
-    ``periods`` periods, 20 products and 10 resources.  With five
-    (m = 250, n = 450 after presolve) it is the smallest LP of the tier-1
-    suite above ``DENSE_LIMIT`` rows; 100 of its rows are bounds that the
-    factor eliminates, which leaves 150."""
+    ``periods`` periods, 20 products and 10 resources.  With five it has
+    m = 250 and n = 450 after presolve; 100 of its rows are bounds that
+    the factor eliminates, which leaves 150 in a band of half-width 32."""
     return perfbench_module("workloads").staircase_lp(
         arclp, periods, 20, 10, np.random.default_rng(5),
         "st%dx20x10" % periods)
+
+
+def assert_supply_border(lp, supply):
+    """``lp``, a transport plan of ``supply`` supply rows, has a map of
+    half-width 0 whose border is the supply rows: the rows of more
+    entries than a demand row's ``supply`` plus its surplus column."""
+    pm = lp.product_map
+    assert pm.elim is None and (pm.kd, pm.border) == (0, supply)
+    supply_rows = (np.diff(lp.A.indptr) > supply + 1).nonzero()[0]
+    assert sorted(pm.perm[-supply:]) == supply_rows.tolist()
 
 
 # Small integers keep every product and sum exact, so the dense reference

@@ -15,16 +15,15 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import arclp.linalg
 import arclp.standardize
-from arclp.linalg import (DENSE_LIMIT, NumericalError, factor, matvec,
-                          norm, solve_block)
+from arclp.linalg import NumericalError, factor, matvec, norm, solve_block
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
 from arclp.solvers import initial_point_mehrotra
 from arclp.standardize import to_standard_form
 
-from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR, examples,
-                      make_standard_lp, outcome, perfbench_module,
-                      staircase_raw)
+from conftest import (EDGE_FLOATS, FIX1_MPS, NETLIB_DIR,
+                      assert_supply_border, examples, make_standard_lp,
+                      outcome, perfbench_module, staircase_raw)
 
 
 def lp_of(A):
@@ -58,23 +57,30 @@ def presolved():
     return load
 
 
-# Band limits under which every problem of PROBLEMS gets a border: all
-# its kept rows with a limit of 0, some with a limit of 8.
-BORDER_LIMITS = {"sparse": 0, "band+border": 8}
+def set_band_rows(monkeypatch, rows):
+    """Patch the border rule to leave the ``rows`` rows ranked last in the
+    band and put every other kept row in the border, or none where no
+    more than ``rows`` are kept."""
+    monkeypatch.setattr(arclp.linalg, "_border",
+                        lambda degree: max(degree.size - rows, 0))
+
+
+# Band rows under which every problem of PROBLEMS gets a border: none, so
+# that all its kept rows form the border, or 8.
+BAND_ROWS = {"sparse": 0, "band+border": 8}
 
 
 @pytest.fixture(params=["band", "sparse", "band+border"])
 def kernel_path(request, monkeypatch):
     """Run a kernel test on the band alone, which every problem of these
-    tests takes by default; with a band limit of 0, which puts every kept
-    row in the border and so factors the Schur complement by dense
-    Cholesky (its id, ``sparse``, is that of the sparse LU path it
-    replaced, so that the test ids stay those of earlier runs); and with
-    a band limit of 8, which leaves both the band and the border
-    non-empty on every problem of PROBLEMS."""
-    if request.param in BORDER_LIMITS:
-        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT",
-                            BORDER_LIMITS[request.param])
+    tests takes by default; with every kept row in the border, which
+    factors the Schur complement by dense Cholesky (its id, ``sparse``,
+    is that of the sparse LU path it replaced, so that the test ids stay
+    those of earlier runs); and with 8 band rows, which leaves both the
+    band and the border non-empty on every problem of PROBLEMS and the
+    band alone on fewer than 9 kept rows."""
+    if request.param in BAND_ROWS:
+        set_band_rows(monkeypatch, BAND_ROWS[request.param])
     return request.param
 
 
@@ -197,7 +203,7 @@ def test_product_map_is_built_once_per_problem(monkeypatch):
     assert pm.m == 3 and sorted(pm.perm) == [0, 1, 2]
     assert len(used) == 3 and all(m is pm for m in used)
 
-    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", 0)
+    set_band_rows(monkeypatch, 0)
     lp = lp_of(rng.standard_normal((3, 6)))
     used.clear()
     facs = start_and_two_iterations(lp)
@@ -282,8 +288,7 @@ def test_links_are_the_linking_entries(A):
     # column, the links hold the rows of each linking column's entries and
     # the column's rank among the linking columns; then each linking
     # column's entry count and each row's degree, its entries in linking
-    # columns.  Checked against a dense pattern, with each row's count of
-    # neighbours, the other rows that share a column with it.
+    # columns.  Checked against a dense pattern.
     linalg = arclp.linalg
     links = linalg._links(linalg._columns(sp.csr_array(A.T)))
     entries = A.tocoo()
@@ -297,10 +302,6 @@ def test_links_are_the_linking_entries(A):
     assert links.count.tolist() == [len(r) for r in rows]
     assert links.degree.tolist() == \
         pattern[:, linking].sum(axis=1).tolist()
-    shared = pattern.astype(int) @ pattern.T.astype(int) > 0
-    np.fill_diagonal(shared, False)
-    assert [linalg._neighbours(links, r) for r in range(A.shape[0])] == \
-        shared.sum(axis=1).tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -346,10 +347,10 @@ def test_pseudo_peripheral_start_narrows_the_staircase(presolved):
 # runs it on two BLAS threads as well.
 @pytest.mark.two_blas_threads
 def test_border_retry_keeps_the_layout(monkeypatch):
-    # Rows 1 and 2 are equal, so M is singular, and with a band limit of 0
-    # or 1 both are border rows, on which potrf fails after pbtrf
-    # overwrote the band.  The regularized retry must factor the same band
-    # and border, assembled again, plus the diagonal shift.
+    # Rows 1 and 2 are equal, so M is singular, and with 0 or 1 band rows
+    # both are border rows, on which potrf fails after pbtrf overwrote the
+    # band.  The regularized retry must factor the same band and border,
+    # assembled again, plus the diagonal shift.
     real_cholesky = arclp.linalg._cholesky
     seen = []
 
@@ -360,13 +361,13 @@ def test_border_retry_keeps_the_layout(monkeypatch):
     monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
     A = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0], [1.0, -1.0, 1.0]])
     d = np.array([2.0, 2.0, 1.0])
-    for limit in (0, 1):
-        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    for rows in (0, 1):
+        set_band_rows(monkeypatch, rows)
         lp = lp_of(A)
         seen.clear()
         fac = factor(lp, d, np.ones(3))
         pm = lp.product_map
-        assert not fac.dense and pm.m - pm.border == limit
+        assert not fac.dense and pm.m - pm.border == rows
         first, retry = seen
         M = ((A * d) @ A.T)[np.ix_(pm.perm, pm.perm)]
         assert lower_of(pm, first).tobytes() == np.tril(M).tobytes()
@@ -413,11 +414,11 @@ def test_band_retry_factors_the_band_again(monkeypatch):
 def test_diagonal_band_retry_keeps_the_layout(monkeypatch):
     # Rows 0 and 1 are equal and lie over all 20 columns; row 2 + j lies
     # over columns 2j and 2j + 1.  Without rows 0 and 1 the rows share no
-    # column, so at the default limit they form the border after a band
-    # of half-width 0.  With d = 2 every number is exact: the band is 4,
-    # W holds 2 and E - W.T @ W is 0, on which potrf fails.  The
-    # regularized retry must factor the same band and border, assembled
-    # again, plus the diagonal shift.
+    # column, and each lies over 20 of them against 2: they form the
+    # border after a band of half-width 0.  With d = 2 every number is
+    # exact: the band is 4, W holds 2 and E - W.T @ W is 0, on which potrf
+    # fails.  The regularized retry must factor the same band and border,
+    # assembled again, plus the diagonal shift.
     real_cholesky = arclp.linalg._cholesky
     seen = []
 
@@ -475,22 +476,43 @@ def bordered_patterns(draw):
                         shape=(m, n))
 
 
-# The border rule's oracle on random patterns, whose borders are factored
-# with level-3 BLAS: CI runs it on two BLAS threads as well.
+@st.composite
+def chains_with_dense_rows(draw):
+    """A random ``A`` (CSR) whose degrees fall on both sides of the border
+    rule's factor of four: a chain of 4 to 40 rows, row i over columns i
+    and i + 1, plus 1 to 5 rows over random runs of columns; the rows are
+    shuffled."""
+    chain = draw(st.integers(4, 40))
+    spans = draw(st.lists(st.integers(1, chain + 1), min_size=1, max_size=5))
+    A = np.eye(chain + len(spans), chain + 1)
+    A[:chain] += np.eye(chain, chain + 1, 1)
+    for r, span in enumerate(spans, chain):
+        A[r] = 0.0
+        start = draw(st.integers(0, chain + 1 - span))
+        A[r, start:start + span] = 1.0
+    return sp.csr_array(A[draw(st.permutations(range(A.shape[0])))])
+
+
+# The border rule's oracle, which picks the layouts whose borders are
+# factored with level-3 BLAS: CI runs it on two BLAS threads as well.
 @pytest.mark.two_blas_threads
-@settings(max_examples=300, deadline=None)
-@given(A=bordered_patterns())
-def test_diagonal_border_is_the_shortest_prefix(A):
-    # Rank the rows the factor keeps by their entries in linking columns,
-    # most first, ties by row index.  The shortest prefix of the ranking
-    # whose removal leaves the other kept rows pairwise column-disjoint is
-    # the border, after a band of half-width 0, when it holds at most a
-    # quarter of the kept rows' reverse Cuthill-McKee half-width; and
-    # there is no border at all otherwise (these patterns stay below
-    # DENSE_LIMIT).  Explicit zeros count as entries.
-    linalg = arclp.linalg
-    lp = lp_of(A)
-    pm = lp.product_map
+# A chain of 40 rows over columns i and i + 1, a row over all 41 columns
+# and one over the first 10: degrees 41, 10 and 2, so that the rule holds
+# at the first two ranks, and the border is the first row alone.
+@settings(max_examples=examples(300), deadline=None)
+@example(A=sp.csr_array(np.vstack([np.eye(40, 41) + np.eye(40, 41, 1),
+                                   np.ones(41), np.arange(41) < 10])))
+@given(A=st.one_of(patterns(), bordered_patterns(),
+                  chains_with_dense_rows()))
+def test_border_is_the_first_much_denser_prefix(A):
+    # Rank the rows the factor keeps by their degree, their entries in
+    # linking columns, most first, ties by row index.  The border is the
+    # first b rows of the ranking for the least b whose last row has at
+    # least four times the degree of the next and at least 4 * b; none
+    # where no b short of all the kept rows has that.  It follows the band
+    # rows in rank order, and the band is as narrow as its rows allow in
+    # their order.  Explicit zeros count as entries.
+    pm = lp_of(A).product_map
     kept = np.setdiff1d(np.arange(A.shape[0]),
                         [] if pm.elim is None else pm.elim.rows)
     entries = A.tocoo()
@@ -498,68 +520,41 @@ def test_diagonal_border_is_the_shortest_prefix(A):
     pattern[entries.row, entries.col] = True
     pattern = pattern[kept]
     linking = pattern.sum(axis=0) > 1
-    degree = pattern[:, linking].sum(axis=1)
+    degree = pattern[:, linking].sum(axis=1).tolist()
     rank = sorted(range(kept.size), key=lambda r: (-degree[r], r))
-    disjoint = [(pattern[rank[b:]].sum(axis=0) <= 1).all()
-                for b in range(kept.size + 1)]
-    shortest = disjoint.index(True)
-    At = linalg._columns(lp.At)
-    links = linalg._links(At)
-    found = linalg._eliminate(At, links)
-    kd = linalg._rcm_order(links if found is None else found[1])[1]
-    assert kd < DENSE_LIMIT
-    if 4 * shortest <= kd and shortest:
-        assert (pm.kd, pm.border) == (0, shortest)
-        assert pm.perm[kept.size - shortest:].tolist() == \
-            kept[rank[:shortest]].tolist()
-    else:
-        assert pm.border == 0
-
-
-def map_bytes(pm):
-    """Every field of a product map, arrays as their dtype and bytes."""
-    def raw(value):
-        if isinstance(value, np.ndarray):
-            return value.dtype.str, value.tobytes()
-        if isinstance(value, sp.csr_array):
-            return csr_bytes(value)
-        if isinstance(value, tuple):
-            return [raw(v) for v in value]
-        return value
-    return raw(pm)
+    border = 0
+    for b in range(1, kept.size):
+        if degree[rank[b - 1]] >= 4 * max(degree[rank[b]], b):
+            border = b
+            break
+    nb = kept.size - border
+    assert (pm.m, pm.border) == (kept.size, border)
+    assert pm.perm[nb:].tolist() == kept[rank[:border]].tolist()
+    assert pm.kd == scipy_half_width(sp.csr_array(A[pm.perm[:nb]].T),
+                                     np.arange(nb))
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_diagonal_border_spares_the_search(seed, monkeypatch):
-    # The benchmark's transport plans take a diagonal border under the
-    # bound that their top-ranked row's neighbours set, so their maps
-    # need no reverse Cuthill-McKee search; they are the maps of the
-    # search first, whose half-width then sets the bound.
+    # The benchmark's transport plans take their supply rows as the
+    # border; the demand rows left share no linking column, so the band's
+    # reverse Cuthill-McKee order numbers them without a breadth-first
+    # search, in a band of half-width 0.
     linalg = arclp.linalg
-    real_border, real_rcm = linalg._diagonal_border, linalg._rcm_order
-    searches, calls = [], []
+    real_search = linalg._search
+    searches = []
 
-    def rcm_order(links):
-        searches.append(links)
-        return real_rcm(links)
+    def search(*args):
+        searches.append(args)
+        return real_search(*args)
 
-    def search_first(links, rank, kd):
-        calls.append(kd)
-        return real_border(links, rank, kd) if len(calls) > 1 else 0
-
-    monkeypatch.setattr(linalg, "_rcm_order", rcm_order)
-    plans = perfbench_module("workloads").generate(arclp, "transport", seed)
-    for raw in plans:
+    monkeypatch.setattr(linalg, "_search", search)
+    workloads = perfbench_module("workloads")
+    plans = workloads.generate(arclp, "transport", seed)
+    for raw, (supply, _) in zip(plans, workloads.TRANSPORT_SIZES):
         lp = presolve(to_standard_form(raw))[0]
-        pm = linalg.map_products(lp.At)
-        assert not searches and pm.kd == 0 and pm.border, raw.name
-        calls.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_diagonal_border", search_first)
-            first = linalg.map_products(lp.At)
-        assert len(searches) == 1 and len(calls) == 2, raw.name
-        assert map_bytes(first) == map_bytes(pm), raw.name
-        searches.clear()
+        assert_supply_border(lp, supply)
+        assert not searches, raw.name
 
 
 def reduced(lp, d, shift=0.0):
@@ -609,7 +604,6 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
     # cho_solve_banded's.
     lp = presolved(name)
     pm = lp.product_map
-    assert pm.kd < DENSE_LIMIT
     # Some band must reach pbtrf's blocked path (see above).
     assert max(presolved(other).product_map.kd for other in NETLIB) >= 32
     real_cholesky = arclp.linalg._cholesky
@@ -662,28 +656,29 @@ def test_band_factor_is_scipys_cholesky_banded_bit_for_bit(presolved, name,
 # transport plan's after a band of half-width 0: CI runs these oracles on
 # two BLAS threads as well.
 @pytest.mark.two_blas_threads
-@pytest.mark.parametrize("name, limit", [
-    (name, limit) for limit in BORDER_LIMITS.values() for name in PROBLEMS]
+@pytest.mark.parametrize("name, rows", [
+    (name, rows) for rows in BAND_ROWS.values() for name in PROBLEMS]
     + [("tr10x90", None)])
-def test_border_factor_is_the_block_cholesky(presolved, name, limit,
+def test_border_factor_is_the_block_cholesky(presolved, name, rows,
                                             monkeypatch):
     # With a border [C.T, E] after the band B, the factor of what the map
     # assembled is B's band Cholesky L (scipy's cholesky_banded bit for
     # bit), W with L @ W = C and U with L.T @ U = W, each to the rounding
     # of a triangular solve, and scipy's Cholesky of E - W.T @ W bit for
     # bit, at any scaling and in the regularized retry too.  Its solve
-    # must solve M.  A band limit of None keeps DENSE_LIMIT: the transport
-    # plan's own border, its 10 supply rows after a band of half-width 0.
-    if limit is not None:
-        monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    # must solve M.  With 0 or 8 band rows, the other kept rows form the
+    # border; None keeps the border rule: the transport plan's own
+    # border, its 10 supply rows after a band of half-width 0.
+    if rows is not None:
+        set_band_rows(monkeypatch, rows)
     lp = presolved(name)
     pm = arclp.linalg.map_products(lp.At)
     monkeypatch.setitem(vars(lp), "product_map", pm)
     nb = pm.m - pm.border
-    if limit is None:
+    if rows is None:
         assert (pm.kd, pm.border, nb) == (0, 10, 90)
     else:
-        assert pm.border and (nb > 0) == (limit > 0)
+        assert pm.border and nb == rows
     real_cholesky = arclp.linalg._cholesky
     calls = []
 
@@ -896,14 +891,15 @@ def test_slot_matrix_is_scipys_csr_array(coo):
 # Every row sits alone in its column, so the factor eliminates them all
 # and the map of the kept rows is empty.
 @settings(max_examples=examples(300), deadline=None)
-@example(A=sp.csr_array(np.eye(3)), limit=DENSE_LIMIT)
+@example(A=sp.csr_array(np.eye(3)), rows=None)
 @given(A=st.one_of(patterns(), bordered_patterns()),
-       limit=st.sampled_from([DENSE_LIMIT, 2, 0]))
-def test_product_map_holds_its_terms_in_scipys_csr_array(A, limit):
+       rows=st.sampled_from([None, 2, 0]))
+def test_product_map_holds_its_terms_in_scipys_csr_array(A, rows):
     # T must be scipy's CSR matrix of the terms, with its index type:
     # the slots as rows, the entries they pair as columns, their
-    # coefficients as values.  Band limits of 2 and 0 give the doubled
-    # border, next to the diagonal border of the bordered patterns.
+    # coefficients as values.  With 2 or 0 band rows every other kept row
+    # is in the border; None keeps the border rule, which borders many of
+    # the bordered patterns.
     linalg = arclp.linalg
     real_terms, terms = linalg._terms, []
 
@@ -911,8 +907,10 @@ def test_product_map_holds_its_terms_in_scipys_csr_array(A, limit):
         terms.append(real_terms(*args))
         return terms[-1]
 
+    rule = linalg._border if rows is None else (
+        lambda degree: max(degree.size - rows, 0))
     with (mock.patch.object(linalg, "_terms", spy),
-          mock.patch.object(linalg, "DENSE_LIMIT", limit)):
+          mock.patch.object(linalg, "_border", rule)):
         pm = linalg.map_products(sp.csr_array(A.T))
     (slot, term, coef), = terms
     nb = pm.m - pm.border
@@ -1049,13 +1047,12 @@ def test_common_scaling_leaves_dual_unchanged():
 
 
 def test_border_above_dense_limit():
-    # The half-width alone decides on a border, not the row count: with
-    # more than DENSE_LIMIT rows, a banded pattern takes the band alone,
-    # and the same pattern plus one dense row, which gives M a half-width
-    # of about m in reverse Cuthill-McKee order, takes the band with that
-    # row as its border.
+    # The degrees alone decide on a border, not the row count: with 250
+    # rows, a banded pattern takes the band alone, and the same pattern
+    # plus one dense row, which gives M a half-width of about m in reverse
+    # Cuthill-McKee order, takes the band with that row as its border.
     rng = np.random.default_rng(5)
-    m = DENSE_LIMIT + 50
+    m = 250
     n = m + 40
     # Banded full-rank pattern keeps the factorization cheap.
     diags = [np.full(m, 3.0), rng.uniform(0.5, 1.5, m - 1),
@@ -1070,13 +1067,16 @@ def test_border_above_dense_limit():
     A = A.toarray()
     p = rng.uniform(0.5, 2.0, n)
     q = rng.uniform(0.5, 2.0, n)
+    half_widths = []
     for B, border in ((A, 0), (np.vstack([A, np.ones(n)]), 1)):
         lp = lp_of(B)
         fac = factor(lp, p, q)
         assert fac.dense == (not border)
         pm = lp.product_map
-        assert pm.kd < DENSE_LIMIT and pm.border == border
+        assert pm.border == border
         assert pm.perm[m:].tolist() == [m] * border
+        # The band holds the banded pattern's rows in their own order.
+        half_widths.append(pm.kd)
         r1 = rng.standard_normal(B.shape[0])
         r2 = rng.standard_normal(n)
         r3 = rng.standard_normal(n)
@@ -1084,6 +1084,7 @@ def test_border_above_dense_limit():
         bound = 1e-8 * (1.0 + np.linalg.norm(np.concatenate([r1, r2, r3])))
         for res in residual_norms(B, p, q, r1, r2, r3, dx, dlam, ds):
             assert res <= bound
+    assert half_widths[0] == half_widths[1]
 
 
 def eliminable_system(rng):
@@ -1127,18 +1128,16 @@ def eliminable_system(rng):
     return A, elim
 
 
-@pytest.mark.parametrize("dense_rows, limit, doubled", [
-    (1, 3, 1), (3, 3, 4), (3, 2, 4), (3, 0, 43)])
-def test_border_picks_its_rows(monkeypatch, dense_rows, limit, doubled):
+@pytest.mark.parametrize("dense_rows", [1, 3])
+def test_border_picks_its_rows(dense_rows):
     # A chain of 40 rows, row i over columns i and i + 1, has half-width
-    # 1; dense rows over 41, 30 and 20 columns widen it.  The border takes
-    # the rows of most entries in linking columns, ties by row index, 1,
-    # 2, 4, ... of them until the half-width of the rest is under the
-    # limit (`doubled` rows, at most all), and then the fewest that a
-    # bisection between the last two sizes finds: the dense rows, or all
-    # rows with a limit of 0.  The rows are shuffled, and none is
-    # eliminated.
-    monkeypatch.setattr(arclp.linalg, "DENSE_LIMIT", limit)
+    # 1; dense rows over 41, 30 and 20 columns widen it.  Each dense row
+    # has more than four times the degree of a chain row (2) and more
+    # than four times the number of dense rows, but none four times the
+    # next dense row's: the border is exactly the dense rows, in rank
+    # order (most entries in linking columns first, ties by row index),
+    # after the chain's band of half-width 1.  The rows are shuffled, and
+    # none is eliminated.
     rng = np.random.default_rng(22)
     rows = [[i, i + 1] for i in range(40)]
     rows += [list(range(41)), list(range(30)), list(range(20))][:dense_rows]
@@ -1151,21 +1150,13 @@ def test_border_picks_its_rows(monkeypatch, dense_rows, limit, doubled):
     rank = sorted(range(len(rows)), key=lambda r: (-degree[r], r))
     pm = lp_of(A).product_map
     assert pm.elim is None and pm.m == len(rows)
-    border = pm.border
-    assert border == (dense_rows if limit else len(rows))
-    assert doubled // 2 < border <= doubled
-    assert pm.perm[pm.m - border:].tolist() == rank[:border]
-    assert pm.kd < limit or border == pm.m
-    band_rows = A[pm.perm[:pm.m - border]]
-    assert pm.kd == scipy_half_width(sp.csr_array(band_rows.T),
-                                     np.arange(pm.m - border))
-    # One row fewer in the border leaves the rest, in its reverse
-    # Cuthill-McKee order, at a half-width of at least the limit.
-    out = np.zeros(pm.m, bool)
-    out[rank[:border - 1]] = True
-    rest = arclp.linalg._drop(
-        arclp.linalg._columns(sp.csr_array(A.T)), out)[1]
-    assert arclp.linalg._rcm_order(rest)[1] >= limit
+    assert pm.border == dense_rows
+    assert pm.perm[-dense_rows:].tolist() == rank[:dense_rows]
+    # The dense rows came last before the shuffle.
+    assert sorted(order[pm.perm[-dense_rows:]]) == \
+        list(range(40, 40 + dense_rows))
+    assert pm.kd == 1 == scipy_half_width(
+        sp.csr_array(A[pm.perm[:40]].T), np.arange(40))
 
 
 # It picks the rows whose elimination TestOnBothFactorPaths checks: CI
@@ -1242,7 +1233,7 @@ class TestOnBothFactorPaths:
         lp = presolved(name)
         pm = arclp.linalg.map_products(lp.At)
         nb = pm.m - pm.border
-        # st5x20x10 has half-width 32 in its band order, under the limit.
+        # By default every problem of PROBLEMS takes the band alone.
         assert {"band": nb == pm.m, "sparse": nb == 0,
                 "band+border": 0 < nb < pm.m}[kernel_path]
         A1 = lp.A[pm.perm]
@@ -1293,8 +1284,10 @@ class TestOnBothFactorPaths:
             r3 = rng.standard_normal(n)
             lp = lp_of(A)
             fac = factor(lp, p, q)
-            # Up to 7 rows have a half-width under 8; one row of private
-            # columns is eliminated and leaves no row for a border.
+            # Up to 7 rows take the band alone with 8 band rows, and by
+            # the rule, as dense rows have equal degrees; one row of
+            # private columns is eliminated and leaves no row for a
+            # border.
             assert fac.dense == (kernel_path != "sparse"
                                  or lp.product_map.m == 0)
             dx, dlam, ds = solve_block(fac, r1, r2, r3)
@@ -1317,7 +1310,8 @@ class TestOnBothFactorPaths:
                 p = 10.0 ** rng.uniform(-k, k, n)
                 q = 10.0 ** rng.uniform(-k, k, n)
                 fac = factor(lp, p, q)
-                # The four kept rows have a half-width under 8.
+                # The four kept rows take the band alone with 8 band rows,
+                # and by the rule, as their degrees are equal.
                 assert fac.dense == (kernel_path != "sparse")
                 w = rng.standard_normal(m)
                 assert_allclose(

@@ -1,27 +1,26 @@
-"""End to end above ``DENSE_LIMIT`` rows, on the band alone and on the
-band with a dense border.
+"""End to end on the band alone and on the band with a dense border.
 
 The factor first eliminates the rows whose entries all lie in private
-columns but at most one (a staircase's bound rows); the half-width of
-the normal matrix of the rows it keeps, in reverse Cuthill-McKee order
-with each component started at a pseudo-peripheral row, decides whether
-the rows of most entries in linking columns go to a border.  If a
-border of at most a quarter of that half-width leaves the other rows
-pairwise column-disjoint, it is taken with a band of half-width 0: on a
-transport plan, of any size, the border is exactly the supply rows.
-The bundled netlib instances need a border of nearly all their rows for
-that, and have fewer than ``DENSE_LIMIT`` rows, so they take the band
-alone.  A staircase production plan from the benchmark's generator
-(``perfbench/workloads.py``, loaded read-only) has more rows: it is
+columns but at most one (a staircase's bound rows).  The rows it keeps
+are ranked by degree, their entries in linking columns: the leading
+rows of the ranking form a border when each has at least four times
+the degree of every row after them and at least four times the number
+of border rows.  The other rows form a band, in reverse Cuthill-McKee
+order with each component started at a pseudo-peripheral row, refined
+by averaging sweeps.  On a transport plan, of any size, the border is
+exactly the supply rows, and the demand rows left form a band of
+half-width 0.  The bundled netlib instances have no much-denser rows,
+so they take the band alone.  A staircase production plan from the
+benchmark's generator (``perfbench/workloads.py``, loaded read-only) is
 solved through the whole pipeline by every algorithm and checked
 against scipy's HiGHS.  With five periods its normal matrix has
-half-width 78, and 57 on the 150 rows kept, under the limit, so it is
-factored in band storage; the averaging sweeps that refine the order
-narrow the band to 32.  A ten-period plan with one more row over all
-columns couples every two kept rows, which makes the kept rows'
-half-width 291 (498 before the elimination): that row goes to the
-border, and the other 300 kept rows form a band of half-width 57, 32
-once refined.
+half-width 78, and 57 on the 150 rows kept; it has no much-denser row,
+so it is factored in band storage, which the averaging sweeps narrow to
+half-width 32.  A ten-period plan with one more row over all columns
+couples every two kept rows, which makes the kept rows' half-width 291
+(498 before the elimination).  That row has 600 entries in linking
+columns against 16 for any other row: it forms the border, and the
+other 300 kept rows a band of half-width 57, 32 once refined.
 """
 import dataclasses
 
@@ -31,13 +30,13 @@ import scipy.sparse as sp
 
 import arclp
 import arclp.linalg
-from arclp.linalg import DENSE_LIMIT
 from arclp.mps import parse_mps
 from arclp.presolve import presolve
 from arclp.solvers import Status
 from arclp.standardize import to_standard_form
 
-from conftest import NETLIB_DIR, perfbench_module, staircase_raw
+from conftest import (NETLIB_DIR, assert_supply_border, perfbench_module,
+                      staircase_raw)
 
 linalg = arclp.linalg
 
@@ -105,16 +104,6 @@ def refined_half_width(lp):
     return linalg._refine(kept, *linalg._rcm_order(kept))[1]
 
 
-def assert_supply_border(lp, supply):
-    """``lp``, a transport plan of ``supply`` supply rows, has a map of
-    half-width 0 whose border is the supply rows: the rows of more
-    entries than a demand row's ``supply`` plus its surplus column."""
-    pm = lp.product_map
-    assert pm.elim is None and (pm.kd, pm.border) == (0, supply)
-    supply_rows = (np.diff(lp.A.indptr) > supply + 1).nonzero()[0]
-    assert sorted(pm.perm[-supply:]) == supply_rows.tolist()
-
-
 def test_half_width_picks_the_path(staircase, linked_staircase):
     lp, linked = presolved(staircase[0]), presolved(linked_staircase[0])
     assert (lp.m, lp.n, linked.m, linked.n) == (250, 450, 501, 901)
@@ -143,7 +132,6 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
         for size in workloads.STAIRCASE_SIZES]
     assert len(narrow) + len(transport) == 15
     for lp, (supply, _) in zip(transport, workloads.TRANSPORT_SIZES):
-        assert lp.m < DENSE_LIMIT
         assert_supply_border(lp, supply)
     # The refined half-widths are pinned: an order that widens a band
     # fails here.
@@ -157,7 +145,6 @@ def test_half_width_picks_the_path(staircase, linked_staircase):
         if pm.elim is not None:
             rows += pm.elim.rows.tolist()
         assert pm.kd == refined_half_width(lp) <= half_widths(lp)[1]
-        assert pm.kd < DENSE_LIMIT
         assert pm.border == 0 and sorted(rows) == list(range(lp.m))
 
 
@@ -166,15 +153,61 @@ def test_transport_border_is_the_supply_rows(supply, demand):
     # A supply row has an entry in each of its plan's demand columns, a
     # demand row one per supply row.  Without the supply rows the demand
     # rows are pairwise column-disjoint, and the supply rows are the rows
-    # of most entries in linking columns: the diagonal rule takes them as
-    # the border of a band of half-width 0, though the plan has more than
-    # DENSE_LIMIT rows, so doubling and bisection never run.
+    # of most entries in linking columns, each with more than four times
+    # a demand row's and four times the number of supply rows: the border
+    # rule takes them, after a band of half-width 0.
     workloads = perfbench_module("workloads")
     lp = presolve(to_standard_form(workloads.transport_lp(
         arclp, supply, demand, np.random.default_rng(1),
         "tr%dx%d" % (supply, demand))))[0]
-    assert lp.m == supply + demand > DENSE_LIMIT
+    assert lp.m == supply + demand
     assert_supply_border(lp, supply)
+
+
+@pytest.mark.parametrize("rows, step", [
+    (1, 1), (2, 1), (4, 1), (8, 1), (1, 2), (1, 10)])
+def test_linking_rows_form_the_border(rows, step, monkeypatch):
+    # A twelve-period plan with `rows` more rows over every `step`-th
+    # column: over all, half or a tenth of the 720 columns.  Each such
+    # row has 72 to 720 entries in linking columns, against 16 for any
+    # row of the plan, so the linking rows form the border, in rank
+    # order (equal degrees, so by row index), and the plan's own rows the
+    # band of the plain plan, ordered by one reverse Cuthill-McKee search
+    # (two breadth-first searches from its pseudo-peripheral start, as
+    # for the plain plan).
+    raw = staircase_raw(12)
+    n = len(raw.col_names)
+    rng = np.random.default_rng(rows)
+    link = np.zeros((rows, n))
+    link[:, ::step] = rng.uniform(1.0, 2.0, (rows, link[:, ::step].shape[1]))
+    linked = dataclasses.replace(
+        raw, A_le=sp.vstack([raw.A_le, sp.csr_array(link)]).tocsr(),
+        b_le=np.append(raw.b_le, np.full(rows, 20.0 * raw.b_eq.sum())),
+        row_names_le=raw.row_names_le + ["LINK%d" % r for r in range(rows)])
+    calls = {"_rcm_order": 0, "_search": 0}
+
+    def counted(name):
+        real = getattr(linalg, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+        return spy
+
+    for name in calls:
+        monkeypatch.setattr(linalg, name, counted(name))
+    plain = linalg.map_products(to_standard_form(raw).At)
+    searches = calls["_search"]
+    calls.update({"_rcm_order": 0, "_search": 0})
+    lp = to_standard_form(linked)
+    pm = linalg.map_products(lp.At)
+    assert calls == {"_rcm_order": 1, "_search": searches}
+    assert plain.border == 0 and pm.border == rows
+    assert pm.kd == plain.kd == 32
+    size = np.diff(lp.A.indptr)
+    densest = np.argsort(-size, kind="stable")[:rows]
+    assert pm.perm[-rows:].tolist() == sorted(densest)
+    assert size[densest].min() > np.delete(size, densest).max()
 
 
 def solve_on(path, ref, algorithm, border, monkeypatch):
@@ -191,7 +224,6 @@ def solve_on(path, ref, algorithm, border, monkeypatch):
     monkeypatch.setattr(arclp.linalg, "_cholesky", cholesky)
     config = arclp.SolverConfig(algorithm=algorithm)
     record, _, _ = arclp.solve_mps_file(path, config)
-    assert record.m > DENSE_LIMIT
     assert set(borders) == {border}
     assert len(borders) >= record.iterations
     assert record.status == Status.OPTIMAL
